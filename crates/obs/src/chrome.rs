@@ -17,16 +17,20 @@
 //! Timestamps are microseconds of simulated time, so the export is
 //! bit-deterministic for a given seed and diffable as a golden file.
 
+use std::cmp::Ordering;
+use std::fmt::{self, Display, Write as _};
+
 use faasflow_core::{ResourceSeriesReport, TraceEvent};
-use faasflow_sim::SimTime;
+use faasflow_sim::{NodeId, SimTime};
 use serde::{Deserialize, Error, Serialize, Value};
 
-use crate::span::{AnnotationKind, Span, SpanForest, SpanKind};
+use crate::span::{AnnotationKind, Span, SpanForest, SpanKind, SpanTree};
+use Arg::{Bool, Float, UInt};
 
 /// A parsed JSON document. The vendored serde has no blanket
-/// `Serialize for Value`, so exporters build [`Value`] trees and wrap them
-/// in this newtype for printing; `Deserialize` makes it double as a
-/// grammar-level JSON validator via [`parse_json`].
+/// `Serialize for Value`, so this newtype prints a [`Value`] tree;
+/// `Deserialize` makes it double as a grammar-level JSON validator via
+/// [`parse_json`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct JsonDoc(pub Value);
 
@@ -51,616 +55,608 @@ pub fn parse_json(text: &str) -> Result<Value, serde_json::Error> {
     serde_json::from_str::<JsonDoc>(text).map(|doc| doc.0)
 }
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Map(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn s(text: impl Into<String>) -> Value {
-    Value::Str(text.into())
-}
-
 /// Microseconds of sim time — the unit the trace viewer expects.
-fn us(at: SimTime) -> Value {
-    Value::Float(at.as_nanos() as f64 / 1000.0)
+fn us(at: SimTime) -> f64 {
+    at.as_nanos() as f64 / 1000.0
+}
+
+/// The process a node renders under (process 0 is the cluster).
+fn node_pid(node: NodeId) -> u64 {
+    node.index() as u64 + 1
 }
 
 /// The process a span renders under.
 fn span_pid(span: &Span) -> u64 {
-    span.node.map_or(0, |n| n.index() as u64 + 1)
+    span.node.map_or(0, node_pid)
 }
 
-fn span_args(span: &Span, critical: bool) -> Value {
-    let mut fields: Vec<(&str, Value)> = Vec::new();
-    match span.kind {
-        SpanKind::Invocation | SpanKind::Function => {}
-        SpanKind::Provision { cold } => fields.push(("cold", Value::Bool(cold))),
-        SpanKind::Exec { attempt, failed } => {
-            fields.push(("attempt", Value::UInt(u64::from(attempt))));
-            fields.push(("failed", Value::Bool(failed)));
+/// A scalar field or `args` value.
+#[derive(Clone, Copy)]
+enum Arg {
+    Bool(bool),
+    UInt(u64),
+    Float(f64),
+}
+
+/// Writes into a JSON string body, escaping exactly the characters the
+/// vendored `serde_json` string writer escapes, so the export stays
+/// byte-identical to serializing the equivalent [`Value`] tree.
+struct Escaped<'a>(&'a mut String);
+
+impl fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let mut rest = s;
+        while let Some(i) = rest
+            .bytes()
+            .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+        {
+            self.0.push_str(&rest[..i]);
+            match rest.as_bytes()[i] {
+                b'"' => self.0.push_str("\\\""),
+                b'\\' => self.0.push_str("\\\\"),
+                b'\n' => self.0.push_str("\\n"),
+                b'\r' => self.0.push_str("\\r"),
+                b'\t' => self.0.push_str("\\t"),
+                b => write!(self.0, "\\u{b:04x}")?,
+            }
+            rest = &rest[i + 1..];
         }
+        self.0.push_str(rest);
+        Ok(())
+    }
+}
+
+/// One trace-event object being appended; the closing brace is written
+/// when it drops, so callers may chain `args` or extra fields first.
+struct Event<'a>(&'a mut String);
+
+impl Event<'_> {
+    fn key(&mut self, key: &str) {
+        if !self.0.ends_with('{') {
+            self.0.push(',');
+        }
+        // Keys are fixed ASCII identifiers: nothing to escape.
+        self.0.push('"');
+        self.0.push_str(key);
+        self.0.push_str("\":");
+    }
+
+    fn text(mut self, key: &str, value: impl Display) -> Self {
+        self.key(key);
+        self.0.push('"');
+        write!(Escaped(self.0), "{value}").expect("strings accept any text");
+        self.0.push('"');
+        self
+    }
+
+    fn value(mut self, key: &str, value: Arg) -> Self {
+        self.key(key);
+        // `{}` prints numbers exactly as `u64::to_string`/`f64::to_string`.
+        match value {
+            Bool(b) => self.0.push_str(if b { "true" } else { "false" }),
+            UInt(u) => write!(self.0, "{u}").expect("strings accept any text"),
+            Float(f) => {
+                assert!(f.is_finite(), "trace values are finite");
+                write!(self.0, "{f}").expect("strings accept any text");
+            }
+        }
+        self
+    }
+
+    fn thread(self, ts: f64, pid: u64, tid: u64) -> Self {
+        self.value("ts", Float(ts))
+            .value("pid", UInt(pid))
+            .value("tid", UInt(tid))
+    }
+
+    /// Opens a nested object under `key`; it closes when dropped.
+    fn object(&mut self, key: &str) -> Event<'_> {
+        self.key(key);
+        self.0.push('{');
+        Event(self.0)
+    }
+
+    fn args<'k>(mut self, args: impl IntoIterator<Item = (&'k str, Arg)>) -> Self {
+        let mut inner = self.object("args");
+        for (key, value) in args {
+            inner = inner.value(key, value);
+        }
+        drop(inner);
+        self
+    }
+}
+
+impl Drop for Event<'_> {
+    fn drop(&mut self) {
+        self.0.push('}');
+    }
+}
+
+/// Appends trace events straight into one JSON text buffer.
+struct TraceWriter(String);
+
+impl TraceWriter {
+    fn with_capacity(bytes: usize) -> Self {
+        let mut out = String::with_capacity(bytes);
+        out.push_str("{\"traceEvents\":[");
+        TraceWriter(out)
+    }
+
+    fn event(&mut self) -> Event<'_> {
+        if !self.0.ends_with('[') {
+            self.0.push(',');
+        }
+        self.0.push('{');
+        Event(&mut self.0)
+    }
+
+    fn metadata(&mut self, pid: u64, name: impl Display) {
+        self.event()
+            .text("name", "process_name")
+            .text("ph", "M")
+            .value("pid", UInt(pid))
+            .value("tid", UInt(0))
+            .object("args")
+            .text("name", name);
+    }
+
+    /// A named `B` or `E` slice edge: span begins and engine outages.
+    fn slice(
+        &mut self,
+        ph: &str,
+        name: impl Display,
+        cat: &str,
+        ts: f64,
+        pid: u64,
+        tid: u64,
+    ) -> Event<'_> {
+        self.event()
+            .text("name", name)
+            .text("cat", cat)
+            .text("ph", ph)
+            .thread(ts, pid, tid)
+    }
+
+    /// The bare `E` closing a span's `B` on the same thread.
+    fn end(&mut self, ts: f64, pid: u64, tid: u64) {
+        self.event().text("ph", "E").thread(ts, pid, tid);
+    }
+
+    /// An instant; `scope` is `p` (process) or `g` (global).
+    fn instant(
+        &mut self,
+        name: impl Display,
+        cat: &str,
+        scope: &str,
+        ts: f64,
+        pid: u64,
+    ) -> Event<'_> {
+        self.event()
+            .text("name", name)
+            .text("cat", cat)
+            .text("ph", "i")
+            .text("s", scope)
+            .thread(ts, pid, 0)
+    }
+
+    fn counter<'k>(
+        &mut self,
+        name: impl Display,
+        ts: f64,
+        pid: u64,
+        args: impl IntoIterator<Item = (&'k str, Arg)>,
+    ) {
+        self.event()
+            .text("name", name)
+            .text("ph", "C")
+            .thread(ts, pid, 0)
+            .args(args);
+    }
+
+    fn finish(mut self) -> String {
+        self.0.push_str("],\"displayTimeUnit\":\"ms\"}");
+        self.0
+    }
+}
+
+/// A span's event name: roots carry their own label, everything else is
+/// prefixed with its invocation so concurrent invocations stay apart.
+struct SpanName<'a>(&'a SpanTree, &'a Span);
+
+impl Display for SpanName<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let SpanName(tree, span) = self;
+        if span.parent.is_none() {
+            f.write_str(&span.label)
+        } else {
+            write!(f, "{}/{} {}", tree.workflow, tree.invocation, span.label)
+        }
+    }
+}
+
+/// An annotation's instant name.
+struct AnnotationName<'a>(&'a SpanTree, &'a AnnotationKind);
+
+impl Display for AnnotationName<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let inv = self.0.invocation;
+        match *self.1 {
+            AnnotationKind::StateSync {
+                from,
+                to,
+                completed: done,
+            } => {
+                write!(f, "sync {done}: {from} -> {to}")
+            }
+            AnnotationKind::StorageRetry {
+                function,
+                read,
+                attempt,
+                ..
+            } => {
+                let dir = if read { "read" } else { "write" };
+                write!(f, "storage retry {function} {dir} attempt {attempt}")
+            }
+            AnnotationKind::Restarted { epoch } => write!(f, "{inv} restart epoch {epoch}"),
+            AnnotationKind::DeadLettered => write!(f, "{inv} dead-lettered"),
+            AnnotationKind::Shed { .. } => write!(f, "{inv} shed (queue full)"),
+            AnnotationKind::HedgeLaunched {
+                function,
+                instance,
+                from,
+                to,
+            } => {
+                write!(f, "hedge {function}#{instance}: {from} -> {to}")
+            }
+            AnnotationKind::HedgeResolved {
+                function,
+                instance,
+                winner_is_hedge,
+            } => {
+                let winner = if winner_is_hedge { "hedge" } else { "primary" };
+                write!(f, "hedge {function}#{instance} {winner} won")
+            }
+        }
+    }
+}
+
+fn span_args(span: &Span, critical: bool) -> impl Iterator<Item = (&'static str, Arg)> {
+    let kind = match span.kind {
+        SpanKind::Invocation | SpanKind::Function => [None, None, None],
+        SpanKind::Provision { cold } => [Some(("cold", Bool(cold))), None, None],
+        SpanKind::Exec { attempt, failed } => [
+            Some(("attempt", UInt(u64::from(attempt)))),
+            Some(("failed", Bool(failed))),
+            None,
+        ],
         SpanKind::Transfer {
             read,
             remote,
             bytes,
-        } => {
-            fields.push(("read", Value::Bool(read)));
-            fields.push(("remote", Value::Bool(remote)));
-            fields.push(("bytes", Value::UInt(bytes)));
-        }
-    }
-    if span.truncated {
-        fields.push(("truncated", Value::Bool(true)));
-    }
-    if critical {
-        fields.push(("critical_path", Value::Bool(true)));
-    }
-    obj(fields)
+        } => [
+            Some(("read", Bool(read))),
+            Some(("remote", Bool(remote))),
+            Some(("bytes", UInt(bytes))),
+        ],
+    };
+    kind.into_iter()
+        .chain([
+            span.truncated.then_some(("truncated", Bool(true))),
+            critical.then_some(("critical_path", Bool(true))),
+        ])
+        .flatten()
 }
 
-/// Greedy interval-lane allocation: each span gets the lowest-numbered
-/// lane whose previous occupant has already closed. Returns `(lane,
-/// span)` pairs and keeps the by-`(start, end desc)` order, so within one
-/// lane spans are sequential and `B`/`E` pairs trivially nest.
-fn allocate_lanes(mut spans: Vec<(&Span, String)>) -> Vec<(usize, &Span, String)> {
-    spans.sort_by(|(a, _), (b, _)| {
-        a.start
-            .cmp(&b.start)
-            .then(b.end.cmp(&a.end))
-            .then(a.label.cmp(&b.label))
-    });
-    let mut lane_free_at: Vec<SimTime> = Vec::new();
-    let mut out = Vec::with_capacity(spans.len());
-    for (span, name) in spans {
-        let lane = match lane_free_at.iter().position(|&free| free <= span.start) {
+/// The order lanes are allocated in: by start, longer spans first, then
+/// by label, so a parent precedes the children it encloses.
+fn lane_order(a: &Span, b: &Span) -> Ordering {
+    a.start
+        .cmp(&b.start)
+        .then(b.end.cmp(&a.end))
+        .then(a.label.cmp(&b.label))
+}
+
+/// Greedy interval-lane allocation over spans fed in [`lane_order`]: each
+/// span gets the lowest-numbered lane whose previous occupant has already
+/// closed, so within one lane spans are sequential and `B`/`E` pairs
+/// trivially nest.
+#[derive(Default)]
+struct Lanes {
+    free_at: Vec<SimTime>,
+}
+
+impl Lanes {
+    fn assign(&mut self, span: &Span) -> usize {
+        let lane = match self.free_at.iter().position(|&free| free <= span.start) {
             Some(l) => l,
             None => {
-                lane_free_at.push(SimTime::ZERO);
-                lane_free_at.len() - 1
+                self.free_at.push(SimTime::ZERO);
+                self.free_at.len() - 1
             }
         };
-        lane_free_at[lane] = span.end;
-        out.push((lane, span, name));
+        self.free_at[lane] = span.end;
+        lane
     }
-    out
 }
 
 /// Renders the forest (and, when sampling was on, the resource series) as
 /// Chrome trace-event JSON.
 pub fn chrome_trace(forest: &SpanForest, resources: Option<&ResourceSeriesReport>) -> String {
-    let mut events: Vec<Value> = Vec::new();
-
     // Spans on an invocation's observed critical path are highlighted
     // (distinct color name + a `critical_path` arg) so the bottleneck
     // chain is visually traceable through the lanes.
-    let critical_spans: std::collections::HashSet<*const Span> = crate::critpath::extract(forest)
-        .iter()
-        .zip(&forest.trees)
-        .flat_map(|(path, tree)| {
-            path.segments
-                .iter()
-                .filter_map(|seg| seg.span)
-                .map(|idx| &tree.spans[idx] as *const Span)
-        })
-        .collect();
-
-    // --- Track metadata -------------------------------------------------
-    let mut pids: Vec<u64> = forest
+    let mut critical: Vec<Vec<bool>> = forest
         .trees
         .iter()
-        .flat_map(|t| t.spans.iter().map(span_pid))
-        .chain(std::iter::once(0))
+        .map(|tree| vec![false; tree.spans.len()])
         .collect();
-    if let Some(res) = resources {
-        pids.extend(res.nodes.iter().map(|n| n.node.index() as u64 + 1));
+    for (path, flags) in crate::critpath::extract(forest).iter().zip(&mut critical) {
+        for idx in path.segments.iter().filter_map(|seg| seg.span) {
+            flags[idx] = true;
+        }
     }
-    pids.sort_unstable();
-    pids.dedup();
-    for pid in &pids {
-        let name = match pid {
-            0 => "cluster".to_string(),
-            1 => "node0 (master/storage)".to_string(),
-            n => format!("node{} (worker)", n - 1),
-        };
-        events.push(obj(vec![
-            ("name", s("process_name")),
-            ("ph", s("M")),
-            ("pid", Value::UInt(*pid)),
-            ("tid", Value::UInt(0)),
-            ("args", obj(vec![("name", s(name))])),
-        ]));
+
+    // Bucket spans by process in one pass; tree-then-span order within a
+    // bucket is the tie-break the stable lane sort preserves. A process is
+    // listed if it is the cluster, holds a span or has a resource series.
+    let mut by_pid: Vec<Vec<(usize, usize)>> = Vec::new();
+    let mut listed: Vec<bool> = Vec::new();
+    let resource_pids = resources
+        .into_iter()
+        .flat_map(|res| &res.nodes)
+        .map(|series| (node_pid(series.node), None));
+    let span_pids = forest.trees.iter().enumerate().flat_map(|(t, tree)| {
+        (tree.spans.iter().enumerate()).map(move |(i, span)| (span_pid(span), Some((t, i))))
+    });
+    for (pid, span) in std::iter::once((0, None))
+        .chain(resource_pids)
+        .chain(span_pids)
+    {
+        let pid = pid as usize;
+        if pid >= listed.len() {
+            listed.resize(pid + 1, false);
+            by_pid.resize_with(pid + 1, Vec::new);
+        }
+        listed[pid] = true;
+        by_pid[pid].extend(span);
+    }
+
+    let annotations: usize = forest.trees.iter().map(|t| t.annotations.len()).sum();
+    let samples: usize = resources.map_or(0, |res| {
+        res.cluster.len() + res.nodes.iter().map(|n| n.samples.len()).sum::<usize>()
+    });
+    let mut w = TraceWriter::with_capacity(
+        1024 + 256 * forest.span_count()
+            + 160 * (annotations + forest.node_events.len())
+            + 512 * samples,
+    );
+
+    // --- Track metadata -------------------------------------------------
+    for (pid, _) in listed.iter().enumerate().filter(|(_, &on)| on) {
+        match pid {
+            0 => w.metadata(0, "cluster"),
+            1 => w.metadata(1, "node0 (master/storage)"),
+            n => w.metadata(n as u64, format_args!("node{} (worker)", n - 1)),
+        }
     }
 
     // --- Spans as B/E pairs --------------------------------------------
-    for pid in &pids {
-        let spans: Vec<(&Span, String)> = forest
-            .trees
-            .iter()
-            .flat_map(|tree| {
-                tree.spans
-                    .iter()
-                    .filter(move |span| span_pid(span) == *pid)
-                    .map(move |span| {
-                        let name = if span.parent.is_none() {
-                            span.label.clone()
-                        } else {
-                            format!("{}/{} {}", tree.workflow, tree.invocation, span.label)
-                        };
-                        (span, name)
-                    })
-            })
-            .collect();
-        for (lane, span, name) in allocate_lanes(spans) {
-            let tid = Value::UInt(lane as u64);
-            let critical = critical_spans.contains(&(span as *const Span));
-            let mut begin = vec![
-                ("name", s(name)),
-                ("cat", s(category(span))),
-                ("ph", s("B")),
-                ("ts", us(span.start)),
-                ("pid", Value::UInt(*pid)),
-                ("tid", tid.clone()),
-                ("args", span_args(span, critical)),
-            ];
-            if critical {
+    for (pid, bucket) in by_pid.iter_mut().enumerate() {
+        let pid = pid as u64;
+        let span_at = |&(t, i): &(usize, usize)| &forest.trees[t].spans[i];
+        bucket.sort_by(|a, b| lane_order(span_at(a), span_at(b)));
+        let mut lanes = Lanes::default();
+        for &(t, i) in bucket.iter() {
+            let (tree, span) = (&forest.trees[t], &forest.trees[t].spans[i]);
+            let lane = lanes.assign(span) as u64;
+            let name = SpanName(tree, span);
+            let begin = w
+                .slice("B", name, category(span), us(span.start), pid, lane)
+                .args(span_args(span, critical[t][i]));
+            if critical[t][i] {
                 // Legacy Chrome color name: renders the gating slices in a
                 // uniform alarm red in both Perfetto and chrome://tracing.
-                begin.push(("cname", s("terrible")));
+                begin.text("cname", "terrible");
+            } else {
+                drop(begin);
             }
-            events.push(obj(begin));
-            events.push(obj(vec![
-                ("ph", s("E")),
-                ("ts", us(span.end)),
-                ("pid", Value::UInt(*pid)),
-                ("tid", tid),
-            ]));
+            w.end(us(span.end), pid, lane);
         }
     }
 
     // --- Annotations and node-scoped fault events as instants ----------
     for tree in &forest.trees {
         for a in &tree.annotations {
-            let (name, pid) = match &a.kind {
-                AnnotationKind::StateSync {
-                    from,
-                    to,
-                    completed,
-                } => (
-                    format!("sync {completed}: {from} -> {to}"),
-                    from.index() as u64 + 1,
-                ),
-                AnnotationKind::StorageRetry {
-                    function,
-                    read,
-                    attempt,
-                    ..
-                } => (
-                    format!(
-                        "storage retry {function} {} attempt {attempt}",
-                        if *read { "read" } else { "write" }
-                    ),
-                    0,
-                ),
-                AnnotationKind::Restarted { epoch } => {
-                    (format!("{} restart epoch {epoch}", tree.invocation), 0)
-                }
-                AnnotationKind::DeadLettered => (format!("{} dead-lettered", tree.invocation), 0),
-                AnnotationKind::Shed { worker } => (
-                    format!("{} shed (queue full)", tree.invocation),
-                    worker.index() as u64 + 1,
-                ),
-                AnnotationKind::HedgeLaunched {
-                    function,
-                    instance,
-                    from,
-                    to,
-                } => (
-                    format!("hedge {function}#{instance}: {from} -> {to}"),
-                    to.index() as u64 + 1,
-                ),
-                AnnotationKind::HedgeResolved {
-                    function,
-                    instance,
-                    winner_is_hedge,
-                } => (
-                    format!(
-                        "hedge {function}#{instance} {} won",
-                        if *winner_is_hedge { "hedge" } else { "primary" }
-                    ),
-                    0,
-                ),
+            let pid = match a.kind {
+                AnnotationKind::StateSync { from, .. } => node_pid(from),
+                AnnotationKind::Shed { worker } => node_pid(worker),
+                AnnotationKind::HedgeLaunched { to, .. } => node_pid(to),
+                _ => 0,
             };
-            events.push(obj(vec![
-                ("name", s(name)),
-                ("cat", s("annotation")),
-                ("ph", s("i")),
-                ("s", s("p")),
-                ("ts", us(a.at)),
-                ("pid", Value::UInt(pid)),
-                ("tid", Value::UInt(0)),
-            ]));
+            w.instant(
+                AnnotationName(tree, &a.kind),
+                "annotation",
+                "p",
+                us(a.at),
+                pid,
+            );
         }
     }
     for event in &forest.node_events {
-        // The storage-node breaker renders twice: an instant per transition
-        // and a counter track of its state level (0 = closed, 1 = open,
-        // 2 = half-open), both on the master/storage process.
-        if let TraceEvent::BreakerTransition { from, to, at } = event {
-            events.push(obj(vec![
-                ("name", s(format!("breaker {from:?} -> {to:?}"))),
-                ("cat", s("overload")),
-                ("ph", s("i")),
-                ("s", s("p")),
-                ("ts", us(*at)),
-                ("pid", Value::UInt(1)),
-                ("tid", Value::UInt(0)),
-            ]));
-            events.push(obj(vec![
-                ("name", s("breaker state")),
-                ("ph", s("C")),
-                ("ts", us(*at)),
-                ("pid", Value::UInt(1)),
-                ("tid", Value::UInt(0)),
-                (
-                    "args",
-                    obj(vec![("level", Value::UInt(u64::from(to.as_level())))]),
-                ),
-            ]));
-            continue;
+        let at = us(event.at());
+        match *event {
+            // The storage-node breaker renders twice: an instant per
+            // transition and a counter track of its state level (0 =
+            // closed, 1 = open, 2 = half-open), both on the master/storage
+            // process.
+            TraceEvent::BreakerTransition { from, to, .. } => {
+                let name = format_args!("breaker {from:?} -> {to:?}");
+                w.instant(name, "overload", "p", at, 1);
+                w.counter(
+                    "breaker state",
+                    at,
+                    1,
+                    [("level", UInt(to.as_level().into()))],
+                );
+            }
+            // Engine outages render as a duration span on the owning
+            // process (crash opens it, recovery closes it) plus an instant
+            // per edge so the replay size is visible at the recovery point.
+            TraceEvent::EngineCrashed { worker, .. } => {
+                let pid = worker.map_or(1, node_pid);
+                w.slice("B", "engine down", "fault", at, pid, 0);
+                w.instant("engine crashed", "fault", "p", at, pid);
+            }
+            TraceEvent::EngineRecovered {
+                worker, replayed, ..
+            } => {
+                let pid = worker.map_or(1, node_pid);
+                let name = format_args!("engine recovered ({replayed} records replayed)");
+                w.slice("E", "engine down", "fault", at, pid, 0);
+                w.instant(name, "fault", "p", at, pid);
+            }
+            // SLO alert transitions render on the cluster process: an
+            // instant per edge plus a burn-rate counter track that steps to
+            // the firing burn rates and back to zero on resolve.
+            TraceEvent::SloAlertFired {
+                workflow: wf,
+                fast_burn: fast,
+                slow_burn: slow,
+                ..
+            } => {
+                w.instant(format_args!("SLO alert fired: {wf}"), "slo", "g", at, 0)
+                    .args([("fast_burn", Float(fast)), ("slow_burn", Float(slow))]);
+                let burn = [("fast", Float(fast)), ("slow", Float(slow))];
+                w.counter(format_args!("slo burn rate {wf}"), at, 0, burn);
+            }
+            TraceEvent::SloAlertResolved { workflow: wf, .. } => {
+                w.instant(format_args!("SLO alert resolved: {wf}"), "slo", "g", at, 0);
+                let burn = [("fast", Float(0.0)), ("slow", Float(0.0))];
+                w.counter(format_args!("slo burn rate {wf}"), at, 0, burn);
+            }
+            // Degradation transitions render like the SLO alerts they
+            // answer: an instant per transition plus a severity counter
+            // track (0 normal, 1 recovering, 2 throttled, 3 shedding).
+            TraceEvent::WorkflowDegraded {
+                workflow: wf,
+                level,
+                cap,
+                ..
+            } => {
+                let name = format_args!("workflow degraded: {wf} -> {}", level.label());
+                w.instant(name, "degrade", "g", at, 0)
+                    .args([("cap", UInt(cap.into()))]);
+                let state = [("level", UInt(level.as_level().into()))];
+                w.counter(format_args!("degrade state {wf}"), at, 0, state);
+            }
+            TraceEvent::WorkflowRestored { workflow: wf, .. } => {
+                w.instant(
+                    format_args!("workflow restored: {wf}"),
+                    "degrade",
+                    "g",
+                    at,
+                    0,
+                );
+                w.counter(
+                    format_args!("degrade state {wf}"),
+                    at,
+                    0,
+                    [("level", UInt(0))],
+                );
+            }
+            // Health detector transitions: an instant on the worker's
+            // process row plus a per-worker state counter track (0 healthy,
+            // 3 quarantined — the half-open Reinstating phase has no trace
+            // event of its own, so the counter steps straight back to 0 on
+            // reinstatement).
+            TraceEvent::WorkerQuarantined {
+                worker,
+                score,
+                relapse,
+                ..
+            } => {
+                let name = if relapse {
+                    "worker quarantined (relapse)"
+                } else {
+                    "worker quarantined"
+                };
+                let pid = node_pid(worker);
+                w.instant(name, "health", "p", at, pid)
+                    .args([("score", Float(score))]);
+                w.counter("health state", at, pid, [("level", UInt(3))]);
+            }
+            TraceEvent::WorkerReinstated { worker, .. } => {
+                let pid = node_pid(worker);
+                w.instant("worker reinstated", "health", "p", at, pid);
+                w.counter("health state", at, pid, [("level", UInt(0))]);
+            }
+            TraceEvent::ZombieFenced {
+                worker,
+                workflow: wf,
+                invocation: inv,
+                ..
+            } => {
+                let name = format_args!("zombie fenced: {wf}/{inv}");
+                w.instant(name, "health", "p", at, node_pid(worker));
+            }
+            TraceEvent::WorkerCrashed { worker, .. } => {
+                w.instant("worker crashed", "fault", "p", at, node_pid(worker));
+            }
+            TraceEvent::WorkerRestarted { worker, .. } => {
+                w.instant("worker restarted", "fault", "p", at, node_pid(worker));
+            }
+            TraceEvent::LeaseExpired { worker, .. } => {
+                w.instant("lease expired", "fault", "p", at, node_pid(worker));
+            }
+            _ => {}
         }
-        // Engine outages render as a duration span on the owning process
-        // (crash opens it, recovery closes it) plus an instant per edge so
-        // the replay size is visible at the recovery point.
-        if let TraceEvent::EngineCrashed { worker, at } = event {
-            let pid = worker.map(|n| n.index() as u64 + 1).unwrap_or(1);
-            events.push(obj(vec![
-                ("name", s("engine down")),
-                ("cat", s("fault")),
-                ("ph", s("B")),
-                ("ts", us(*at)),
-                ("pid", Value::UInt(pid)),
-                ("tid", Value::UInt(0)),
-            ]));
-            events.push(obj(vec![
-                ("name", s("engine crashed")),
-                ("cat", s("fault")),
-                ("ph", s("i")),
-                ("s", s("p")),
-                ("ts", us(*at)),
-                ("pid", Value::UInt(pid)),
-                ("tid", Value::UInt(0)),
-            ]));
-            continue;
-        }
-        if let TraceEvent::EngineRecovered {
-            worker,
-            replayed,
-            at,
-        } = event
-        {
-            let pid = worker.map(|n| n.index() as u64 + 1).unwrap_or(1);
-            events.push(obj(vec![
-                ("name", s("engine down")),
-                ("cat", s("fault")),
-                ("ph", s("E")),
-                ("ts", us(*at)),
-                ("pid", Value::UInt(pid)),
-                ("tid", Value::UInt(0)),
-            ]));
-            events.push(obj(vec![
-                (
-                    "name",
-                    s(format!("engine recovered ({replayed} records replayed)")),
-                ),
-                ("cat", s("fault")),
-                ("ph", s("i")),
-                ("s", s("p")),
-                ("ts", us(*at)),
-                ("pid", Value::UInt(pid)),
-                ("tid", Value::UInt(0)),
-            ]));
-            continue;
-        }
-        // SLO alert transitions render on the cluster process: an instant
-        // per edge plus a burn-rate counter track that steps to the firing
-        // burn rates and back to zero on resolve.
-        if let TraceEvent::SloAlertFired {
-            workflow,
-            fast_burn,
-            slow_burn,
-            at,
-        } = event
-        {
-            events.push(obj(vec![
-                ("name", s(format!("SLO alert fired: {workflow}"))),
-                ("cat", s("slo")),
-                ("ph", s("i")),
-                ("s", s("g")),
-                ("ts", us(*at)),
-                ("pid", Value::UInt(0)),
-                ("tid", Value::UInt(0)),
-                (
-                    "args",
-                    obj(vec![
-                        ("fast_burn", Value::Float(*fast_burn)),
-                        ("slow_burn", Value::Float(*slow_burn)),
-                    ]),
-                ),
-            ]));
-            events.push(obj(vec![
-                ("name", s(format!("slo burn rate {workflow}"))),
-                ("ph", s("C")),
-                ("ts", us(*at)),
-                ("pid", Value::UInt(0)),
-                ("tid", Value::UInt(0)),
-                (
-                    "args",
-                    obj(vec![
-                        ("fast", Value::Float(*fast_burn)),
-                        ("slow", Value::Float(*slow_burn)),
-                    ]),
-                ),
-            ]));
-            continue;
-        }
-        if let TraceEvent::SloAlertResolved { workflow, at } = event {
-            events.push(obj(vec![
-                ("name", s(format!("SLO alert resolved: {workflow}"))),
-                ("cat", s("slo")),
-                ("ph", s("i")),
-                ("s", s("g")),
-                ("ts", us(*at)),
-                ("pid", Value::UInt(0)),
-                ("tid", Value::UInt(0)),
-            ]));
-            events.push(obj(vec![
-                ("name", s(format!("slo burn rate {workflow}"))),
-                ("ph", s("C")),
-                ("ts", us(*at)),
-                ("pid", Value::UInt(0)),
-                ("tid", Value::UInt(0)),
-                (
-                    "args",
-                    obj(vec![
-                        ("fast", Value::Float(0.0)),
-                        ("slow", Value::Float(0.0)),
-                    ]),
-                ),
-            ]));
-            continue;
-        }
-        // Degradation transitions render like the SLO alerts they answer:
-        // an instant per transition plus a severity counter track
-        // (0 normal, 1 recovering, 2 throttled, 3 shedding).
-        if let TraceEvent::WorkflowDegraded {
-            workflow,
-            level,
-            cap,
-            at,
-        } = event
-        {
-            events.push(obj(vec![
-                (
-                    "name",
-                    s(format!(
-                        "workflow degraded: {workflow} -> {}",
-                        level.label()
-                    )),
-                ),
-                ("cat", s("degrade")),
-                ("ph", s("i")),
-                ("s", s("g")),
-                ("ts", us(*at)),
-                ("pid", Value::UInt(0)),
-                ("tid", Value::UInt(0)),
-                ("args", obj(vec![("cap", Value::UInt(u64::from(*cap)))])),
-            ]));
-            events.push(obj(vec![
-                ("name", s(format!("degrade state {workflow}"))),
-                ("ph", s("C")),
-                ("ts", us(*at)),
-                ("pid", Value::UInt(0)),
-                ("tid", Value::UInt(0)),
-                (
-                    "args",
-                    obj(vec![("level", Value::UInt(u64::from(level.as_level())))]),
-                ),
-            ]));
-            continue;
-        }
-        if let TraceEvent::WorkflowRestored { workflow, at } = event {
-            events.push(obj(vec![
-                ("name", s(format!("workflow restored: {workflow}"))),
-                ("cat", s("degrade")),
-                ("ph", s("i")),
-                ("s", s("g")),
-                ("ts", us(*at)),
-                ("pid", Value::UInt(0)),
-                ("tid", Value::UInt(0)),
-            ]));
-            events.push(obj(vec![
-                ("name", s(format!("degrade state {workflow}"))),
-                ("ph", s("C")),
-                ("ts", us(*at)),
-                ("pid", Value::UInt(0)),
-                ("tid", Value::UInt(0)),
-                ("args", obj(vec![("level", Value::UInt(0))])),
-            ]));
-            continue;
-        }
-        // Health detector transitions: an instant on the worker's process
-        // row plus a per-worker state counter track (0 healthy, 3
-        // quarantined — the half-open Reinstating phase has no trace event
-        // of its own, so the counter steps straight back to 0 on
-        // reinstatement).
-        if let TraceEvent::WorkerQuarantined {
-            worker,
-            score,
-            relapse,
-            at,
-        } = event
-        {
-            let pid = Value::UInt(worker.index() as u64 + 1);
-            events.push(obj(vec![
-                (
-                    "name",
-                    s(if *relapse {
-                        "worker quarantined (relapse)"
-                    } else {
-                        "worker quarantined"
-                    }),
-                ),
-                ("cat", s("health")),
-                ("ph", s("i")),
-                ("s", s("p")),
-                ("ts", us(*at)),
-                ("pid", pid.clone()),
-                ("tid", Value::UInt(0)),
-                ("args", obj(vec![("score", Value::Float(*score))])),
-            ]));
-            events.push(obj(vec![
-                ("name", s("health state")),
-                ("ph", s("C")),
-                ("ts", us(*at)),
-                ("pid", pid),
-                ("tid", Value::UInt(0)),
-                ("args", obj(vec![("level", Value::UInt(3))])),
-            ]));
-            continue;
-        }
-        if let TraceEvent::WorkerReinstated { worker, at } = event {
-            let pid = Value::UInt(worker.index() as u64 + 1);
-            events.push(obj(vec![
-                ("name", s("worker reinstated")),
-                ("cat", s("health")),
-                ("ph", s("i")),
-                ("s", s("p")),
-                ("ts", us(*at)),
-                ("pid", pid.clone()),
-                ("tid", Value::UInt(0)),
-            ]));
-            events.push(obj(vec![
-                ("name", s("health state")),
-                ("ph", s("C")),
-                ("ts", us(*at)),
-                ("pid", pid),
-                ("tid", Value::UInt(0)),
-                ("args", obj(vec![("level", Value::UInt(0))])),
-            ]));
-            continue;
-        }
-        if let TraceEvent::ZombieFenced {
-            worker,
-            workflow,
-            invocation,
-            at,
-        } = event
-        {
-            events.push(obj(vec![
-                ("name", s(format!("zombie fenced: {workflow}/{invocation}"))),
-                ("cat", s("health")),
-                ("ph", s("i")),
-                ("s", s("p")),
-                ("ts", us(*at)),
-                ("pid", Value::UInt(worker.index() as u64 + 1)),
-                ("tid", Value::UInt(0)),
-            ]));
-            continue;
-        }
-        let (name, node) = match event {
-            TraceEvent::WorkerCrashed { worker, .. } => ("worker crashed", worker),
-            TraceEvent::WorkerRestarted { worker, .. } => ("worker restarted", worker),
-            TraceEvent::LeaseExpired { worker, .. } => ("lease expired", worker),
-            _ => continue,
-        };
-        events.push(obj(vec![
-            ("name", s(name)),
-            ("cat", s("fault")),
-            ("ph", s("i")),
-            ("s", s("p")),
-            ("ts", us(event.at())),
-            ("pid", Value::UInt(node.index() as u64 + 1)),
-            ("tid", Value::UInt(0)),
-        ]));
     }
 
     // --- Resource series as counter tracks -----------------------------
     if let Some(res) = resources {
         for series in &res.nodes {
-            let pid = Value::UInt(series.node.index() as u64 + 1);
-            for sample in &series.samples {
-                let ts = Value::Float(sample.at_secs * 1e6);
-                let mut counter = |name: &str, args: Vec<(&str, Value)>| {
-                    events.push(obj(vec![
-                        ("name", s(name)),
-                        ("ph", s("C")),
-                        ("ts", ts.clone()),
-                        ("pid", pid.clone()),
-                        ("tid", Value::UInt(0)),
-                        ("args", obj(args)),
-                    ]));
-                };
-                counter(
+            let pid = node_pid(series.node);
+            for s in &series.samples {
+                let ts = s.at_secs * 1e6;
+                let idle = s.containers.saturating_sub(s.busy);
+                w.counter(
                     "containers",
-                    vec![
-                        ("busy", Value::UInt(sample.busy)),
-                        (
-                            "warm idle",
-                            Value::UInt(sample.containers.saturating_sub(sample.busy)),
-                        ),
-                    ],
+                    ts,
+                    pid,
+                    [("busy", UInt(s.busy)), ("warm idle", UInt(idle))],
                 );
-                counter(
+                w.counter(
                     "queued admissions",
-                    vec![("queued", Value::UInt(sample.queued_admissions))],
+                    ts,
+                    pid,
+                    [("queued", UInt(s.queued_admissions))],
                 );
-                counter(
-                    "memstore bytes",
-                    vec![
-                        ("used", Value::UInt(sample.memstore_used_bytes)),
-                        ("budget", Value::UInt(sample.memstore_budget_bytes)),
-                    ],
-                );
-                counter(
-                    "nic bytes/s",
-                    vec![
-                        ("tx", Value::Float(sample.nic_tx_bytes_per_sec)),
-                        ("rx", Value::Float(sample.nic_rx_bytes_per_sec)),
-                    ],
-                );
+                let mem = [
+                    ("used", s.memstore_used_bytes),
+                    ("budget", s.memstore_budget_bytes),
+                ];
+                w.counter("memstore bytes", ts, pid, mem.map(|(k, v)| (k, UInt(v))));
+                let nic = [
+                    ("tx", s.nic_tx_bytes_per_sec),
+                    ("rx", s.nic_rx_bytes_per_sec),
+                ];
+                w.counter("nic bytes/s", ts, pid, nic.map(|(k, v)| (k, Float(v))));
             }
         }
-        for sample in &res.cluster {
-            let ts = Value::Float(sample.at_secs * 1e6);
-            events.push(obj(vec![
-                ("name", s("cluster load")),
-                ("ph", s("C")),
-                ("ts", ts),
-                ("pid", Value::UInt(0)),
-                ("tid", Value::UInt(0)),
-                (
-                    "args",
-                    obj(vec![
-                        ("pending events", Value::UInt(sample.pending_events)),
-                        (
-                            "inflight invocations",
-                            Value::UInt(sample.inflight_invocations),
-                        ),
-                    ]),
-                ),
-            ]));
+        for s in &res.cluster {
+            let load = [
+                ("pending events", s.pending_events),
+                ("inflight invocations", s.inflight_invocations),
+            ];
+            w.counter(
+                "cluster load",
+                s.at_secs * 1e6,
+                0,
+                load.map(|(k, v)| (k, UInt(v))),
+            );
         }
     }
-
-    let doc = obj(vec![
-        ("traceEvents", Value::Seq(events)),
-        ("displayTimeUnit", s("ms")),
-    ]);
-    serde_json::to_string(&JsonDoc(doc)).expect("trace values are finite")
+    w.finish()
 }
 
 fn category(span: &Span) -> &'static str {
@@ -770,14 +766,12 @@ mod tests {
     #[test]
     fn lanes_never_overlap() {
         let forest = tiny_forest();
-        let spans: Vec<(&Span, String)> = forest.trees[0]
-            .spans
-            .iter()
-            .map(|sp| (sp, sp.label.clone()))
-            .collect();
+        let mut spans: Vec<&Span> = forest.trees[0].spans.iter().collect();
+        spans.sort_by(|a, b| lane_order(a, b));
+        let mut lanes = Lanes::default();
         let mut by_lane: std::collections::HashMap<usize, Vec<&Span>> = Default::default();
-        for (lane, span, _) in allocate_lanes(spans) {
-            by_lane.entry(lane).or_default().push(span);
+        for span in spans {
+            by_lane.entry(lanes.assign(span)).or_default().push(span);
         }
         for spans in by_lane.values() {
             for pair in spans.windows(2) {
