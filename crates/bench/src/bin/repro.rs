@@ -2273,10 +2273,6 @@ struct BenchReport {
     schema: &'static str,
     note: &'static str,
     quick: bool,
-    /// Wall-clock of `repro all` (seconds): recorded on the pre-overhaul
-    /// tree vs the current tree, same machine, default scale.
-    repro_all_secs_baseline: f64,
-    repro_all_secs_current: f64,
     entries: Vec<BenchEntry>,
 }
 
@@ -2565,19 +2561,12 @@ fn perf(quick: bool) {
                pre-overhaul tree, same machine class. \
                Regenerate: cargo run --release -p faasflow-bench --bin repro -- perf",
         quick,
-        repro_all_secs_baseline: REPRO_ALL_SECS_BASELINE,
-        repro_all_secs_current: REPRO_ALL_SECS_CURRENT,
         entries,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write("BENCH_kernel.json", json + "\n").expect("BENCH_kernel.json written");
     println!("wrote BENCH_kernel.json");
 }
-
-/// Wall-clock of `cargo run --release -- all` (default scale) recorded on
-/// the pre-overhaul tree and on this tree, same machine.
-const REPRO_ALL_SECS_BASELINE: f64 = 13.5;
-const REPRO_ALL_SECS_CURRENT: f64 = 5.1; // refreshed alongside BENCH_kernel.json
 
 fn avg(xs: &[f64]) -> f64 {
     if xs.is_empty() {
