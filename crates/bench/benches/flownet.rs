@@ -102,5 +102,54 @@ fn bench_drain(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_recompute, bench_drain);
+fn bench_storage_churn(c: &mut Criterion) {
+    // The storage-bound MasterSP shape: 32 workers at 10 Gbit/s behind one
+    // 200 MB/s storage node that carries about 64 concurrent reads and
+    // writes. Each step retires the next completion and starts a
+    // replacement for every finished flow, so it costs one completion scan
+    // and one refill of the storage component at steady state. An
+    // iteration runs 1000 steps.
+    const FLOWS: usize = 64;
+    const STEPS: usize = 1000;
+    const WORKERS: u64 = 32;
+    let mut nics = vec![NicSpec::symmetric(200e6)];
+    nics.extend(std::iter::repeat_n(
+        NicSpec::symmetric(1.25e9),
+        WORKERS as usize,
+    ));
+    let mut net: FlowNet<usize> = FlowNet::new(nics);
+    let mut rng = SimRng::seed_from(11);
+    let start = |net: &mut FlowNet<usize>, rng: &mut SimRng, now: SimTime| {
+        let storage = NodeId::new(0);
+        let worker = NodeId::from(1 + rng.next_below(WORKERS) as usize);
+        let (src, dst) = if rng.chance(0.5) {
+            (storage, worker)
+        } else {
+            (worker, storage)
+        };
+        let bytes = (64 << 10) + rng.next_below(4 << 20);
+        net.start_flow(src, dst, bytes, 0, now);
+    };
+    for _ in 0..FLOWS {
+        start(&mut net, &mut rng, SimTime::ZERO);
+    }
+    let mut done = Vec::new();
+    c.bench_function("flownet/storage_churn/64", |b| {
+        b.iter(|| {
+            let mut retired = 0;
+            for _ in 0..STEPS {
+                let at = net.next_completion().expect("flows are active");
+                done.clear();
+                net.take_completed_into(at, &mut done);
+                for _ in 0..done.len() {
+                    start(&mut net, &mut rng, at);
+                }
+                retired += done.len();
+            }
+            retired
+        });
+    });
+}
+
+criterion_group!(benches, bench_recompute, bench_drain, bench_storage_churn);
 criterion_main!(benches);

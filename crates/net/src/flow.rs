@@ -23,7 +23,12 @@
 //!   full progressive filling after every fill).
 //!
 //! Resources are indexed densely (uplink `i`, downlink `n+i`, loopback
-//! `2n+i`) so the fill runs on flat arrays — no hashing on the hot path.
+//! `2n+i`), and flows live in a dense vector in no particular order whose
+//! positions the per-resource member lists hold, so the fill runs on flat
+//! arrays: no hashing and no id lookups on the hot path. A removal
+//! swap-removes the flow and repoints the moved flow's member entries. Id
+//! order is restored only where it is observable: completed flows are
+//! sorted by id, and [`FlowNet::iter`] walks a sorted position buffer.
 //! Between recomputations rates are constant, so remaining bytes advance
 //! linearly and the earliest completion time is exact.
 
@@ -105,12 +110,13 @@ impl<T> Flow<T> {
 
     /// The one or two dense resource indices this flow consumes, given
     /// `n` nodes. Loopback flows consume a single resource.
-    fn resources(&self, n: usize) -> (usize, Option<usize>) {
-        if self.src == self.dst {
-            (2 * n + self.src.index(), None)
+    fn resources(&self, n: usize) -> impl Iterator<Item = usize> {
+        let pair = if self.src == self.dst {
+            [Some(2 * n + self.src.index()), None]
         } else {
-            (self.src.index(), Some(n + self.dst.index()))
-        }
+            [Some(self.src.index()), Some(n + self.dst.index())]
+        };
+        pair.into_iter().flatten()
     }
 }
 
@@ -144,11 +150,13 @@ struct FillScratch {
 #[derive(Debug)]
 pub struct FlowNet<T> {
     nics: Vec<NicSpec>,
-    /// Active flows sorted by id. Ids are monotonic, so insertion is a
-    /// push at the end; lookup is a binary search.
+    /// Active flows, dense and in no particular order. Removal is a
+    /// `swap_remove`; finding a flow by id is a linear scan (cancel and
+    /// `flow` only, both off the hot path).
     flows: Vec<(u64, Flow<T>)>,
-    /// Per-resource member flow ids (dense resource index, len `3n`).
-    members: Vec<Vec<u64>>,
+    /// Per-resource member flows as positions into `flows` (dense resource
+    /// index, len `3n`).
+    members: Vec<Vec<u32>>,
     next_id: u64,
     /// Instant up to which all `remaining` fields are accurate.
     updated: SimTime,
@@ -161,8 +169,8 @@ pub struct FlowNet<T> {
     /// True when every flow's `rate` reflects the current flow set.
     rates_current: bool,
     scratch: FillScratch,
-    /// Spare storage for `take_completed`'s compaction pass.
-    flow_spare: Vec<(u64, Flow<T>)>,
+    /// Positions of `flows` in ascending id order, rebuilt by `iter`.
+    order: Vec<u32>,
 }
 
 impl<T> FlowNet<T> {
@@ -170,9 +178,11 @@ impl<T> FlowNet<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `nics` is empty.
+    /// Panics if `nics` is empty or any capacity is invalid (see
+    /// [`FlowNet::set_nic`]).
     pub fn new(nics: Vec<NicSpec>) -> Self {
         assert!(!nics.is_empty(), "a flow network needs at least one node");
+        nics.iter().for_each(validate_nic);
         let n = nics.len();
         FlowNet {
             nics,
@@ -185,7 +195,7 @@ impl<T> FlowNet<T> {
             dirty: Vec::new(),
             rates_current: true,
             scratch: FillScratch::default(),
-            flow_spare: Vec::new(),
+            order: Vec::new(),
         }
     }
 
@@ -216,17 +226,9 @@ impl<T> FlowNet<T> {
     /// # Panics
     ///
     /// Panics if `node` is out of range, capacities are negative/non-finite,
-    /// or `now` precedes the latest update.
+    /// the loopback capacity is zero, or `now` precedes the latest update.
     pub fn set_nic(&mut self, node: NodeId, nic: NicSpec, now: SimTime) {
-        assert!(
-            nic.uplink.is_finite()
-                && nic.downlink.is_finite()
-                && nic.loopback.is_finite()
-                && nic.uplink >= 0.0
-                && nic.downlink >= 0.0
-                && nic.loopback > 0.0,
-            "invalid NIC capacities"
-        );
+        validate_nic(&nic);
         self.advance(now);
         let n = self.nics.len();
         let i = node.index();
@@ -268,12 +270,10 @@ impl<T> FlowNet<T> {
             rate: 0.0,
             started: now,
         };
-        let (r1, r2) = flow.resources(self.nics.len());
-        self.members[r1].push(id);
-        self.mark_dirty(r1);
-        if let Some(r2) = r2 {
-            self.members[r2].push(id);
-            self.mark_dirty(r2);
+        let pos = self.flows.len() as u32;
+        for r in flow.resources(self.nics.len()) {
+            self.members[r].push(pos);
+            self.mark_dirty(r);
         }
         self.flows.push((id, flow));
         FlowId(id)
@@ -283,36 +283,31 @@ impl<T> FlowNet<T> {
     /// completed (or was cancelled).
     pub fn cancel_flow(&mut self, id: FlowId, now: SimTime) -> Option<T> {
         self.advance(now);
-        let pos = self.flows.binary_search_by_key(&id.0, |e| e.0).ok()?;
-        let (_, flow) = self.flows.remove(pos);
-        self.unlink(id.0, &flow);
-        Some(flow.tag)
+        let pos = self.flows.iter().position(|e| e.0 == id.0)?;
+        Some(self.remove_at(pos).1.tag)
     }
 
     /// The earliest instant at which some active flow completes, or `None`
     /// when no flow is active or every active flow is starved (zero rate).
     pub fn next_completion(&mut self) -> Option<SimTime> {
         self.ensure_rates();
-        let updated = self.updated;
-        self.flows
-            .iter()
-            .map(|(_, f)| f)
-            .filter(|f| f.rate > 0.0 || f.remaining <= 0.0)
-            .map(|f| {
-                if f.remaining <= 0.0 {
-                    updated
-                } else {
-                    // Round *up* with a 1 ns margin so that advancing to the
-                    // returned instant always pushes `remaining` to (or
-                    // below) zero — rounding to nearest would strand a
-                    // fraction of a byte and loop the completion timer at
-                    // one timestamp forever.
-                    let secs = f.remaining / f.rate;
-                    let nanos = (secs * 1e9).ceil() as u64 + 1;
-                    updated + faasflow_sim::SimDuration::from_nanos(nanos)
-                }
-            })
-            .min()
+        let mut soonest: Option<f64> = None;
+        for (_, f) in &self.flows {
+            if f.remaining <= 0.0 {
+                return Some(self.updated);
+            }
+            if f.rate > 0.0 {
+                let secs = f.remaining / f.rate;
+                soonest = Some(soonest.map_or(secs, |s| s.min(secs)));
+            }
+        }
+        // Round *up* with a 1 ns margin so that advancing to the returned
+        // instant always pushes `remaining` to (or below) zero — rounding
+        // to nearest would strand a fraction of a byte and loop the
+        // completion timer at one timestamp forever. The conversion is
+        // monotone, so converting the minimum quotient is exact.
+        let nanos = (soonest? * 1e9).ceil() as u64 + 1;
+        Some(self.updated + faasflow_sim::SimDuration::from_nanos(nanos))
     }
 
     /// Advances the fluid model to `now` and removes every flow that has
@@ -339,55 +334,59 @@ impl<T> FlowNet<T> {
         // Epsilon: progressive filling works in f64 bytes; a flow within a
         // millionth of a byte of the end is done.
         const EPS: f64 = 1e-6;
-        if self.flows.iter().all(|(_, f)| f.remaining > EPS) {
-            return;
-        }
-        // Stable compaction through the spare buffer: completed flows come
-        // out in id order because `flows` is id-sorted.
-        let mut spare = std::mem::take(&mut self.flow_spare);
-        std::mem::swap(&mut self.flows, &mut spare);
-        for (id, flow) in spare.drain(..) {
-            if flow.remaining <= EPS {
-                self.delivered_to[flow.dst.index()] += flow.bytes;
-                self.sent_from[flow.src.index()] += flow.bytes;
-                let (r1, r2) = flow.resources(self.nics.len());
-                remove_member(&mut self.members[r1], id);
-                self.mark_dirty(r1);
-                if let Some(r2) = r2 {
-                    remove_member(&mut self.members[r2], id);
-                    self.mark_dirty(r2);
-                }
-                out.push((FlowId(id), flow));
-            } else {
-                self.flows.push((id, flow));
+        let first = out.len();
+        let mut pos = 0;
+        while pos < self.flows.len() {
+            if self.flows[pos].1.remaining > EPS {
+                pos += 1;
+                continue;
             }
+            // The swap moves an unvisited flow into `pos`: look again.
+            let (id, flow) = self.remove_at(pos);
+            self.delivered_to[flow.dst.index()] += flow.bytes;
+            self.sent_from[flow.src.index()] += flow.bytes;
+            out.push((FlowId(id), flow));
         }
-        self.flow_spare = spare;
+        out[first..].sort_unstable_by_key(|e| e.0);
     }
 
     /// Read access to an active flow.
     pub fn flow(&mut self, id: FlowId) -> Option<&Flow<T>> {
         self.ensure_rates();
-        let pos = self.flows.binary_search_by_key(&id.0, |e| e.0).ok()?;
-        Some(&self.flows[pos].1)
+        self.flows.iter().find(|e| e.0 == id.0).map(|e| &e.1)
     }
 
     /// Iterates over active flows in ascending id order.
     pub fn iter(&mut self) -> impl Iterator<Item = (FlowId, &Flow<T>)> {
         self.ensure_rates();
-        self.flows.iter().map(|(id, f)| (FlowId(*id), f))
+        let flows = &self.flows;
+        self.order.clear();
+        self.order.extend(0..flows.len() as u32);
+        self.order
+            .sort_unstable_by_key(|&pos| flows[pos as usize].0);
+        self.order.iter().map(move |&pos| {
+            let (id, f) = &flows[pos as usize];
+            (FlowId(*id), f)
+        })
     }
 
-    /// Removes `flow` (already detached from `self.flows`) from the member
-    /// lists and marks its resources dirty.
-    fn unlink(&mut self, id: u64, flow: &Flow<T>) {
-        let (r1, r2) = flow.resources(self.nics.len());
-        remove_member(&mut self.members[r1], id);
-        self.mark_dirty(r1);
-        if let Some(r2) = r2 {
-            remove_member(&mut self.members[r2], id);
-            self.mark_dirty(r2);
+    /// Detaches the flow at `pos`: drops it from its resources' member
+    /// lists (marking them dirty), swap-removes it, and repoints the member
+    /// entries of the flow that moved into `pos`.
+    fn remove_at(&mut self, pos: usize) -> (u64, Flow<T>) {
+        let n = self.nics.len();
+        for r in self.flows[pos].1.resources(n) {
+            repoint(&mut self.members[r], pos as u32, None);
+            self.mark_dirty(r);
         }
+        let removed = self.flows.swap_remove(pos);
+        if let Some((_, moved)) = self.flows.get(pos) {
+            let from = self.flows.len() as u32;
+            for r in moved.resources(n) {
+                repoint(&mut self.members[r], from, Some(pos as u32));
+            }
+        }
+        removed
     }
 
     fn mark_dirty(&mut self, resource: usize) {
@@ -451,21 +450,16 @@ impl<T> FlowNet<T> {
             let r = self.scratch.comp_res[head] as usize;
             head += 1;
             for k in 0..self.members[r].len() {
-                let id = self.members[r][k];
-                let pos = self
-                    .flows
-                    .binary_search_by_key(&id, |e| e.0)
-                    .expect("member lists track active flows");
+                let pos = self.members[r][k] as usize;
                 if self.scratch.flow_stamp[pos] == stamp {
                     continue;
                 }
                 self.scratch.flow_stamp[pos] = stamp;
                 self.scratch.comp_flows.push(pos as u32);
-                let (r1, r2) = self.flows[pos].1.resources(self.nics.len());
-                for r2 in [Some(r1), r2].into_iter().flatten() {
-                    if self.scratch.res_stamp[r2] != stamp {
-                        self.scratch.res_stamp[r2] = stamp;
-                        self.scratch.comp_res.push(r2 as u32);
+                for r in self.flows[pos].1.resources(self.nics.len()) {
+                    if self.scratch.res_stamp[r] != stamp {
+                        self.scratch.res_stamp[r] = stamp;
+                        self.scratch.comp_res.push(r as u32);
                     }
                 }
             }
@@ -481,10 +475,8 @@ impl<T> FlowNet<T> {
         }
         for k in 0..self.scratch.comp_flows.len() {
             let pos = self.scratch.comp_flows[k] as usize;
-            let (r1, r2) = self.flows[pos].1.resources(self.nics.len());
-            self.scratch.unfixed[r1] += 1;
-            if let Some(r2) = r2 {
-                self.scratch.unfixed[r2] += 1;
+            for r in self.flows[pos].1.resources(self.nics.len()) {
+                self.scratch.unfixed[r] += 1;
             }
         }
 
@@ -513,24 +505,19 @@ impl<T> FlowNet<T> {
             let Some((share, bottleneck)) = best else {
                 break; // every remaining flow is on empty resources
             };
+            // Every flow fixed in this round subtracts the same `share`, so
+            // the order of the member list cannot change any float.
             for k in 0..self.members[bottleneck].len() {
-                let id = self.members[bottleneck][k];
-                let pos = self
-                    .flows
-                    .binary_search_by_key(&id, |e| e.0)
-                    .expect("member lists track active flows");
+                let pos = self.members[bottleneck][k] as usize;
                 if self.scratch.fixed_stamp[pos] == stamp {
                     continue;
                 }
                 self.scratch.fixed_stamp[pos] = stamp;
                 fixed_n += 1;
                 self.flows[pos].1.rate = share.max(0.0);
-                let (r1, r2) = self.flows[pos].1.resources(self.nics.len());
-                self.scratch.remaining_cap[r1] -= share;
-                self.scratch.unfixed[r1] -= 1;
-                if let Some(r2) = r2 {
-                    self.scratch.remaining_cap[r2] -= share;
-                    self.scratch.unfixed[r2] -= 1;
+                for r in self.flows[pos].1.resources(self.nics.len()) {
+                    self.scratch.remaining_cap[r] -= share;
+                    self.scratch.unfixed[r] -= 1;
                 }
             }
         }
@@ -576,16 +563,9 @@ impl<T> FlowNet<T> {
         let nf = self.flows.len();
         let mut cap = vec![0.0f64; 3 * n];
         let mut unfixed = vec![0u32; 3 * n];
-        let mut resources: Vec<(usize, Option<usize>)> = Vec::with_capacity(nf);
-        for (_, f) in &self.flows {
-            let (r1, r2) = f.resources(n);
-            cap[r1] = self.capacity(r1);
-            unfixed[r1] += 1;
-            if let Some(r2) = r2 {
-                cap[r2] = self.capacity(r2);
-                unfixed[r2] += 1;
-            }
-            resources.push((r1, r2));
+        for r in self.flows.iter().flat_map(|(_, f)| f.resources(n)) {
+            cap[r] = self.capacity(r);
+            unfixed[r] += 1;
         }
         let mut rate = vec![0.0f64; nf];
         let mut fixed = vec![false; nf];
@@ -604,22 +584,16 @@ impl<T> FlowNet<T> {
             let Some((share, bottleneck)) = best else {
                 break;
             };
-            for pos in 0..nf {
-                if fixed[pos] {
-                    continue;
-                }
-                let (r1, r2) = resources[pos];
-                if r1 != bottleneck && r2 != Some(bottleneck) {
+            for (pos, (_, f)) in self.flows.iter().enumerate() {
+                if fixed[pos] || !f.resources(n).any(|r| r == bottleneck) {
                     continue;
                 }
                 fixed[pos] = true;
                 fixed_n += 1;
                 rate[pos] = share.max(0.0);
-                cap[r1] -= share;
-                unfixed[r1] -= 1;
-                if let Some(r2) = r2 {
-                    cap[r2] -= share;
-                    unfixed[r2] -= 1;
+                for r in f.resources(n) {
+                    cap[r] -= share;
+                    unfixed[r] -= 1;
                 }
             }
         }
@@ -627,13 +601,26 @@ impl<T> FlowNet<T> {
     }
 }
 
-/// Removes one occurrence of `id` from a member list.
-fn remove_member(members: &mut Vec<u64>, id: u64) {
-    let pos = members
+/// Replaces the entry `from` of a member list with `to`, or drops it.
+fn repoint(members: &mut Vec<u32>, from: u32, to: Option<u32>) {
+    let k = members
         .iter()
-        .position(|&m| m == id)
+        .position(|&m| m == from)
         .expect("member lists track active flows");
-    members.swap_remove(pos);
+    match to {
+        Some(to) => members[k] = to,
+        None => drop(members.swap_remove(k)),
+    }
+}
+
+/// Panics unless every capacity is finite and non-negative and the
+/// loopback capacity is positive.
+fn validate_nic(nic: &NicSpec) {
+    let caps = [nic.uplink, nic.downlink, nic.loopback];
+    assert!(
+        caps.iter().all(|c| c.is_finite() && *c >= 0.0) && nic.loopback > 0.0,
+        "invalid NIC capacities"
+    );
 }
 
 #[cfg(test)]
@@ -838,6 +825,72 @@ mod tests {
         assert_eq!(rates.len(), 2);
         assert!((rates[0].1 - 100e6).abs() < 1.0);
         assert!((rates[1].1 - 40e6).abs() < 1.0);
+    }
+
+    /// Six equal flows from node 0 to node 1; cancelling ids 0 and 2
+    /// swaps later flows into their positions, so the dense table is no
+    /// longer in id order.
+    fn scrambled_net() -> (FlowNet<u32>, Vec<FlowId>) {
+        let mut net = two_node_net();
+        let ids: Vec<FlowId> = (0..6)
+            .map(|tag| net.start_flow(NodeId::new(0), NodeId::new(1), 10_000_000, tag, t(0.0)))
+            .collect();
+        assert_eq!(net.cancel_flow(ids[0], t(0.1)), Some(0));
+        assert_eq!(net.cancel_flow(ids[2], t(0.1)), Some(2));
+        assert_ne!(net.flows[0].0, ids[1].0, "positions are scrambled");
+        (net, ids)
+    }
+
+    #[test]
+    fn simultaneous_completions_come_out_in_id_order() {
+        let (mut net, ids) = scrambled_net();
+        let at = net.next_completion().unwrap();
+        let done = net.take_completed(at);
+        let got: Vec<(FlowId, u32)> = done.iter().map(|(id, f)| (*id, f.tag)).collect();
+        let want = vec![(ids[1], 1), (ids[3], 3), (ids[4], 4), (ids[5], 5)];
+        assert_eq!(got, want);
+        assert_eq!(net.active_flows(), 0);
+    }
+
+    #[test]
+    fn iter_yields_ascending_ids_after_swaps() {
+        let (mut net, ids) = scrambled_net();
+        let late = net.start_flow(NodeId::new(1), NodeId::new(0), 1, 6, t(0.2));
+        let got: Vec<(FlowId, u32)> = net.iter().map(|(id, f)| (id, f.tag)).collect();
+        let want = vec![
+            (ids[1], 1),
+            (ids[3], 3),
+            (ids[4], 4),
+            (ids[5], 5),
+            (late, 6),
+        ];
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn cancelling_a_completed_flow_changes_nothing() {
+        let mut net = two_node_net();
+        let short = net.start_flow(NodeId::new(0), NodeId::new(1), 1000, 1, t(0.0));
+        net.start_flow(NodeId::new(0), NodeId::new(1), 50_000_000, 2, t(0.0));
+        net.start_flow(NodeId::new(1), NodeId::new(0), 70_000_000, 3, t(0.0));
+        net.start_flow(NodeId::new(1), NodeId::new(1), 90_000_000, 4, t(0.0));
+        let at = net.next_completion().unwrap();
+        assert_eq!(net.take_completed(at)[0].0, short);
+        let rates = |net: &mut FlowNet<u32>| -> Vec<(FlowId, u64)> {
+            net.iter().map(|(id, f)| (id, f.rate().to_bits())).collect()
+        };
+        let before = rates(&mut net);
+        assert_eq!(net.cancel_flow(short, at), None);
+        assert_eq!(rates(&mut net), before);
+        assert_eq!(net.active_flows(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid NIC capacities")]
+    fn new_rejects_a_nan_capacity() {
+        let mut bad = NicSpec::symmetric(100e6);
+        bad.uplink = f64::NAN;
+        let _: FlowNet<u32> = FlowNet::new(vec![NicSpec::symmetric(100e6), bad]);
     }
 
     #[test]
