@@ -5,22 +5,17 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use faasflow_engine::{MasterAction, MasterEngine, WorkerAction, WorkerEngine};
-use faasflow_scheduler::{ContentionSet, GraphScheduler, RuntimeMetrics, WorkerInfo};
+use faasflow_scheduler::{Assignment, ContentionSet, GraphScheduler, RuntimeMetrics, WorkerInfo};
 use faasflow_sim::{InvocationId, NodeId, SimRng, WorkflowId};
-use faasflow_wdl::DagParser;
-use faasflow_workloads::Benchmark;
+use faasflow_wdl::{DagParser, Workflow, WorkflowDag};
+use faasflow_workloads::{scientific, Benchmark};
 
-fn setup() -> (
-    Arc<faasflow_wdl::WorkflowDag>,
-    Arc<faasflow_scheduler::Assignment>,
-) {
-    let dag = Arc::new(
-        DagParser::default()
-            .parse(&Benchmark::Cycles.workflow())
-            .expect("parses"),
-    );
-    let workers: Vec<WorkerInfo> = (0..7)
-        .map(|i| WorkerInfo::new(NodeId::new(i + 1), 12))
+/// Parses `workflow` and partitions it over `workers` workers of
+/// `capacity` containers each (nodes `1..=workers`).
+fn setup(workflow: &Workflow, workers: u32, capacity: u32) -> (Arc<WorkflowDag>, Arc<Assignment>) {
+    let dag = Arc::new(DagParser::default().parse(workflow).expect("parses"));
+    let workers: Vec<WorkerInfo> = (0..workers)
+        .map(|i| WorkerInfo::new(NodeId::new(i + 1), capacity))
         .collect();
     let metrics = RuntimeMetrics::initial(&dag);
     let mut rng = SimRng::seed_from(5);
@@ -39,67 +34,113 @@ fn setup() -> (
     (dag, assignment)
 }
 
-/// Drives one full Cycles invocation through the distributed worker
+/// One engine per worker node `1..=workers`, the workflow installed.
+fn worker_engines(
+    workers: u32,
+    wf: WorkflowId,
+    dag: &Arc<WorkflowDag>,
+    assignment: &Arc<Assignment>,
+) -> Vec<WorkerEngine> {
+    (0..workers)
+        .map(|i| {
+            let mut e = WorkerEngine::new(NodeId::new(i + 1));
+            e.install(wf, dag.clone(), assignment.clone(), 9);
+            e
+        })
+        .collect()
+}
+
+/// Runs one invocation through the worker engines the way the cluster
+/// does: begin on the workers hosting entry nodes, complete every
+/// instance as it triggers, deliver every sync, then release the
+/// invocation on every engine. Returns the exit nodes reported.
+fn run_workersp_invocation(
+    engines: &mut [WorkerEngine],
+    dag: &WorkflowDag,
+    assignment: &Assignment,
+    wf: WorkflowId,
+    inv: InvocationId,
+) -> usize {
+    let mut entry_workers: Vec<usize> = dag
+        .entry_nodes()
+        .iter()
+        .map(|&f| assignment.worker_of(f).index() - 1)
+        .collect();
+    entry_workers.sort_unstable();
+    entry_workers.dedup();
+    let mut pending: Vec<WorkerAction> = Vec::new();
+    for w in entry_workers {
+        pending.extend(engines[w].begin_invocation(wf, inv));
+    }
+    let mut completed = 0usize;
+    while let Some(action) = pending.pop() {
+        match action {
+            WorkerAction::TriggerFunction {
+                workflow,
+                invocation,
+                function,
+            } => {
+                let worker = assignment.worker_of(function).index() - 1;
+                let par = dag.node(function).parallelism.max(1);
+                for _ in 0..par {
+                    pending.extend(
+                        engines[worker].on_instance_complete(workflow, invocation, function),
+                    );
+                }
+            }
+            WorkerAction::SyncState {
+                to,
+                workflow,
+                invocation,
+                completed: f,
+            } => {
+                pending.extend(engines[to.index() - 1].on_state_sync(workflow, invocation, f));
+            }
+            WorkerAction::ExitComplete { .. } => completed += 1,
+        }
+    }
+    for e in engines.iter_mut() {
+        e.release_invocation(wf, inv);
+    }
+    completed
+}
+
+/// Drives one full Cycles invocation through 7 freshly built worker
 /// engines, completing instances as they trigger.
 fn bench_workersp_invocation(c: &mut Criterion) {
-    let (dag, assignment) = setup();
+    let (dag, assignment) = setup(&Benchmark::Cycles.workflow(), 7, 12);
     c.bench_function("workersp/full_cycles_invocation", |b| {
         let wf = WorkflowId::new(0);
         let mut next_inv = 0u32;
         b.iter(|| {
             let inv = InvocationId::new(next_inv);
             next_inv += 1;
-            let mut engines: Vec<WorkerEngine> = (0..7)
-                .map(|i| {
-                    let mut e = WorkerEngine::new(NodeId::new(i + 1));
-                    e.install(wf, dag.clone(), assignment.clone(), 9);
-                    e
-                })
-                .collect();
-            let mut pending: Vec<WorkerAction> = Vec::new();
-            for e in &mut engines {
-                pending.extend(e.begin_invocation(wf, inv));
-            }
-            let mut completed = 0usize;
-            while let Some(action) = pending.pop() {
-                match action {
-                    WorkerAction::TriggerFunction {
-                        workflow,
-                        invocation,
-                        function,
-                    } => {
-                        let worker = assignment.worker_of(function).index() - 1;
-                        let par = dag.node(function).parallelism.max(1);
-                        for _ in 0..par {
-                            pending.extend(
-                                engines[worker]
-                                    .on_instance_complete(workflow, invocation, function),
-                            );
-                        }
-                    }
-                    WorkerAction::SyncState {
-                        to,
-                        workflow,
-                        invocation,
-                        completed: f,
-                    } => {
-                        pending
-                            .extend(engines[to.index() - 1].on_state_sync(workflow, invocation, f));
-                    }
-                    WorkerAction::ExitComplete { .. } => completed += 1,
-                }
-            }
-            for e in &mut engines {
-                e.release_invocation(wf, inv);
-            }
-            completed
+            let mut engines = worker_engines(7, wf, &dag, &assignment);
+            run_workersp_invocation(&mut engines, &dag, &assignment, wf, inv)
+        });
+    });
+}
+
+/// One invocation cycle of a 50-node Genome DAG over a 128-worker fleet
+/// whose engines persist across invocations, as in the cluster: begin,
+/// syncs, instance completions, and the release on all 128 engines.
+fn bench_workersp_genome_fleet(c: &mut Criterion) {
+    let (dag, assignment) = setup(&scientific::genome(50), 128, 2);
+    let wf = WorkflowId::new(0);
+    let mut engines = worker_engines(128, wf, &dag, &assignment);
+    c.bench_function("workersp/genome50_128w_invocation", |b| {
+        let mut next_inv = 0u32;
+        b.iter(|| {
+            let inv = InvocationId::new(next_inv);
+            next_inv += 1;
+            run_workersp_invocation(&mut engines, &dag, &assignment, wf, inv)
         });
     });
 }
 
 /// The same invocation through the central MasterSP engine.
 fn bench_mastersp_invocation(c: &mut Criterion) {
-    let (dag, assignment) = setup();
+    let (dag, assignment) = setup(&Benchmark::Cycles.workflow(), 7, 12);
     c.bench_function("mastersp/full_cycles_invocation", |b| {
         let wf = WorkflowId::new(0);
         let mut next_inv = 0u32;
@@ -135,6 +176,7 @@ fn bench_mastersp_invocation(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_workersp_invocation,
+    bench_workersp_genome_fleet,
     bench_mastersp_invocation
 );
 criterion_main!(benches);

@@ -6,10 +6,10 @@
 //! FaaStore's reclamation (§4.3.2: "the container releases to-be-reclaimed
 //! memory by setting an updated cgroup memory limit").
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use faasflow_sim::stats::{Counter, Gauge};
-use faasflow_sim::{ContainerId, FunctionId, SimRng, SimTime, WorkflowId};
+use faasflow_sim::{ContainerId, FastMap, FunctionId, SimRng, SimTime, WorkflowId};
 
 use crate::config::{ContainerConfig, NodeCaps};
 
@@ -93,12 +93,12 @@ pub struct ContainerStats {
 pub struct ContainerManager<T> {
     caps: NodeCaps,
     config: ContainerConfig,
-    containers: HashMap<ContainerId, Container>,
+    containers: FastMap<ContainerId, Container>,
     /// Idle container ids per pool, most-recently-used last (reuse prefers
     /// the MRU container, matching Docker-level warm pools).
-    idle: HashMap<PoolKey, Vec<ContainerId>>,
+    idle: FastMap<PoolKey, Vec<ContainerId>>,
     /// Containers (busy + idle) per pool, for the per-function limit.
-    pool_sizes: HashMap<PoolKey, u32>,
+    pool_sizes: FastMap<PoolKey, u32>,
     queue: VecDeque<Waiting<T>>,
     next_id: u32,
     cores_busy: u32,
@@ -118,9 +118,9 @@ impl<T> ContainerManager<T> {
         ContainerManager {
             caps,
             config,
-            containers: HashMap::new(),
-            idle: HashMap::new(),
-            pool_sizes: HashMap::new(),
+            containers: FastMap::default(),
+            idle: FastMap::default(),
+            pool_sizes: FastMap::default(),
             queue: VecDeque::new(),
             next_id: 0,
             cores_busy: 0,

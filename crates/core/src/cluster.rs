@@ -18,7 +18,7 @@
 //! | remote store reads/writes | per-op overhead + max-min fair flow through the storage NIC |
 //! | FaaStore local passing | loopback flow (no NIC usage) |
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use faasflow_container::{Admission, ContainerManager, StartKind};
@@ -29,8 +29,8 @@ use faasflow_scheduler::{
     RuntimeMetrics, ScheduleError, WorkerInfo, WorkerLoad,
 };
 use faasflow_sim::{
-    ContainerId, EventId, EventQueue, FunctionId, InvocationId, NodeId, SimDuration, SimRng,
-    SimTime, WorkflowId,
+    ContainerId, EventId, EventQueue, FastMap, FunctionId, InvocationId, NodeId, SimDuration,
+    SimRng, SimTime, WorkflowId,
 };
 use faasflow_store::{
     quota, BreakerDecision, BreakerState, CircuitBreaker, DataKey, FaaStore, Placement,
@@ -413,6 +413,8 @@ struct ClusterScratch {
     /// Hedge tokens swept during crashes and teardowns (nests inside the
     /// `tokens` sweep, so it needs its own buffer).
     hedge_tokens: Vec<InstanceToken>,
+    /// Worker indices a completing invocation's placement touched.
+    workers: Vec<usize>,
 }
 
 /// Live state of the resource sampler (see [`crate::sample`]); present
@@ -446,13 +448,13 @@ pub struct Cluster {
     master_inbox: VecDeque<MasterInbox>,
     master_current: Option<MasterInbox>,
     master_busy_time: SimDuration,
-    workflows: HashMap<WorkflowId, WorkflowState>,
+    workflows: FastMap<WorkflowId, WorkflowState>,
     /// Interned-name lookup; `&str` queries hit it without allocating.
-    names: HashMap<Arc<str>, WorkflowId>,
+    names: FastMap<Arc<str>, WorkflowId>,
     /// Interned names indexed by `WorkflowId` (ids are dense).
     name_table: Vec<Arc<str>>,
-    invocations: HashMap<(WorkflowId, InvocationId), InvState>,
-    metrics: HashMap<WorkflowId, WorkflowMetrics>,
+    invocations: FastMap<(WorkflowId, InvocationId), InvState>,
+    metrics: FastMap<WorkflowId, WorkflowMetrics>,
     next_workflow: u32,
     next_invocation: u32,
     scheduler: GraphScheduler,
@@ -480,7 +482,7 @@ pub struct Cluster {
     /// Admissions requested but not yet `InstanceReady`, by token. Crash
     /// recovery uses this to find instances that were still booting or
     /// queued when their worker died.
-    inflight_spawns: HashMap<InstanceToken, usize>,
+    inflight_spawns: FastMap<InstanceToken, usize>,
     /// Instances lost to each worker's crash, awaiting lease expiry.
     orphans: Vec<Vec<InstanceToken>>,
     /// MasterSP task assignments that reached a dead-but-undetected worker;
@@ -497,11 +499,11 @@ pub struct Cluster {
     /// Circuit breaker guarding the remote store (None when disabled).
     breaker: Option<CircuitBreaker>,
     /// In-flight speculative executions, keyed by the primary's token.
-    hedges: HashMap<InstanceToken, HedgeState>,
+    hedges: FastMap<InstanceToken, HedgeState>,
     /// Streaming exec-latency quantile per function (adaptive hedge delay).
     /// Only touched when `hedge.adaptive` is set, so fixed-delay and
     /// hedge-off runs are bit-identical to builds without it.
-    hedge_estimators: HashMap<(WorkflowId, FunctionId), P2Quantile>,
+    hedge_estimators: FastMap<(WorkflowId, FunctionId), P2Quantile>,
     /// MasterSP central engine liveness (false between a crash and the end
     /// of recovery). Messages reaching a down engine are lost.
     master_engine_down: bool,
@@ -636,11 +638,11 @@ impl Cluster {
             master_inbox: VecDeque::new(),
             master_current: None,
             master_busy_time: SimDuration::ZERO,
-            workflows: HashMap::new(),
-            names: HashMap::new(),
+            workflows: FastMap::default(),
+            names: FastMap::default(),
             name_table: Vec::new(),
-            invocations: HashMap::new(),
-            metrics: HashMap::new(),
+            invocations: FastMap::default(),
+            metrics: FastMap::default(),
             next_workflow: 0,
             next_invocation: 0,
             scheduler: GraphScheduler::new(PartitionConfig {
@@ -657,7 +659,7 @@ impl Cluster {
             worker_alive: vec![true; config.workers as usize],
             worker_detected_down: vec![false; config.workers as usize],
             worker_up_since: vec![SimTime::ZERO; config.workers as usize],
-            inflight_spawns: HashMap::new(),
+            inflight_spawns: FastMap::default(),
             orphans: vec![Vec::new(); config.workers as usize],
             spooled_assigns: vec![Vec::new(); config.workers as usize],
             link_faults: LinkFaultTable::new(config.node_count()),
@@ -665,8 +667,8 @@ impl Cluster {
             storage_slowdown: 1.0,
             next_instance_seq: 0,
             breaker: config.overload.breaker.map(CircuitBreaker::new),
-            hedges: HashMap::new(),
-            hedge_estimators: HashMap::new(),
+            hedges: FastMap::default(),
+            hedge_estimators: FastMap::default(),
             master_engine_down: false,
             master_engine_gen: 0,
             master_engine_era: 0,
@@ -1049,6 +1051,17 @@ impl Cluster {
     /// critical path is measured against.
     pub fn critical_exec(&self, wf: WorkflowId) -> Option<SimDuration> {
         self.workflows.get(&wf).map(|ws| ws.critical_exec)
+    }
+
+    /// The storage node's object catalog (leak checks: every invocation
+    /// releases its objects when it ends, however it ends).
+    pub fn remote_store(&self) -> &RemoteStore {
+        &self.remote
+    }
+
+    /// Each worker's FaaStore, indexed by worker.
+    pub fn faastores(&self) -> &[FaaStore] {
+        &self.faastores
     }
 
     /// Feeds one terminal outcome to the SLO monitor (no-op when
@@ -2184,11 +2197,21 @@ impl Cluster {
             // invocation's placement touched (timeouts included: a timed-out
             // invocation is exactly the pain the signal should carry).
             let e2e_ms = (now - state.started).as_millis_f64();
-            for w in 0..self.config.workers as usize {
-                if state.assignment.involves(self.config.worker_node(w as u32)) {
-                    self.worker_p99[w].observe(e2e_ms);
-                }
+            let mut involved = std::mem::take(&mut self.scratch.workers);
+            involved.extend(
+                state
+                    .assignment
+                    .node_of
+                    .iter()
+                    .filter_map(|&n| self.config.worker_index(n)),
+            );
+            involved.sort_unstable();
+            involved.dedup();
+            for &w in &involved {
+                self.worker_p99[w].observe(e2e_ms);
             }
+            involved.clear();
+            self.scratch.workers = involved;
         }
         metrics
             .transfer_total
@@ -2971,7 +2994,7 @@ impl Cluster {
             state
                 .dag
                 .data_inputs(token.function)
-                .filter(|d| state.completed_nodes.contains(&d.producer))
+                .filter(|d| state.completed_nodes.contains(d.producer))
                 .map(|d| {
                     (
                         d.producer,
@@ -3245,7 +3268,7 @@ impl Cluster {
             return;
         }
         // Placement decided once per node output (total bytes).
-        let placement = match state.placements.get(&token.function) {
+        let placement = match state.placements.get(token.function) {
             Some(&p) => p,
             None => {
                 let storage_type = if state.assignment.storage_local[token.function.index()] {
@@ -3689,7 +3712,7 @@ impl Cluster {
             // Track node completion on the core side.
             let remaining = state
                 .instances_remaining
-                .get_mut(&token.function)
+                .get_mut(token.function)
                 .expect("spawned node tracked");
             *remaining -= 1;
             let node_done = *remaining == 0;
@@ -4013,7 +4036,7 @@ impl Cluster {
             };
             if state.completed
                 || state.epoch != token.epoch
-                || state.completed_nodes.contains(&token.function)
+                || state.completed_nodes.contains(token.function)
                 || state.instances.contains_key(&token)
             {
                 continue;
@@ -4071,7 +4094,7 @@ impl Cluster {
                 continue;
             }
             let touches = state.dag.nodes().iter().any(|n| {
-                !state.completed_nodes.contains(&n.id) && state.assignment.worker_of(n.id) == node
+                !state.completed_nodes.contains(n.id) && state.assignment.worker_of(n.id) == node
             });
             if touches {
                 impacted.push(key);
@@ -4425,16 +4448,14 @@ impl Cluster {
                 continue;
             }
             let state = &self.invocations[&(wf, inv)];
-            let mut completed: Vec<FunctionId> = state.completed_nodes.iter().copied().collect();
-            completed.sort_unstable();
+            let completed: Vec<FunctionId> = state.completed_nodes.iter().collect();
             let mut inflight: Vec<(FunctionId, u32)> = Vec::new();
-            for (&f, &remaining) in &state.instances_remaining {
-                if remaining > 0 && !state.completed_nodes.contains(&f) {
+            for (f, &remaining) in state.instances_remaining.iter() {
+                if remaining > 0 && !state.completed_nodes.contains(f) {
                     let parallelism = state.dag.node(f).parallelism.max(1);
                     inflight.push((f, parallelism - remaining));
                 }
             }
-            inflight.sort_unstable();
             let already_propagated: Vec<FunctionId> = completed
                 .iter()
                 .copied()
@@ -4510,19 +4531,17 @@ impl Cluster {
                 .and_then(|ws| ws.deployment.current())
                 .expect("checked above")
                 .1;
-            let mut completed: Vec<FunctionId> = state.completed_nodes.iter().copied().collect();
-            completed.sort_unstable();
+            let completed: Vec<FunctionId> = state.completed_nodes.iter().collect();
             let mut inflight: Vec<(FunctionId, u32)> = Vec::new();
-            for (&f, &remaining) in &state.instances_remaining {
+            for (f, &remaining) in state.instances_remaining.iter() {
                 if remaining > 0
-                    && !state.completed_nodes.contains(&f)
+                    && !state.completed_nodes.contains(f)
                     && assignment.worker_of(f) == node
                 {
                     let parallelism = state.dag.node(f).parallelism.max(1);
                     inflight.push((f, parallelism - remaining));
                 }
             }
-            inflight.sort_unstable();
             let already_propagated: Vec<FunctionId> = completed
                 .iter()
                 .copied()
@@ -5073,7 +5092,7 @@ impl Cluster {
                     }
                     let touches = state.instances.values().any(|i| i.worker == w)
                         || state.dag.nodes().iter().any(|n| {
-                            !state.completed_nodes.contains(&n.id)
+                            !state.completed_nodes.contains(n.id)
                                 && state.assignment.worker_of(n.id) == node
                         });
                     if touches {
@@ -5141,7 +5160,7 @@ impl Cluster {
             };
             if state.completed
                 || state.epoch != token.epoch
-                || state.completed_nodes.contains(&token.function)
+                || state.completed_nodes.contains(token.function)
             {
                 continue;
             }

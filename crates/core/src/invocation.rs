@@ -1,10 +1,9 @@
 //! Per-invocation runtime bookkeeping on the cluster side.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use faasflow_scheduler::{Assignment, Version};
-use faasflow_sim::{ContainerId, EventId, FunctionId, InvocationId, SimTime, WorkflowId};
+use faasflow_sim::{ContainerId, EventId, FastMap, FunctionId, InvocationId, SimTime, WorkflowId};
 use faasflow_store::Placement;
 use faasflow_wdl::WorkflowDag;
 
@@ -57,6 +56,88 @@ pub(crate) struct InstanceState {
     pub exec_started: SimTime,
 }
 
+/// A value per DAG node, indexed by [`FunctionId::index`]: the dense
+/// stand-in for a `FunctionId`-keyed map over one invocation's DAG.
+#[derive(Debug, Clone)]
+pub(crate) struct NodeMap<T> {
+    slots: Vec<Option<T>>,
+}
+
+impl<T> NodeMap<T> {
+    /// An empty map over a DAG of `nodes` nodes.
+    pub(crate) fn new(nodes: usize) -> Self {
+        NodeMap {
+            slots: std::iter::repeat_with(|| None).take(nodes).collect(),
+        }
+    }
+
+    pub(crate) fn get(&self, node: FunctionId) -> Option<&T> {
+        self.slots[node.index()].as_ref()
+    }
+
+    pub(crate) fn get_mut(&mut self, node: FunctionId) -> Option<&mut T> {
+        self.slots[node.index()].as_mut()
+    }
+
+    /// Sets `node`'s value, returning the previous one.
+    pub(crate) fn insert(&mut self, node: FunctionId, value: T) -> Option<T> {
+        self.slots[node.index()].replace(value)
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.slots.iter().all(Option::is_none)
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.slots.iter_mut().for_each(|slot| *slot = None);
+    }
+
+    /// The present entries in ascending node order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (FunctionId, &T)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| slot.as_ref().map(|v| (FunctionId::from(i), v)))
+    }
+}
+
+/// A set of DAG nodes, one flag per node.
+#[derive(Debug, Clone)]
+pub(crate) struct NodeSet {
+    members: NodeMap<()>,
+}
+
+impl NodeSet {
+    /// An empty set over a DAG of `nodes` nodes.
+    pub(crate) fn new(nodes: usize) -> Self {
+        NodeSet {
+            members: NodeMap::new(nodes),
+        }
+    }
+
+    /// Adds `node`; `false` when it was already present.
+    pub(crate) fn insert(&mut self, node: FunctionId) -> bool {
+        self.members.insert(node, ()).is_none()
+    }
+
+    pub(crate) fn contains(&self, node: FunctionId) -> bool {
+        self.members.get(node).is_some()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.members.is_empty()
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.members.clear();
+    }
+
+    /// The members in ascending node order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = FunctionId> + '_ {
+        self.members.iter().map(|(node, ())| node)
+    }
+}
+
 /// Cluster-side state of one in-flight invocation.
 #[derive(Debug)]
 pub(crate) struct InvState {
@@ -79,23 +160,23 @@ pub(crate) struct InvState {
     pub completed: bool,
     /// Nodes whose every instance finished (core-side mirror of the
     /// engines' state, used to know which producers actually ran).
-    pub completed_nodes: HashSet<FunctionId>,
+    pub completed_nodes: NodeSet,
     /// Remaining instance completions per spawned node.
-    pub instances_remaining: HashMap<FunctionId, u32>,
+    pub instances_remaining: NodeMap<u32>,
     /// Live instance lifecycle states.
-    pub instances: HashMap<InstanceToken, InstanceState>,
+    pub instances: FastMap<InstanceToken, InstanceState>,
     /// Output placement decided per producer node.
-    pub placements: HashMap<FunctionId, Placement>,
+    pub placements: NodeMap<Placement>,
     /// Transfer accounting.
     pub ledger: TransferLedger,
     /// Function nodes whose dispatch was already accepted (engine-crash
     /// replay can re-issue `AssignTask`/`TriggerFunction`; the second copy
     /// is a duplicate-suppression, not a second spawn).
-    pub dispatched: HashSet<FunctionId>,
+    pub dispatched: NodeSet,
     /// Exit nodes whose completion report was already accepted (replay can
     /// re-emit `ExitComplete`; exactly-once terminal accounting depends on
     /// dropping the duplicates).
-    pub reported_exits: HashSet<FunctionId>,
+    pub reported_exits: NodeSet,
     /// Current recovery epoch; bumped each time crash recovery restarts
     /// the invocation (stale-event fencing).
     pub epoch: u32,
@@ -115,6 +196,7 @@ impl InvState {
         started: SimTime,
     ) -> Self {
         let exits_remaining = dag.exit_nodes().len();
+        let nodes = dag.node_count();
         InvState {
             version,
             dag,
@@ -124,13 +206,13 @@ impl InvState {
             timeout_event: None,
             timed_out: false,
             completed: false,
-            completed_nodes: HashSet::new(),
-            instances_remaining: HashMap::new(),
-            instances: HashMap::new(),
-            placements: HashMap::new(),
+            completed_nodes: NodeSet::new(nodes),
+            instances_remaining: NodeMap::new(nodes),
+            instances: FastMap::default(),
+            placements: NodeMap::new(nodes),
             ledger: TransferLedger::default(),
-            dispatched: HashSet::new(),
-            reported_exits: HashSet::new(),
+            dispatched: NodeSet::new(nodes),
+            reported_exits: NodeSet::new(nodes),
             epoch: 0,
             recovery_attempts: 0,
             degrade_probe: false,

@@ -7,7 +7,8 @@
 //!   report's `admitted` equals total sent. Nothing enters the system
 //!   without leaving through exactly one terminal door.
 //! * **No stuck invocations** — once the event queue drains,
-//!   `live_invocation_states == 0`.
+//!   `live_invocation_states == 0`, and neither the remote store nor any
+//!   worker's FaaStore holds an object.
 //! * **Epoch monotonicity** — crash recovery bumps each invocation's
 //!   epoch strictly upward (`InvocationRestarted` trace events).
 //! * **Same-seed bit-identity** — re-running a sampled subset of seeds
@@ -338,6 +339,22 @@ fn run_seed(seed: u64) -> (RunReport, Vec<TraceEvent>) {
         .register(&wf, ClientConfig::ClosedLoop { invocations })
         .unwrap_or_else(|e| panic!("seed {seed}: register failed ({e}); {}", repro(seed)));
     cluster.run_until_idle();
+    // No leaks at idle: every exit path (completion, timeout, hedge,
+    // crash recovery, dead letter, shed) releases its stored objects.
+    assert_eq!(
+        cluster.remote_store().object_count(),
+        0,
+        "seed {seed}: remote store holds objects after drain; {}",
+        repro(seed)
+    );
+    for (w, fs) in cluster.faastores().iter().enumerate() {
+        assert_eq!(
+            fs.memstore().object_count(),
+            0,
+            "seed {seed}: worker {w}'s FaaStore holds objects after drain; {}",
+            repro(seed)
+        );
+    }
     let trace = cluster.take_trace();
     if std::env::var_os("CHAOS_TRACE").is_some() {
         for ev in &trace {

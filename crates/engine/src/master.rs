@@ -15,12 +15,11 @@
 //! routing policy in HyperFlow-serverless to the same way as in FaaSFlow,
 //! which satisfies the control variate method", §5.1).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use faasflow_scheduler::Assignment;
 use faasflow_sim::stats::Counter;
-use faasflow_sim::{FunctionId, InvocationId, NodeId, WorkflowId};
+use faasflow_sim::{FastMap, FunctionId, InvocationId, NodeId, WorkflowId};
 use faasflow_wdl::WorkflowDag;
 
 use crate::trigger::TriggerTracker;
@@ -70,8 +69,8 @@ struct WorkflowCtx {
 /// The central engine of the MasterSP baseline.
 #[derive(Debug)]
 pub struct MasterEngine {
-    workflows: HashMap<WorkflowId, WorkflowCtx>,
-    invocations: HashMap<(WorkflowId, InvocationId), TriggerTracker>,
+    workflows: FastMap<WorkflowId, WorkflowCtx>,
+    invocations: FastMap<(WorkflowId, InvocationId), TriggerTracker>,
     stats: MasterEngineStats,
 }
 
@@ -85,8 +84,8 @@ impl MasterEngine {
     /// Creates an empty central engine.
     pub fn new() -> Self {
         MasterEngine {
-            workflows: HashMap::new(),
-            invocations: HashMap::new(),
+            workflows: FastMap::default(),
+            invocations: FastMap::default(),
             stats: MasterEngineStats::default(),
         }
     }

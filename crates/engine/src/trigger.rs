@@ -10,7 +10,6 @@
 //! every engine in the cluster independently picks the same arm without
 //! coordination.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use faasflow_sim::{FunctionId, InvocationId};
@@ -28,13 +27,14 @@ struct NodeState {
     propagated: bool,
 }
 
-/// Per-invocation trigger state over one workflow DAG.
+/// Per-invocation trigger state over one workflow DAG: one [`NodeState`]
+/// per DAG node, indexed by [`FunctionId::index`].
 #[derive(Debug, Clone)]
 pub struct TriggerTracker {
     dag: Arc<WorkflowDag>,
     invocation: InvocationId,
     seed: u64,
-    states: HashMap<FunctionId, NodeState>,
+    states: Vec<NodeState>,
 }
 
 impl TriggerTracker {
@@ -42,10 +42,10 @@ impl TriggerTracker {
     /// hash and must be identical on every engine of the cluster.
     pub fn new(dag: Arc<WorkflowDag>, invocation: InvocationId, seed: u64) -> Self {
         TriggerTracker {
+            states: vec![NodeState::default(); dag.node_count()],
             dag,
             invocation,
             seed,
-            states: HashMap::new(),
         }
     }
 
@@ -81,7 +81,7 @@ impl TriggerTracker {
     /// Marks a node as triggered without predecessor accounting (entry
     /// nodes). Returns `false` when it was already triggered.
     pub fn force_trigger(&mut self, node: FunctionId) -> bool {
-        let st = self.states.entry(node).or_default();
+        let st = &mut self.states[node.index()];
         if st.triggered {
             false
         } else {
@@ -95,7 +95,7 @@ impl TriggerTracker {
     /// the first completion for an any-join node).
     pub fn predecessor_done(&mut self, node: FunctionId) -> bool {
         let required = self.dag.required_predecessors(node);
-        let st = self.states.entry(node).or_default();
+        let st = &mut self.states[node.index()];
         st.predecessors_done += 1;
         if !st.triggered && st.predecessors_done >= required {
             st.triggered = true;
@@ -115,7 +115,7 @@ impl TriggerTracker {
     /// more instance completions than its parallelism.
     pub fn instance_done(&mut self, node: FunctionId) -> bool {
         let parallelism = self.dag.node(node).parallelism;
-        let st = self.states.entry(node).or_default();
+        let st = &mut self.states[node.index()];
         assert!(st.triggered, "instance completion for untriggered {node}");
         assert!(!st.done, "instance completion after node {node} completed");
         st.instances_done += 1;
@@ -136,7 +136,7 @@ impl TriggerTracker {
     /// Idempotent; used when rebuilding a tracker from durable history.
     pub fn force_done(&mut self, node: FunctionId) {
         let parallelism = self.dag.node(node).parallelism;
-        let st = self.states.entry(node).or_default();
+        let st = &mut self.states[node.index()];
         st.triggered = true;
         st.done = true;
         st.instances_done = parallelism;
@@ -156,7 +156,7 @@ impl TriggerTracker {
             done <= parallelism,
             "seeding {done} instance completions on {node} with parallelism {parallelism}"
         );
-        let st = self.states.entry(node).or_default();
+        let st = &mut self.states[node.index()];
         st.triggered = true;
         st.instances_done = done;
     }
@@ -165,7 +165,7 @@ impl TriggerTracker {
     /// propagation done). Returns `false` when it already was — the
     /// duplicate-sync suppression signal.
     pub fn mark_propagated(&mut self, node: FunctionId) -> bool {
-        let st = self.states.entry(node).or_default();
+        let st = &mut self.states[node.index()];
         if st.propagated {
             false
         } else {
@@ -176,12 +176,12 @@ impl TriggerTracker {
 
     /// True once every instance of `node` completed.
     pub fn is_done(&self, node: FunctionId) -> bool {
-        self.states.get(&node).map(|s| s.done).unwrap_or(false)
+        self.states[node.index()].done
     }
 
     /// True once `node` was triggered.
     pub fn is_triggered(&self, node: FunctionId) -> bool {
-        self.states.get(&node).map(|s| s.triggered).unwrap_or(false)
+        self.states[node.index()].triggered
     }
 
     /// The successors that must learn about `node`'s completion, with
@@ -325,7 +325,7 @@ mod tests {
         let notified = a.successors_to_notify(vs);
         assert_eq!(notified.len(), 1, "only the chosen arm is notified");
         // Different invocations eventually pick different arms.
-        let arms: std::collections::HashSet<u32> = (0..64)
+        let arms: faasflow_sim::FastSet<u32> = (0..64)
             .map(|i| TriggerTracker::new(dag.clone(), InvocationId::new(i), 99).chosen_arm(vs))
             .collect();
         assert_eq!(arms.len(), 2, "both arms exercised across invocations");

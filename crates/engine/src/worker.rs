@@ -10,12 +10,11 @@
 //! The engine is a pure state machine: it consumes completion/sync events
 //! and emits [`WorkerAction`]s for the cluster simulation to time.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use faasflow_scheduler::Assignment;
 use faasflow_sim::stats::Counter;
-use faasflow_sim::{FunctionId, InvocationId, NodeId, WorkflowId};
+use faasflow_sim::{FastMap, FunctionId, InvocationId, NodeId, WorkflowId};
 use faasflow_wdl::WorkflowDag;
 
 use crate::trigger::TriggerTracker;
@@ -111,8 +110,8 @@ impl LiveInvocation {
 #[derive(Debug)]
 pub struct WorkerEngine {
     node: NodeId,
-    workflows: HashMap<WorkflowId, WorkflowCtx>,
-    invocations: HashMap<(WorkflowId, InvocationId), LiveInvocation>,
+    workflows: FastMap<WorkflowId, WorkflowCtx>,
+    invocations: FastMap<(WorkflowId, InvocationId), LiveInvocation>,
     stats: WorkerEngineStats,
 }
 
@@ -121,8 +120,8 @@ impl WorkerEngine {
     pub fn new(node: NodeId) -> Self {
         WorkerEngine {
             node,
-            workflows: HashMap::new(),
-            invocations: HashMap::new(),
+            workflows: FastMap::default(),
+            invocations: FastMap::default(),
             stats: WorkerEngineStats::default(),
         }
     }

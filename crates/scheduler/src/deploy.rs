@@ -11,9 +11,9 @@
 //! retired version has fully drained so the caller can recycle its
 //! containers and sub-graph structures.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
+use faasflow_sim::FastMap;
 use serde::{Deserialize, Serialize};
 
 use crate::partition::Assignment;
@@ -46,7 +46,7 @@ pub struct DeploymentManager {
     next_version: u32,
     current: Option<(Version, Arc<Assignment>)>,
     /// Retired versions still carrying in-flight invocations.
-    draining: HashMap<Version, (Arc<Assignment>, u32)>,
+    draining: FastMap<Version, (Arc<Assignment>, u32)>,
     /// In-flight count of the current version.
     current_inflight: u32,
 }

@@ -19,9 +19,7 @@
 //!
 //! and stops when a full pass makes no merge (line 26).
 
-use std::collections::HashSet;
-
-use faasflow_sim::{FunctionId, GroupId, NodeId, SimDuration, SimRng};
+use faasflow_sim::{FastMap, FastSet, FunctionId, GroupId, NodeId, SimDuration, SimRng};
 use faasflow_wdl::{EdgeId, WorkflowDag};
 use serde::{Deserialize, Serialize};
 
@@ -161,7 +159,7 @@ impl WorkerInfo {
 /// `cont(G) = {(f_i, f_j)}`, fed by orthogonal interference predictors.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ContentionSet {
-    pairs: HashSet<(FunctionId, FunctionId)>,
+    pairs: FastSet<(FunctionId, FunctionId)>,
 }
 
 impl ContentionSet {
@@ -268,9 +266,8 @@ impl Assignment {
     /// workers, plus every output whose consumer *set* spans workers,
     /// since FaaStore's placement rule is all-or-nothing).
     pub fn cross_worker_bytes(&self, dag: &WorkflowDag) -> u64 {
-        use std::collections::HashMap;
         // Group data edges by producer to apply the all-consumers rule.
-        let mut by_producer: HashMap<_, Vec<_>> = HashMap::new();
+        let mut by_producer: FastMap<_, Vec<_>> = FastMap::default();
         for d in dag.data_edges() {
             by_producer.entry(d.producer).or_default().push(d);
         }

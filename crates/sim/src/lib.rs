@@ -11,6 +11,8 @@
 //!   byte-for-byte reproducible.
 //! * [`SimRng`] — a seedable SplitMix64 generator, sufficient for the
 //!   jitter/sampling needs of the cluster model and fully deterministic.
+//! * [`FastMap`] / [`FastSet`] — hash containers with a cheap,
+//!   non-cryptographic hasher for the simulator's id-keyed maps.
 //! * [`stats`] — counters, gauges and exact-sample histograms used for the
 //!   paper's latency/percentile/overhead metrics.
 //!
@@ -30,12 +32,14 @@
 //! ```
 
 pub mod event;
+pub mod hash;
 pub mod ids;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub use event::{EventId, EventQueue};
+pub use hash::{FastMap, FastSet, FastState};
 pub use ids::{ContainerId, FunctionId, GroupId, InvocationId, NodeId, WorkflowId};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -9,10 +9,8 @@
 //! impossible by construction — the condition the paper needs to avoid
 //! memory swap and OOM.
 
-use std::collections::HashMap;
-
 use faasflow_sim::stats::{Counter, Gauge};
-use faasflow_sim::{InvocationId, WorkflowId};
+use faasflow_sim::{FastMap, FunctionId, InvocationId, WorkflowId};
 
 use crate::keys::DataKey;
 
@@ -32,9 +30,12 @@ use crate::keys::DataKey;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MemStore {
-    budgets: HashMap<WorkflowId, u64>,
-    used: HashMap<WorkflowId, Gauge>,
-    objects: HashMap<DataKey, u64>,
+    budgets: FastMap<WorkflowId, u64>,
+    used: FastMap<WorkflowId, Gauge>,
+    objects: FastMap<DataKey, u64>,
+    /// Producers of each invocation's cached objects, so releasing an
+    /// invocation touches only its own keys.
+    by_invocation: FastMap<(WorkflowId, InvocationId), Vec<FunctionId>>,
     hits: Counter,
     rejections: Counter,
     bytes_stored: Counter,
@@ -84,6 +85,10 @@ impl MemStore {
             return false;
         }
         self.objects.insert(key, bytes);
+        self.by_invocation
+            .entry((key.workflow, key.invocation))
+            .or_default()
+            .push(key.producer);
         self.used.entry(key.workflow).or_default().add(bytes);
         self.bytes_stored.add(bytes);
         true
@@ -103,6 +108,26 @@ impl MemStore {
 
     /// Removes one object, returning its size.
     pub fn delete(&mut self, key: DataKey) -> Option<u64> {
+        let bytes = self.evict(key)?;
+        let scope = (key.workflow, key.invocation);
+        let producers = self
+            .by_invocation
+            .get_mut(&scope)
+            .expect("stored object is indexed");
+        let at = producers
+            .iter()
+            .position(|&p| p == key.producer)
+            .expect("stored object is indexed");
+        producers.swap_remove(at);
+        if producers.is_empty() {
+            self.by_invocation.remove(&scope);
+        }
+        Some(bytes)
+    }
+
+    /// Removes one object and returns its size, crediting the bytes back
+    /// to its workflow's usage; leaves the index alone.
+    fn evict(&mut self, key: DataKey) -> Option<u64> {
         let bytes = self.objects.remove(&key)?;
         self.used
             .get_mut(&key.workflow)
@@ -115,17 +140,16 @@ impl MemStore {
     /// release the *State* object at the end of each invocation" (§4.2.1),
     /// and the cached data goes with it. Returns bytes released.
     pub fn release_invocation(&mut self, wf: WorkflowId, invocation: InvocationId) -> u64 {
-        let doomed: Vec<DataKey> = self
-            .objects
-            .keys()
-            .filter(|k| k.workflow == wf && k.invocation == invocation)
-            .copied()
-            .collect();
-        let mut released = 0;
-        for key in doomed {
-            released += self.delete(key).expect("key collected above");
-        }
-        released
+        let Some(producers) = self.by_invocation.remove(&(wf, invocation)) else {
+            return 0;
+        };
+        producers
+            .into_iter()
+            .map(|p| {
+                self.evict(DataKey::new(wf, invocation, p))
+                    .expect("indexed object is stored")
+            })
+            .sum()
     }
 
     /// Drops every cached object (a node crash: in-memory state is gone).
@@ -134,6 +158,7 @@ impl MemStore {
     pub fn wipe(&mut self) -> u64 {
         let lost: u64 = self.objects.values().sum();
         self.objects.clear();
+        self.by_invocation.clear();
         for gauge in self.used.values_mut() {
             gauge.set(0);
         }
@@ -164,7 +189,6 @@ impl MemStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faasflow_sim::FunctionId;
 
     fn key(wf: u32, inv: u32, f: u32) -> DataKey {
         DataKey::new(

@@ -11,10 +11,8 @@
 //! simulated network as flows created by the cluster world, so bandwidth
 //! contention at the storage node emerges naturally.
 
-use std::collections::HashMap;
-
 use faasflow_sim::stats::Counter;
-use faasflow_sim::{InvocationId, SimDuration};
+use faasflow_sim::{FastMap, InvocationId, SimDuration};
 use serde::{Deserialize, Serialize};
 
 use crate::keys::DataKey;
@@ -51,7 +49,10 @@ impl Default for RemoteStoreConfig {
 #[derive(Debug, Clone, Default)]
 pub struct RemoteStore {
     config: RemoteStoreConfig,
-    objects: HashMap<DataKey, u64>,
+    objects: FastMap<DataKey, u64>,
+    /// Keys of each invocation's objects, so releasing an invocation
+    /// touches only its own keys.
+    by_invocation: FastMap<InvocationId, Vec<DataKey>>,
     bytes_written: Counter,
     bytes_read: Counter,
     puts: Counter,
@@ -75,7 +76,12 @@ impl RemoteStore {
     /// Stores (or overwrites) an object and returns the server-side
     /// processing latency to charge.
     pub fn put(&mut self, key: DataKey, bytes: u64) -> SimDuration {
-        self.objects.insert(key, bytes);
+        if self.objects.insert(key, bytes).is_none() {
+            self.by_invocation
+                .entry(key.invocation)
+                .or_default()
+                .push(key);
+        }
         self.bytes_written.add(bytes);
         self.puts.inc();
         self.config.put_overhead
@@ -98,22 +104,31 @@ impl RemoteStore {
 
     /// Deletes one object; returns its size if it existed.
     pub fn delete(&mut self, key: DataKey) -> Option<u64> {
-        self.objects.remove(&key)
+        let bytes = self.objects.remove(&key)?;
+        let keys = self
+            .by_invocation
+            .get_mut(&key.invocation)
+            .expect("stored object is indexed");
+        let at = keys
+            .iter()
+            .position(|&k| k == key)
+            .expect("stored object is indexed");
+        keys.swap_remove(at);
+        if keys.is_empty() {
+            self.by_invocation.remove(&key.invocation);
+        }
+        Some(bytes)
     }
 
     /// Drops every object of one invocation (end-of-invocation cleanup).
     /// Returns the number of bytes released.
     pub fn release_invocation(&mut self, invocation: InvocationId) -> u64 {
-        let mut released = 0;
-        self.objects.retain(|k, v| {
-            if k.invocation == invocation {
-                released += *v;
-                false
-            } else {
-                true
-            }
-        });
-        released
+        let Some(keys) = self.by_invocation.remove(&invocation) else {
+            return 0;
+        };
+        keys.iter()
+            .map(|k| self.objects.remove(k).expect("indexed object is stored"))
+            .sum()
     }
 
     /// Number of stored objects.
