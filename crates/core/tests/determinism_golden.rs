@@ -142,12 +142,25 @@ fn check(name: &str, report: &RunReport) {
     }
     let golden = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing golden {} ({e}); run with GOLDEN_REGEN=1", name));
-    assert_eq!(
-        rendered + "\n",
-        golden,
-        "{name}: RunReport diverged from the committed golden — the refactor \
-         changed simulation behaviour, not just speed"
-    );
+    let rendered = rendered + "\n";
+    if rendered == golden {
+        return;
+    }
+    // Name the first differing line instead of dumping both reports.
+    let (mut got, mut want) = (rendered.lines(), golden.lines());
+    let mut line = 1;
+    loop {
+        match (got.next(), want.next()) {
+            (Some(g), Some(w)) if g == w => line += 1,
+            (g, w) => panic!(
+                "{name}: RunReport diverged from the committed golden at line {line} — \
+                 the change altered simulation behaviour, not just speed\n  \
+                 golden:   {}\n  rendered: {}",
+                w.unwrap_or("<end of file>"),
+                g.unwrap_or("<end of file>"),
+            ),
+        }
+    }
 }
 
 #[test]
