@@ -405,6 +405,23 @@ impl FaultPlan {
                 GrayFaultKind::StuckExecutor | GrayFaultKind::AsymmetricPartition { .. } => {}
             }
         }
+        // Two gray windows of one kind on one worker must not overlap: they
+        // share the worker's effect state, so the first window's end would
+        // lift the effect while the second is still open (and a window
+        // opening exactly at the other's end is order-dependent).
+        for (i, a) in self.gray_faults.iter().enumerate() {
+            for b in &self.gray_faults[i + 1..] {
+                let same_kind = std::mem::discriminant(&a.kind) == std::mem::discriminant(&b.kind);
+                let (first, second) = if a.at <= b.at { (a, b) } else { (b, a) };
+                if a.worker == b.worker && same_kind && second.at <= first.at + first.duration {
+                    return Err(format!(
+                        "overlapping gray windows of one kind for worker {}: the window at \
+                         {:?} opens before the one at {:?} has closed",
+                        a.worker, second.at, first.at
+                    ));
+                }
+            }
+        }
         for s in &self.storage_faults {
             if s.duration.is_zero() {
                 return Err("storage fault windows must have positive duration".into());
@@ -562,6 +579,55 @@ mod tests {
             restart_after: None,
         });
         plan.validate(4).expect("disjoint windows are valid");
+    }
+
+    #[test]
+    fn overlapping_gray_windows_of_one_kind_are_rejected() {
+        let window = |worker, at_ms, ms, kind| GrayFault {
+            worker,
+            at: SimDuration::from_millis(at_ms),
+            duration: SimDuration::from_millis(ms),
+            kind,
+        };
+        let slow = |factor| GrayFaultKind::ExecSlowdown { factor };
+        let partition = |inbound| GrayFaultKind::AsymmetricPartition {
+            inbound,
+            expire_lease: false,
+        };
+
+        // The second slowdown opens while the first is still open, listed
+        // in either order.
+        let mut plan = FaultPlan {
+            gray_faults: vec![
+                window(1, 1000, 2000, slow(2.0)),
+                window(1, 2000, 2000, slow(4.0)),
+            ],
+            ..FaultPlan::default()
+        };
+        let err = plan.validate(4).unwrap_err();
+        assert!(err.contains("overlapping gray windows"), "{err}");
+        plan.gray_faults.reverse();
+        assert!(plan.validate(4).is_err());
+
+        // Opening exactly at the other's end is order-dependent too.
+        plan.gray_faults[0].at = SimDuration::from_millis(3000);
+        assert!(plan.validate(4).is_err());
+
+        // Both partition directions share one effect slot.
+        plan.gray_faults = vec![
+            window(0, 1000, 5000, partition(true)),
+            window(0, 4000, 1000, partition(false)),
+        ];
+        assert!(plan.validate(4).is_err());
+
+        // Other kinds, other workers and disjoint windows are fine.
+        plan.gray_faults = vec![
+            window(1, 1000, 2000, slow(2.0)),
+            window(1, 1500, 2000, GrayFaultKind::StuckExecutor),
+            window(2, 1500, 2000, slow(2.0)),
+            window(1, 3001, 1000, slow(3.0)),
+        ];
+        plan.validate(4).expect("non-overlapping windows are valid");
     }
 
     #[test]
