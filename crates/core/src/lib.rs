@@ -44,6 +44,7 @@ pub mod degrade;
 pub mod error;
 pub mod fault;
 pub mod health;
+mod hedge;
 pub mod invocation;
 pub mod journal;
 pub mod metrics;
