@@ -112,6 +112,17 @@ impl BreakerConfig {
 /// A state transition `(from, to)`, reported so the caller can trace it.
 pub type BreakerTransition = (BreakerState, BreakerState);
 
+/// How often a breaker entered each state.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BreakerTransitions {
+    /// Trips into open (from closed or half-open).
+    pub opens: u64,
+    /// Open windows elapsed into half-open.
+    pub half_opens: u64,
+    /// Half-open probe runs that closed the breaker.
+    pub closes: u64,
+}
+
 /// The breaker state machine. Sans-IO: the caller asks [`admit`] before a
 /// call and reports the outcome through [`on_result`]; both return the
 /// transition they caused, if any.
@@ -125,6 +136,7 @@ pub struct CircuitBreaker {
     consecutive_failures: u32,
     open_until: SimTime,
     probe_successes: u32,
+    transitions: BreakerTransitions,
 }
 
 impl CircuitBreaker {
@@ -136,12 +148,18 @@ impl CircuitBreaker {
             consecutive_failures: 0,
             open_until: SimTime::ZERO,
             probe_successes: 0,
+            transitions: BreakerTransitions::default(),
         }
     }
 
     /// Current state.
     pub fn state(&self) -> BreakerState {
         self.state
+    }
+
+    /// The transitions made so far, counted by the state entered.
+    pub fn transitions(&self) -> BreakerTransitions {
+        self.transitions
     }
 
     /// Asks whether a call may proceed at `now`. An open breaker whose
@@ -155,6 +173,7 @@ impl CircuitBreaker {
                 if now >= self.open_until {
                     self.state = BreakerState::HalfOpen;
                     self.probe_successes = 0;
+                    self.transitions.half_opens += 1;
                     (
                         BreakerDecision::Probe,
                         Some((BreakerState::Open, BreakerState::HalfOpen)),
@@ -198,6 +217,7 @@ impl CircuitBreaker {
                     if self.probe_successes >= self.config.half_open_probes {
                         self.state = BreakerState::Closed;
                         self.consecutive_failures = 0;
+                        self.transitions.closes += 1;
                         Some((BreakerState::HalfOpen, BreakerState::Closed))
                     } else {
                         None
@@ -216,6 +236,7 @@ impl CircuitBreaker {
     fn trip(&mut self, now: SimTime, rng: &mut SimRng) {
         self.state = BreakerState::Open;
         self.consecutive_failures = 0;
+        self.transitions.opens += 1;
         let scale = if self.config.jitter > 0.0 {
             rng.range_f64(1.0 - self.config.jitter, 1.0 + self.config.jitter)
         } else {
@@ -300,6 +321,14 @@ mod tests {
             Some((BreakerState::HalfOpen, BreakerState::Closed))
         );
         assert_eq!(b.admit(t(1.8)).0, BreakerDecision::Allow);
+        assert_eq!(
+            b.transitions(),
+            BreakerTransitions {
+                opens: 1,
+                half_opens: 1,
+                closes: 1
+            }
+        );
     }
 
     #[test]
@@ -316,6 +345,14 @@ mod tests {
             Some((BreakerState::HalfOpen, BreakerState::Open))
         );
         assert_eq!(b.admit(t(1.7)).0, BreakerDecision::FastFail);
+        assert_eq!(
+            b.transitions(),
+            BreakerTransitions {
+                opens: 2,
+                half_opens: 1,
+                closes: 0
+            }
+        );
     }
 
     #[test]

@@ -38,7 +38,10 @@ pub mod memstore;
 pub mod quota;
 pub mod remote;
 
-pub use breaker::{BreakerConfig, BreakerDecision, BreakerState, CircuitBreaker};
+pub use breaker::{
+    BreakerConfig, BreakerDecision, BreakerState, BreakerTransition, BreakerTransitions,
+    CircuitBreaker,
+};
 pub use faastore::{FaaStore, Placement, StorageType};
 pub use journal::JournalLog;
 pub use keys::DataKey;
