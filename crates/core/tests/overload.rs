@@ -9,8 +9,8 @@
 use faasflow_container::NodeCaps;
 use faasflow_core::{
     AdmissionConfig, BackpressureConfig, BreakerConfig, ClientConfig, Cluster, ClusterConfig,
-    FaultPlan, HedgeConfig, OverloadConfig, RunReport, ScheduleMode, ShedPolicy, StorageFault,
-    StorageFaultKind,
+    FaultPlan, GrayFault, GrayFaultKind, HedgeConfig, OverloadConfig, RunReport, ScheduleMode,
+    ShedPolicy, StorageFault, StorageFaultKind,
 };
 use faasflow_sim::SimDuration;
 use faasflow_wdl::{FunctionProfile, Step, Workflow};
@@ -101,6 +101,61 @@ fn zero_exec_retries_with_hedging_drains_cleanly() {
     );
     assert_eq!(report.workflow("Straggler").sent, 12);
     assert!(report.workflow("Straggler").completed > 0);
+}
+
+/// A hedge runs under the gray faults of the worker it lands on, like
+/// any attempt there. Every primary runs on worker 0 of two, so every
+/// hedge lands on worker 1; with each exec there failing (`FlakyExec` at
+/// rate 1.0 for the whole run, no other failure injection), no hedge can
+/// win and each one resolves as a loss. The same run without the window
+/// shows the hedges would otherwise win some races.
+#[test]
+fn hedges_on_a_flaky_worker_never_win() {
+    let config = |gray_faults: Vec<GrayFault>| ClusterConfig {
+        mode: ScheduleMode::WorkerSp,
+        faastore: true,
+        workers: 2,
+        exec_failure_rate: 0.0,
+        fault: FaultPlan {
+            gray_faults,
+            ..FaultPlan::default()
+        },
+        overload: OverloadConfig {
+            hedge: Some(HedgeConfig {
+                delay: SimDuration::from_millis(100),
+                adaptive: None,
+            }),
+            ..OverloadConfig::default()
+        },
+        ..ClusterConfig::default()
+    };
+    let wf = Workflow::steps(
+        "Straggler",
+        Step::task(
+            "crunch",
+            FunctionProfile::with_millis(1000, 0).exec_variation(0.5),
+        ),
+    );
+    let flaky = GrayFault {
+        worker: 1,
+        at: SimDuration::ZERO,
+        duration: SimDuration::from_secs(3600),
+        kind: GrayFaultKind::FlakyExec { failure_rate: 1.0 },
+    };
+
+    let report = run(config(vec![flaky]), &wf, 20);
+    assert_conserved(&report);
+    let o = &report.overload;
+    assert!(o.hedges_launched > 0, "no hedges fired: {o:?}");
+    assert_eq!(o.hedge_wins, 0, "a hedge won on the flaky worker: {o:?}");
+    assert_eq!(o.hedge_losses, o.hedges_launched, "{o:?}");
+
+    let control = run(config(Vec::new()), &wf, 20);
+    assert!(
+        control.overload.hedge_wins > 0,
+        "without the window no hedge wins, so the check above is vacuous: {:?}",
+        control.overload
+    );
 }
 
 /// A storage blackout must trip the breaker (the PR1 backoff path and the
