@@ -157,22 +157,21 @@ pub struct ClusterConfig {
     pub fault: FaultPlan,
     /// Overload protection: admission control, the remote-store circuit
     /// breaker, hedged exec retries and pool backpressure. All off by
-    /// default (runs are then bit-identical to pre-overload builds).
+    /// default: off, a mechanism draws no RNG and touches no shared state.
     pub overload: OverloadConfig,
     /// Engine write-ahead journaling for crash recovery. Off by default
     /// (runs are then bit-identical to pre-journal builds).
     pub journal: JournalConfig,
     /// Online SLO burn-rate monitoring: per-workflow latency objectives
     /// evaluated deterministically on completions, with multi-window
-    /// burn-rate alerting. `None` (the default) evaluates nothing and
-    /// draws no RNG — runs are then bit-identical to pre-SLO builds.
+    /// burn-rate alerting. `None` (the default) evaluates nothing; the
+    /// monitor never draws from the RNG.
     pub slo: Option<SloConfig>,
     /// Closed-loop SLO-driven degradation: burn-rate alerts move the
     /// offending workflow through Throttled → Shedding with half-open
     /// probing recovery, steering per-workflow admission, shed priority
-    /// and hedging. Requires `slo`. `None` (the default) acts on nothing
-    /// and draws no RNG — runs are then bit-identical to pre-degradation
-    /// builds.
+    /// and hedging. Requires `slo`. `None` (the default) acts on nothing;
+    /// the controller never draws from the RNG.
     pub degrade: Option<DegradeConfig>,
     /// Online gray-failure health detection: per-worker exec latency and
     /// failure statistics scored against the fleet median (MAD outlier

@@ -1,8 +1,7 @@
 //! Overload protection and graceful degradation knobs.
 //!
-//! Four independent mechanisms, each optional and **off by default** so a
-//! default-config run draws exactly the same RNG sequence (and produces
-//! the same bytes) as before this subsystem existed:
+//! Four independent mechanisms, each optional and **off by default**. Off,
+//! a mechanism draws no RNG and touches no shared state:
 //!
 //! * **Admission control** — bounded per-node container queues with a
 //!   pluggable shed policy. Sheds are a first-class terminal outcome,
@@ -12,8 +11,9 @@
 //!   from FaaStore local copies when any worker holds one, otherwise the
 //!   call fails fast into the existing retry/backoff path.
 //! * **Hedged execution** — a straggling executor is speculatively
-//!   re-dispatched to another worker after a fixed delay; first winner
-//!   takes the instance, the loser is cancelled.
+//!   re-dispatched to another worker after a fixed (or adaptive) delay,
+//!   where it runs under that worker's gray faults like any attempt;
+//!   first winner takes the instance, the loser is cancelled.
 //! * **Backpressure** — a saturated container pool pushes back on the
 //!   scheduler: WorkerSP defers the dispatch locally, MasterSP re-queues
 //!   through the central engine (paying the central-plane cost, which is
