@@ -239,6 +239,35 @@ fn degraded_link_retransmits_and_completes() {
     }
 }
 
+/// `bandwidth_factor` may be any value in (0, 1]. At 1e-15 worker 0's NIC
+/// carries ~1e-6 B/s, so a megabyte read through it would finish only
+/// after more nanoseconds than a `SimTime` holds. The flow waits out the
+/// window like a starved one, and the run drains once the link recovers.
+#[test]
+fn vanishing_link_bandwidth_waits_out_the_window() {
+    let plan = FaultPlan {
+        net_faults: vec![NetFault {
+            worker: 0,
+            at: SimDuration::from_secs(1),
+            duration: SimDuration::from_secs(5),
+            loss: 0.0,
+            latency_factor: 1.0,
+            bandwidth_factor: 1e-15,
+        }],
+        ..FaultPlan::default()
+    };
+    for mode in [ScheduleMode::WorkerSp, ScheduleMode::MasterSp] {
+        let clean = run_wf(config(mode, FaultPlan::default()), &wide_map_reduce(), 10);
+        let report = run_wf(config(mode, plan.clone()), &wide_map_reduce(), 10);
+        assert_drained(&report, mode);
+        assert_eq!(report.workflow("WC").completed, 10, "under {mode:?}");
+        assert!(
+            report.workflow("WC").e2e.mean > clean.workflow("WC").e2e.mean,
+            "the stalled link must visibly raise latency under {mode:?}"
+        );
+    }
+}
+
 /// Same seed + same fault plan => bit-identical reports, both modes. The
 /// whole fault subsystem draws only from the cluster's seeded RNG.
 #[test]

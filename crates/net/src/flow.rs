@@ -22,15 +22,26 @@
 //!   would assign (debug builds assert exactly that against a reference
 //!   full progressive filling after every fill).
 //!
+//! ## Paths
+//!
+//! Flows with the same `(src, dst)` consume the same resources, and
+//! progressive filling fixes every unfixed member of a bottleneck at one
+//! share, so they always get the same rate. The fill therefore works on
+//! **paths**: one record per `(src, dst)` pair holding the number of active
+//! flows on it and their common rate. Each flow stores its path id and
+//! reads its rate through it. A path sits in a resource's member list while
+//! it carries at least one flow, so the BFS and the fix loop visit paths,
+//! not flows: on the storage NIC a few distinct paths carry dozens of flows.
+//!
 //! Resources are indexed densely (uplink `i`, downlink `n+i`, loopback
-//! `2n+i`), and flows live in a dense vector in no particular order whose
-//! positions the per-resource member lists hold, so the fill runs on flat
-//! arrays: no hashing and no id lookups on the hot path. A removal
-//! swap-removes the flow and repoints the moved flow's member entries. Id
-//! order is restored only where it is observable: completed flows are
-//! sorted by id, and [`FlowNet::iter`] walks a sorted position buffer.
-//! Between recomputations rates are constant, so remaining bytes advance
-//! linearly and the earliest completion time is exact.
+//! `2n+i`) and paths by a dense `(src, dst)` table, so the fill runs on flat
+//! arrays: no hashing and no id lookups on the hot path. Flows live in a
+//! dense vector in no particular order; nothing points into it, so removal
+//! is a plain `swap_remove`. Id order is restored only where it is
+//! observable: completed flows are sorted by id, and [`FlowNet::iter`] walks
+//! a sorted position buffer. Between recomputations rates are constant, so
+//! remaining bytes advance linearly and the earliest completion time is
+//! exact.
 
 use faasflow_sim::{NodeId, SimTime};
 use serde::{Deserialize, Serialize};
@@ -88,8 +99,11 @@ pub struct Flow<T> {
     /// Caller-supplied payload returned on completion.
     pub tag: T,
     remaining: f64,
+    /// Copy of the path's rate, refreshed when the flow is handed out.
     rate: f64,
     started: SimTime,
+    /// Index into [`FlowNet::paths`].
+    path: u32,
 }
 
 impl<T> Flow<T> {
@@ -107,17 +121,30 @@ impl<T> Flow<T> {
     pub fn started(&self) -> SimTime {
         self.started
     }
+}
 
-    /// The one or two dense resource indices this flow consumes, given
-    /// `n` nodes. Loopback flows consume a single resource.
-    fn resources(&self, n: usize) -> impl Iterator<Item = usize> {
-        let pair = if self.src == self.dst {
-            [Some(2 * n + self.src.index()), None]
-        } else {
-            [Some(self.src.index()), Some(n + self.dst.index())]
-        };
-        pair.into_iter().flatten()
-    }
+/// The flows between one `(src, dst)` pair. They consume the same
+/// resources, so the fill gives them all one rate.
+#[derive(Debug)]
+struct Path {
+    src: NodeId,
+    dst: NodeId,
+    /// Active flows on the path.
+    count: u32,
+    /// Rate of each of those flows as of the last fill of the path's
+    /// component.
+    rate: f64,
+}
+
+/// The one or two dense resource indices a `src → dst` flow consumes, given
+/// `n` nodes. Loopback flows consume a single resource.
+fn resources(src: NodeId, dst: NodeId, n: usize) -> impl Iterator<Item = usize> {
+    let pair = if src == dst {
+        [Some(2 * n + src.index()), None]
+    } else {
+        [Some(src.index()), Some(n + dst.index())]
+    };
+    pair.into_iter().flatten()
 }
 
 /// Reusable buffers for component discovery and progressive filling.
@@ -127,17 +154,18 @@ impl<T> Flow<T> {
 struct FillScratch {
     /// Per-resource visited stamp (len `3n`).
     res_stamp: Vec<u64>,
-    /// Per-flow-position visited stamp.
-    flow_stamp: Vec<u64>,
-    /// Per-flow-position fixed-rate stamp.
+    /// Per-path visited stamp.
+    path_stamp: Vec<u64>,
+    /// Per-path fixed-rate stamp.
     fixed_stamp: Vec<u64>,
     /// Current fill generation.
     stamp: u64,
     /// Resources of the component(s) being refilled (doubles as BFS queue).
     comp_res: Vec<u32>,
-    /// Flow positions of the component(s) being refilled.
-    comp_flows: Vec<u32>,
-    /// Residual capacity per resource (valid only for `comp_res` entries).
+    /// Paths of the component(s) being refilled.
+    comp_paths: Vec<u32>,
+    /// Residual capacity per resource (valid only for `comp_res` entries
+    /// that still carry unfixed flows).
     remaining_cap: Vec<f64>,
     /// Unfixed-flow count per resource (valid only for `comp_res` entries).
     unfixed: Vec<u32>,
@@ -154,7 +182,12 @@ pub struct FlowNet<T> {
     /// `swap_remove`; finding a flow by id is a linear scan (cancel and
     /// `flow` only, both off the hot path).
     flows: Vec<(u64, Flow<T>)>,
-    /// Per-resource member flows as positions into `flows` (dense resource
+    /// Every `(src, dst)` pair that has carried a flow, in order of first
+    /// use. A record outlives its last flow and is reused by the next.
+    paths: Vec<Path>,
+    /// Path id of `(src, dst)` at `src * n + dst`, `u32::MAX` if unused.
+    path_ids: Vec<u32>,
+    /// Per-resource paths with at least one active flow (dense resource
     /// index, len `3n`).
     members: Vec<Vec<u32>>,
     next_id: u64,
@@ -166,7 +199,7 @@ pub struct FlowNet<T> {
     sent_from: Vec<u64>,
     /// Dirty seed resources accumulated since the last fill (may repeat).
     dirty: Vec<u32>,
-    /// True when every flow's `rate` reflects the current flow set.
+    /// True when every path's `rate` reflects the current flow set.
     rates_current: bool,
     scratch: FillScratch,
     /// Positions of `flows` in ascending id order, rebuilt by `iter`.
@@ -187,6 +220,8 @@ impl<T> FlowNet<T> {
         FlowNet {
             nics,
             flows: Vec::new(),
+            paths: Vec::new(),
+            path_ids: vec![u32::MAX; n * n],
             members: vec![Vec::new(); 3 * n],
             next_id: 0,
             updated: SimTime::ZERO,
@@ -254,28 +289,37 @@ impl<T> FlowNet<T> {
         tag: T,
         now: SimTime,
     ) -> FlowId {
+        let n = self.nics.len();
         assert!(
-            src.index() < self.nics.len() && dst.index() < self.nics.len(),
+            src.index() < n && dst.index() < n,
             "flow endpoints out of range"
         );
         self.advance(now);
         let id = self.next_id;
         self.next_id += 1;
-        let flow = Flow {
-            src,
-            dst,
-            bytes,
-            tag,
-            remaining: bytes as f64,
-            rate: 0.0,
-            started: now,
-        };
-        let pos = self.flows.len() as u32;
-        for r in flow.resources(self.nics.len()) {
-            self.members[r].push(pos);
+        let path = self.path_id(src, dst);
+        let record = &mut self.paths[path as usize];
+        record.count += 1;
+        let first = record.count == 1;
+        for r in resources(src, dst, n) {
+            if first {
+                self.members[r].push(path);
+            }
             self.mark_dirty(r);
         }
-        self.flows.push((id, flow));
+        self.flows.push((
+            id,
+            Flow {
+                src,
+                dst,
+                bytes,
+                tag,
+                remaining: bytes as f64,
+                rate: 0.0,
+                started: now,
+                path,
+            },
+        ));
         FlowId(id)
     }
 
@@ -288,7 +332,10 @@ impl<T> FlowNet<T> {
     }
 
     /// The earliest instant at which some active flow completes, or `None`
-    /// when no flow is active or every active flow is starved (zero rate).
+    /// when no flow is active, every active flow is starved (zero rate), or
+    /// the earliest completion lies beyond the last instant [`SimTime`] can
+    /// represent (about 584 years) — a flow that slow is starved in all but
+    /// name, and the next mutation brings a fresh horizon.
     pub fn next_completion(&mut self) -> Option<SimTime> {
         self.ensure_rates();
         let mut soonest: Option<f64> = None;
@@ -296,8 +343,9 @@ impl<T> FlowNet<T> {
             if f.remaining <= 0.0 {
                 return Some(self.updated);
             }
-            if f.rate > 0.0 {
-                let secs = f.remaining / f.rate;
+            let rate = self.paths[f.path as usize].rate;
+            if rate > 0.0 {
+                let secs = f.remaining / rate;
                 soonest = Some(soonest.map_or(secs, |s| s.min(secs)));
             }
         }
@@ -306,8 +354,12 @@ impl<T> FlowNet<T> {
         // to nearest would strand a fraction of a byte and loop the
         // completion timer at one timestamp forever. The conversion is
         // monotone, so converting the minimum quotient is exact.
-        let nanos = (soonest? * 1e9).ceil() as u64 + 1;
-        Some(self.updated + faasflow_sim::SimDuration::from_nanos(nanos))
+        let nanos = (soonest? * 1e9).ceil();
+        if nanos >= u64::MAX as f64 {
+            return None;
+        }
+        let at = self.updated.as_nanos().checked_add(nanos as u64 + 1)?;
+        Some(SimTime::from_nanos(at))
     }
 
     /// Advances the fluid model to `now` and removes every flow that has
@@ -353,12 +405,17 @@ impl<T> FlowNet<T> {
     /// Read access to an active flow.
     pub fn flow(&mut self, id: FlowId) -> Option<&Flow<T>> {
         self.ensure_rates();
-        self.flows.iter().find(|e| e.0 == id.0).map(|e| &e.1)
+        let (_, flow) = self.flows.iter_mut().find(|e| e.0 == id.0)?;
+        flow.rate = self.paths[flow.path as usize].rate;
+        Some(flow)
     }
 
     /// Iterates over active flows in ascending id order.
     pub fn iter(&mut self) -> impl Iterator<Item = (FlowId, &Flow<T>)> {
         self.ensure_rates();
+        for (_, flow) in &mut self.flows {
+            flow.rate = self.paths[flow.path as usize].rate;
+        }
         let flows = &self.flows;
         self.order.clear();
         self.order.extend(0..flows.len() as u32);
@@ -370,23 +427,42 @@ impl<T> FlowNet<T> {
         })
     }
 
-    /// Detaches the flow at `pos`: drops it from its resources' member
-    /// lists (marking them dirty), swap-removes it, and repoints the member
-    /// entries of the flow that moved into `pos`.
+    /// The path id of `(src, dst)`, creating its record on first use.
+    fn path_id(&mut self, src: NodeId, dst: NodeId) -> u32 {
+        let slot = &mut self.path_ids[src.index() * self.nics.len() + dst.index()];
+        if *slot == u32::MAX {
+            *slot = self.paths.len() as u32;
+            self.paths.push(Path {
+                src,
+                dst,
+                count: 0,
+                rate: 0.0,
+            });
+        }
+        *slot
+    }
+
+    /// Detaches the flow at `pos`: swap-removes it, marks its resources
+    /// dirty, and drops its path from their member lists if it was the
+    /// path's last flow.
     fn remove_at(&mut self, pos: usize) -> (u64, Flow<T>) {
-        let n = self.nics.len();
-        for r in self.flows[pos].1.resources(n) {
-            repoint(&mut self.members[r], pos as u32, None);
+        let (id, mut flow) = self.flows.swap_remove(pos);
+        let path = &mut self.paths[flow.path as usize];
+        path.count -= 1;
+        flow.rate = path.rate;
+        let last = path.count == 0;
+        for r in resources(flow.src, flow.dst, self.nics.len()) {
+            if last {
+                let members = &mut self.members[r];
+                let k = members
+                    .iter()
+                    .position(|&p| p == flow.path)
+                    .expect("member lists track every path with flows");
+                members.swap_remove(k);
+            }
             self.mark_dirty(r);
         }
-        let removed = self.flows.swap_remove(pos);
-        if let Some((_, moved)) = self.flows.get(pos) {
-            let from = self.flows.len() as u32;
-            for r in moved.resources(n) {
-                repoint(&mut self.members[r], from, Some(pos as u32));
-            }
-        }
-        removed
+        (id, flow)
     }
 
     fn mark_dirty(&mut self, resource: usize) {
@@ -408,7 +484,8 @@ impl<T> FlowNet<T> {
             self.ensure_rates();
             let dt = (now - self.updated).as_secs_f64();
             for (_, flow) in &mut self.flows {
-                flow.remaining = (flow.remaining - flow.rate * dt).max(0.0);
+                let rate = self.paths[flow.path as usize].rate;
+                flow.remaining = (flow.remaining - rate * dt).max(0.0);
             }
         }
         self.updated = now;
@@ -421,45 +498,50 @@ impl<T> FlowNet<T> {
             return;
         }
         self.rates_current = true;
-        let n3 = 3 * self.nics.len();
-        let nf = self.flows.len();
-        self.scratch.stamp += 1;
-        let stamp = self.scratch.stamp;
-        self.scratch.res_stamp.resize(n3, 0);
-        self.scratch.remaining_cap.resize(n3, 0.0);
-        self.scratch.unfixed.resize(n3, 0);
-        if self.scratch.flow_stamp.len() < nf {
-            self.scratch.flow_stamp.resize(nf, 0);
-            self.scratch.fixed_stamp.resize(nf, 0);
-        }
-        self.scratch.comp_res.clear();
-        self.scratch.comp_flows.clear();
+        let FlowNet {
+            nics,
+            paths,
+            members,
+            dirty,
+            scratch: s,
+            ..
+        } = self;
+        let n = nics.len();
+        s.stamp += 1;
+        let stamp = s.stamp;
+        s.res_stamp.resize(3 * n, 0);
+        s.remaining_cap.resize(3 * n, 0.0);
+        s.unfixed.resize(3 * n, 0);
+        s.path_stamp.resize(paths.len(), 0);
+        s.fixed_stamp.resize(paths.len(), 0);
+        s.comp_res.clear();
+        s.comp_paths.clear();
 
-        // Component discovery: BFS over the flow↔resource bipartite graph
+        // Component discovery: BFS over the path↔resource bipartite graph
         // from every dirty seed. `comp_res` doubles as the queue.
-        for k in 0..self.dirty.len() {
-            let r = self.dirty[k] as usize;
-            if self.scratch.res_stamp[r] != stamp && !self.members[r].is_empty() {
-                self.scratch.res_stamp[r] = stamp;
-                self.scratch.comp_res.push(r as u32);
+        for &r in dirty.iter() {
+            let r = r as usize;
+            if s.res_stamp[r] != stamp && !members[r].is_empty() {
+                s.res_stamp[r] = stamp;
+                s.comp_res.push(r as u32);
             }
         }
-        self.dirty.clear();
+        dirty.clear();
         let mut head = 0;
-        while head < self.scratch.comp_res.len() {
-            let r = self.scratch.comp_res[head] as usize;
+        while head < s.comp_res.len() {
+            let r = s.comp_res[head] as usize;
             head += 1;
-            for k in 0..self.members[r].len() {
-                let pos = self.members[r][k] as usize;
-                if self.scratch.flow_stamp[pos] == stamp {
+            for &p in &members[r] {
+                if s.path_stamp[p as usize] == stamp {
                     continue;
                 }
-                self.scratch.flow_stamp[pos] = stamp;
-                self.scratch.comp_flows.push(pos as u32);
-                for r in self.flows[pos].1.resources(self.nics.len()) {
-                    if self.scratch.res_stamp[r] != stamp {
-                        self.scratch.res_stamp[r] = stamp;
-                        self.scratch.comp_res.push(r as u32);
+                s.path_stamp[p as usize] = stamp;
+                s.comp_paths.push(p);
+                let path = &paths[p as usize];
+                for r in resources(path.src, path.dst, n) {
+                    if s.res_stamp[r] != stamp {
+                        s.res_stamp[r] = stamp;
+                        s.comp_res.push(r as u32);
                     }
                 }
             }
@@ -467,89 +549,120 @@ impl<T> FlowNet<T> {
 
         // Deterministic bottleneck scan order: ascending dense index, which
         // equals the (kind, node) order the tie-break key requires.
-        self.scratch.comp_res.sort_unstable();
-        for k in 0..self.scratch.comp_res.len() {
-            let r = self.scratch.comp_res[k] as usize;
-            self.scratch.remaining_cap[r] = self.capacity(r);
-            self.scratch.unfixed[r] = 0;
+        s.comp_res.sort_unstable();
+        for &r in &s.comp_res {
+            s.remaining_cap[r as usize] = capacity(nics, r as usize);
+            s.unfixed[r as usize] = 0;
         }
-        for k in 0..self.scratch.comp_flows.len() {
-            let pos = self.scratch.comp_flows[k] as usize;
-            for r in self.flows[pos].1.resources(self.nics.len()) {
-                self.scratch.unfixed[r] += 1;
+        for &p in &s.comp_paths {
+            let path = &paths[p as usize];
+            for r in resources(path.src, path.dst, n) {
+                s.unfixed[r] += path.count;
             }
         }
 
         // Progressive filling restricted to the component: repeatedly pick
         // the resource with the smallest fair share among those still
-        // carrying unfixed flows, and fix its flows at that share. Rates in
+        // carrying unfixed flows, and fix its paths at that share. Rates in
         // a component are independent of all other components, so this is
         // bitwise the allocation a global fill would produce.
-        let total = self.scratch.comp_flows.len();
-        let mut fixed_n = 0;
-        while fixed_n < total {
+        let mut unfixed_paths = s.comp_paths.len();
+        while unfixed_paths > 0 {
             let mut best: Option<(f64, usize)> = None;
-            for k in 0..self.scratch.comp_res.len() {
-                let r = self.scratch.comp_res[k] as usize;
-                let count = self.scratch.unfixed[r];
+            for &r in &s.comp_res {
+                let count = s.unfixed[r as usize];
                 if count == 0 {
                     continue;
                 }
-                let share = self.scratch.remaining_cap[r].max(0.0) / f64::from(count);
+                let share = s.remaining_cap[r as usize].max(0.0) / f64::from(count);
                 // Ascending scan: on an epsilon tie the earlier (smaller
                 // key) resource wins, matching the reference tie-break.
-                if best.is_none_or(|(s, _)| share < s - 1e-12) {
-                    best = Some((share, r));
+                if best.is_none_or(|(b, _)| share < b - 1e-12) {
+                    best = Some((share, r as usize));
                 }
             }
             let Some((share, bottleneck)) = best else {
                 break; // every remaining flow is on empty resources
             };
             // Every flow fixed in this round subtracts the same `share`, so
-            // the order of the member list cannot change any float.
-            for k in 0..self.members[bottleneck].len() {
-                let pos = self.members[bottleneck][k] as usize;
-                if self.scratch.fixed_stamp[pos] == stamp {
+            // neither the member-list order nor the grouping into paths can
+            // change any float: a path subtracts it once per flow. A
+            // resource left without unfixed flows is never read again in
+            // this fill, so it skips the subtraction.
+            for &p in &members[bottleneck] {
+                if s.fixed_stamp[p as usize] == stamp {
                     continue;
                 }
-                self.scratch.fixed_stamp[pos] = stamp;
-                fixed_n += 1;
-                self.flows[pos].1.rate = share.max(0.0);
-                for r in self.flows[pos].1.resources(self.nics.len()) {
-                    self.scratch.remaining_cap[r] -= share;
-                    self.scratch.unfixed[r] -= 1;
+                s.fixed_stamp[p as usize] = stamp;
+                unfixed_paths -= 1;
+                let path = &mut paths[p as usize];
+                path.rate = share.max(0.0);
+                for r in resources(path.src, path.dst, n) {
+                    s.unfixed[r] -= path.count;
+                    if s.unfixed[r] > 0 {
+                        for _ in 0..path.count {
+                            s.remaining_cap[r] -= share;
+                        }
+                    }
                 }
             }
         }
 
         #[cfg(debug_assertions)]
-        self.assert_matches_reference_fill();
+        {
+            self.assert_paths_consistent();
+            self.assert_matches_reference_fill();
+        }
     }
 
-    /// Capacity of a dense resource index.
-    fn capacity(&self, r: usize) -> f64 {
+    /// Debug cross-check of the path bookkeeping: every path's `count` is
+    /// the number of active flows on it, and each resource's member list
+    /// holds exactly the paths with flows that use that resource.
+    #[cfg(debug_assertions)]
+    fn assert_paths_consistent(&self) {
         let n = self.nics.len();
-        if r < n {
-            self.nics[r].uplink
-        } else if r < 2 * n {
-            self.nics[r - n].downlink
-        } else {
-            self.nics[r - 2 * n].loopback
+        let mut counts = vec![0u32; self.paths.len()];
+        for (id, flow) in &self.flows {
+            let path = &self.paths[flow.path as usize];
+            assert!(
+                (path.src, path.dst) == (flow.src, flow.dst),
+                "flow {id} is on the wrong path"
+            );
+            counts[flow.path as usize] += 1;
+        }
+        let mut expected = vec![Vec::new(); 3 * n];
+        for (p, path) in self.paths.iter().enumerate() {
+            assert_eq!(
+                path.count, counts[p],
+                "path {}→{} count is not its active flows",
+                path.src, path.dst
+            );
+            if path.count > 0 {
+                for r in resources(path.src, path.dst, n) {
+                    expected[r].push(p as u32);
+                }
+            }
+        }
+        for (r, expected) in expected.iter().enumerate() {
+            let mut listed = self.members[r].clone();
+            listed.sort_unstable();
+            assert_eq!(&listed, expected, "member list of resource {r}");
         }
     }
 
     /// Debug cross-check: every flow's rate must be bitwise identical to
-    /// what a full (global, from-scratch) progressive filling assigns.
-    /// This is the invariant that makes incremental refills safe.
+    /// what a full (global, from-scratch, per-flow) progressive filling
+    /// assigns. This is the invariant that makes incremental per-path
+    /// refills safe.
     #[cfg(debug_assertions)]
     fn assert_matches_reference_fill(&self) {
         let reference = self.reference_rates();
         for (pos, (id, flow)) in self.flows.iter().enumerate() {
+            let rate = self.paths[flow.path as usize].rate;
             assert!(
-                flow.rate.to_bits() == reference[pos].to_bits(),
+                rate.to_bits() == reference[pos].to_bits(),
                 "incremental fill diverged from full fill for flow {id}: \
-                 incremental {inc} vs reference {reference}",
-                inc = flow.rate,
+                 incremental {rate} vs reference {reference}",
                 reference = reference[pos],
             );
         }
@@ -563,8 +676,12 @@ impl<T> FlowNet<T> {
         let nf = self.flows.len();
         let mut cap = vec![0.0f64; 3 * n];
         let mut unfixed = vec![0u32; 3 * n];
-        for r in self.flows.iter().flat_map(|(_, f)| f.resources(n)) {
-            cap[r] = self.capacity(r);
+        for r in self
+            .flows
+            .iter()
+            .flat_map(|(_, f)| resources(f.src, f.dst, n))
+        {
+            cap[r] = capacity(&self.nics, r);
             unfixed[r] += 1;
         }
         let mut rate = vec![0.0f64; nf];
@@ -585,13 +702,13 @@ impl<T> FlowNet<T> {
                 break;
             };
             for (pos, (_, f)) in self.flows.iter().enumerate() {
-                if fixed[pos] || !f.resources(n).any(|r| r == bottleneck) {
+                if fixed[pos] || !resources(f.src, f.dst, n).any(|r| r == bottleneck) {
                     continue;
                 }
                 fixed[pos] = true;
                 fixed_n += 1;
                 rate[pos] = share.max(0.0);
-                for r in f.resources(n) {
+                for r in resources(f.src, f.dst, n) {
                     cap[r] -= share;
                     unfixed[r] -= 1;
                 }
@@ -601,15 +718,15 @@ impl<T> FlowNet<T> {
     }
 }
 
-/// Replaces the entry `from` of a member list with `to`, or drops it.
-fn repoint(members: &mut Vec<u32>, from: u32, to: Option<u32>) {
-    let k = members
-        .iter()
-        .position(|&m| m == from)
-        .expect("member lists track active flows");
-    match to {
-        Some(to) => members[k] = to,
-        None => drop(members.swap_remove(k)),
+/// Capacity of a dense resource index.
+fn capacity(nics: &[NicSpec], r: usize) -> f64 {
+    let n = nics.len();
+    if r < n {
+        nics[r].uplink
+    } else if r < 2 * n {
+        nics[r - n].downlink
+    } else {
+        nics[r - 2 * n].loopback
     }
 }
 
@@ -883,6 +1000,41 @@ mod tests {
         assert_eq!(net.cancel_flow(short, at), None);
         assert_eq!(rates(&mut net), before);
         assert_eq!(net.active_flows(), 3);
+    }
+
+    #[test]
+    fn a_horizon_past_the_last_instant_is_no_completion() {
+        // 1 GB at 1e-3 B/s finishes in 1e12 s, far past the ~584 years of
+        // nanoseconds a SimTime holds: reported like a starved flow.
+        let mut net: FlowNet<u32> =
+            FlowNet::new(vec![NicSpec::symmetric(1e-3), NicSpec::symmetric(100e6)]);
+        net.start_flow(NodeId::new(0), NodeId::new(1), 1_000_000_000, 1, t(0.0));
+        assert_eq!(net.next_completion(), None);
+        // Restoring the NIC brings the horizon back: ~1e9 bytes at 100 MB/s.
+        net.set_nic(NodeId::new(0), NicSpec::symmetric(100e6), t(1.0));
+        assert_near(net.next_completion(), t(11.0));
+
+        // A duration that fits but lands past the last instant: 1e10 s
+        // after t = 1e10 s is 2e19 ns.
+        let mut net: FlowNet<u32> =
+            FlowNet::new(vec![NicSpec::symmetric(0.1), NicSpec::symmetric(100e6)]);
+        net.start_flow(NodeId::new(0), NodeId::new(1), 1_000_000_000, 1, t(1e10));
+        assert_eq!(net.next_completion(), None);
+    }
+
+    #[test]
+    fn a_path_emptied_and_refilled_rejoins_its_resources() {
+        let mut net = two_node_net();
+        let a = net.start_flow(NodeId::new(0), NodeId::new(1), 100_000_000, 1, t(0.0));
+        net.start_flow(NodeId::new(1), NodeId::new(0), 100_000_000, 2, t(0.0));
+        assert_eq!(net.cancel_flow(a, t(0.1)), Some(1));
+        assert_near(net.next_completion(), t(1.0));
+        // The 0 -> 1 path is empty; two new flows on it split its uplink.
+        net.start_flow(NodeId::new(0), NodeId::new(1), 50_000_000, 3, t(0.2));
+        net.start_flow(NodeId::new(0), NodeId::new(1), 50_000_000, 4, t(0.2));
+        let rates: Vec<(u32, f64)> = net.iter().map(|(_, f)| (f.tag, f.rate())).collect();
+        assert_eq!(rates, vec![(2, 100e6), (3, 50e6), (4, 50e6)]);
+        assert_eq!(net.paths.len(), 2, "the emptied path record is reused");
     }
 
     #[test]

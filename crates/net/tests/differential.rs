@@ -8,6 +8,13 @@
 //! sweeps run against both. After every step the two must agree exactly:
 //! rates and remaining bytes bit for bit, the completion horizon, the
 //! completed id sequences and the per-node byte counters.
+//!
+//! Two case shapes: endpoints drawn uniformly over 1–6 nodes, and hub
+//! traffic, where most flows run between one hub and 2–8 spokes as remote
+//! reads and writes do through the storage NIC. Hub traffic puts many flows
+//! on each `(src, dst)` path, and its slow spokes make fills take several
+//! rounds, so a path carrying several flows is fixed while its other
+//! resource still has unfixed flows.
 
 use faasflow_net::{FlowId, FlowNet, NicSpec};
 use faasflow_sim::{NodeId, SimDuration, SimTime};
@@ -85,12 +92,12 @@ fn dt() -> impl Strategy<Value = u64> {
     prop_oneof![Just(0u64), 1u64..2_000_000_000, 1u64..1_000]
 }
 
-fn op(n: usize) -> impl Strategy<Value = Op> {
+fn op(n: usize, endpoints: BoxedStrategy<(usize, usize)>) -> impl Strategy<Value = Op> {
     Union::weighted(vec![
         (
             6,
-            (0..n, 0..n, bytes(), dt())
-                .prop_map(|(src, dst, bytes, dt)| Op::Start {
+            (endpoints, bytes(), dt())
+                .prop_map(|((src, dst), bytes, dt)| Op::Start {
                     src,
                     dst,
                     bytes,
@@ -146,11 +153,50 @@ fn case() -> impl Strategy<Value = Case> {
     (1usize..7).prop_flat_map(|n| {
         let nic =
             (capacity(), capacity(), loopback_capacity()).prop_map(|(up, down, lo)| [up, down, lo]);
+        let endpoints = (0..n, 0..n).boxed();
         (
             proptest::collection::vec(nic, n),
-            proptest::collection::vec(op(n), 1..MAX_OPS),
+            proptest::collection::vec(op(n, endpoints), 1..MAX_OPS),
         )
             .prop_map(|(nics, ops)| Case { nics, ops })
+    })
+}
+
+/// Hub NIC capacities around the paper's 25–100 MB/s storage NIC.
+fn hub_capacity() -> impl Strategy<Value = f64> {
+    (0usize..4).prop_map(|k| [25e6, 50e6, 100e6, 200e6][k])
+}
+
+/// Spoke NIC capacities: some well below any hub share, so a spoke is the
+/// first bottleneck and the hub's other flows stay unfixed for a later
+/// round, some far above it.
+fn spoke_capacity() -> impl Strategy<Value = f64> {
+    (0usize..5).prop_map(|k| [2e6, 5e6, 10e6, 40e6, 1.25e9][k])
+}
+
+/// Node 0 is the hub and nodes `1..n` the spokes. Most flows run
+/// hub→spoke or spoke→hub; a few run between spokes.
+fn hub_case() -> impl Strategy<Value = Case> {
+    (3usize..10).prop_flat_map(|n| {
+        let hub = (hub_capacity(), hub_capacity(), loopback_capacity())
+            .prop_map(|(up, down, lo)| [up, down, lo]);
+        let spoke = (spoke_capacity(), spoke_capacity(), loopback_capacity())
+            .prop_map(|(up, down, lo)| [up, down, lo]);
+        let endpoints = Union::weighted(vec![
+            (5, (Just(0usize), 1..n).boxed()),
+            (4, (1..n, Just(0usize)).boxed()),
+            (1, (1..n, 1..n).boxed()),
+        ])
+        .boxed();
+        (
+            hub,
+            proptest::collection::vec(spoke, n - 1),
+            proptest::collection::vec(op(n, endpoints), 1..MAX_OPS),
+        )
+            .prop_map(|(hub, spokes, ops)| Case {
+                nics: std::iter::once(hub).chain(spokes).collect(),
+                ops,
+            })
     })
 }
 
@@ -298,17 +344,21 @@ impl Reference {
         self.refill();
     }
 
+    /// Per-flow horizons; one past the last representable instant is none.
     fn next_completion(&self) -> Option<SimTime> {
         self.flows
             .iter()
             .filter(|f| f.rate > 0.0 || f.remaining <= 0.0)
-            .map(|f| {
+            .filter_map(|f| {
                 if f.remaining <= 0.0 {
-                    self.updated
-                } else {
-                    let nanos = (f.remaining / f.rate * 1e9).ceil() as u64 + 1;
-                    self.updated + SimDuration::from_nanos(nanos)
+                    return Some(self.updated);
                 }
+                let nanos = (f.remaining / f.rate * 1e9).ceil();
+                if nanos >= u64::MAX as f64 {
+                    return None;
+                }
+                let at = self.updated.as_nanos().checked_add(nanos as u64 + 1)?;
+                Some(SimTime::from_nanos(at))
             })
             .min()
     }
@@ -392,77 +442,129 @@ proptest! {
 
     #[test]
     fn flownet_matches_naive_reference(case in case()) {
-        let unissued = unissued_ids();
-        let mut net: FlowNet<u64> = FlowNet::new(case.nics.iter().map(|&c| nic_spec(c)).collect());
-        let mut model = Reference::new(case.nics.clone());
-        let mut now = SimTime::ZERO;
-        let mut issued: Vec<FlowId> = Vec::new();
-        let mut completed: Vec<FlowId> = Vec::new();
-        for (step, op) in case.ops.iter().enumerate() {
-            match *op {
-                Op::Start { src, dst, bytes, dt } => {
-                    now += SimDuration::from_nanos(dt);
-                    let tag = issued.len() as u64;
-                    let id = net.start_flow(NodeId::from(src), NodeId::from(dst), bytes, tag, now);
-                    prop_assert!(!issued.contains(&id), "step {step}: id {id} issued twice");
-                    issued.push(id);
-                    model.start(id, tag, src, dst, bytes, now);
-                }
-                Op::CancelLive { pick, dt } => {
-                    now += SimDuration::from_nanos(dt);
-                    if model.flows.is_empty() {
-                        continue;
-                    }
-                    let id = model.flows[pick % model.flows.len()].id;
-                    let expected = model.cancel(id, now);
-                    prop_assert!(expected.is_some());
-                    prop_assert_eq!(net.cancel_flow(id, now), expected, "step {}: cancel live {}", step, id);
-                }
-                Op::CancelCompleted { pick, dt } => {
-                    now += SimDuration::from_nanos(dt);
-                    if completed.is_empty() {
-                        continue;
-                    }
-                    let id = completed[pick % completed.len()];
-                    prop_assert_eq!(model.cancel(id, now), None);
-                    prop_assert_eq!(net.cancel_flow(id, now), None, "step {}: cancel completed {}", step, id);
-                }
-                Op::CancelUnissued { pick, dt } => {
-                    now += SimDuration::from_nanos(dt);
-                    let id = unissued[pick % unissued.len()];
-                    prop_assert!(net.flow(id).is_none(), "step {step}: {id} was never issued");
-                    prop_assert_eq!(model.cancel(id, now), None);
-                    prop_assert_eq!(net.cancel_flow(id, now), None, "step {}: cancel unissued {}", step, id);
-                }
-                Op::SetNic { node, caps, dt } => {
-                    now += SimDuration::from_nanos(dt);
-                    net.set_nic(NodeId::from(node), nic_spec(caps), now);
-                    model.set_nic(node, caps, now);
-                }
-                Op::TakeAtNextCompletion => {
-                    let Some(at) = model.next_completion() else {
-                        continue;
-                    };
-                    now = at;
-                    let done: Vec<(FlowId, u64)> =
-                        net.take_completed(now).into_iter().map(|(id, f)| (id, f.tag)).collect();
-                    let expected = model.take_completed(now);
-                    prop_assert!(!expected.is_empty(), "step {step}: nothing completes at the horizon");
-                    prop_assert_eq!(&done, &expected, "step {}: completed at the horizon", step);
-                    completed.extend(done.iter().map(|&(id, _)| id));
-                }
-                Op::TakeLater { dt } => {
-                    now += SimDuration::from_nanos(dt);
-                    let done: Vec<(FlowId, u64)> =
-                        net.take_completed(now).into_iter().map(|(id, f)| (id, f.tag)).collect();
-                    prop_assert_eq!(&done, &model.take_completed(now), "step {}: completed later", step);
-                    completed.extend(done.iter().map(|&(id, _)| id));
-                }
-            }
-            for &id in &completed {
-                prop_assert!(net.flow(id).is_none(), "step {step}: completed {id} still active");
-            }
-            assert_same(&mut net, &model, step)?;
-        }
+        run_case(&case)?;
     }
+
+    #[test]
+    fn flownet_matches_naive_reference_on_hub_traffic(case in hub_case()) {
+        run_case(&case)?;
+    }
+}
+
+/// Replays `case` against `FlowNet` and the model, comparing after every
+/// step.
+fn run_case(case: &Case) -> Result<(), TestCaseError> {
+    let unissued = unissued_ids();
+    let mut net: FlowNet<u64> = FlowNet::new(case.nics.iter().map(|&c| nic_spec(c)).collect());
+    let mut model = Reference::new(case.nics.clone());
+    let mut now = SimTime::ZERO;
+    let mut issued: Vec<FlowId> = Vec::new();
+    let mut completed: Vec<FlowId> = Vec::new();
+    for (step, op) in case.ops.iter().enumerate() {
+        match *op {
+            Op::Start {
+                src,
+                dst,
+                bytes,
+                dt,
+            } => {
+                now += SimDuration::from_nanos(dt);
+                let tag = issued.len() as u64;
+                let id = net.start_flow(NodeId::from(src), NodeId::from(dst), bytes, tag, now);
+                prop_assert!(!issued.contains(&id), "step {step}: id {id} issued twice");
+                issued.push(id);
+                model.start(id, tag, src, dst, bytes, now);
+            }
+            Op::CancelLive { pick, dt } => {
+                now += SimDuration::from_nanos(dt);
+                if model.flows.is_empty() {
+                    continue;
+                }
+                let id = model.flows[pick % model.flows.len()].id;
+                let expected = model.cancel(id, now);
+                prop_assert!(expected.is_some());
+                prop_assert_eq!(
+                    net.cancel_flow(id, now),
+                    expected,
+                    "step {}: cancel live {}",
+                    step,
+                    id
+                );
+            }
+            Op::CancelCompleted { pick, dt } => {
+                now += SimDuration::from_nanos(dt);
+                if completed.is_empty() {
+                    continue;
+                }
+                let id = completed[pick % completed.len()];
+                prop_assert_eq!(model.cancel(id, now), None);
+                prop_assert_eq!(
+                    net.cancel_flow(id, now),
+                    None,
+                    "step {}: cancel completed {}",
+                    step,
+                    id
+                );
+            }
+            Op::CancelUnissued { pick, dt } => {
+                now += SimDuration::from_nanos(dt);
+                let id = unissued[pick % unissued.len()];
+                prop_assert!(net.flow(id).is_none(), "step {step}: {id} was never issued");
+                prop_assert_eq!(model.cancel(id, now), None);
+                prop_assert_eq!(
+                    net.cancel_flow(id, now),
+                    None,
+                    "step {}: cancel unissued {}",
+                    step,
+                    id
+                );
+            }
+            Op::SetNic { node, caps, dt } => {
+                now += SimDuration::from_nanos(dt);
+                net.set_nic(NodeId::from(node), nic_spec(caps), now);
+                model.set_nic(node, caps, now);
+            }
+            Op::TakeAtNextCompletion => {
+                let Some(at) = model.next_completion() else {
+                    continue;
+                };
+                now = at;
+                let done: Vec<(FlowId, u64)> = net
+                    .take_completed(now)
+                    .into_iter()
+                    .map(|(id, f)| (id, f.tag))
+                    .collect();
+                let expected = model.take_completed(now);
+                prop_assert!(
+                    !expected.is_empty(),
+                    "step {step}: nothing completes at the horizon"
+                );
+                prop_assert_eq!(&done, &expected, "step {}: completed at the horizon", step);
+                completed.extend(done.iter().map(|&(id, _)| id));
+            }
+            Op::TakeLater { dt } => {
+                now += SimDuration::from_nanos(dt);
+                let done: Vec<(FlowId, u64)> = net
+                    .take_completed(now)
+                    .into_iter()
+                    .map(|(id, f)| (id, f.tag))
+                    .collect();
+                prop_assert_eq!(
+                    &done,
+                    &model.take_completed(now),
+                    "step {}: completed later",
+                    step
+                );
+                completed.extend(done.iter().map(|&(id, _)| id));
+            }
+        }
+        for &id in &completed {
+            prop_assert!(
+                net.flow(id).is_none(),
+                "step {step}: completed {id} still active"
+            );
+        }
+        assert_same(&mut net, &model, step)?;
+    }
+    Ok(())
 }
