@@ -28,12 +28,11 @@
 //!   grayfail    gray failures: slow/stuck/flaky workers and an asymmetric
 //!               link partition; MAD health detector off vs on, worker
 //!               quarantine, false suspicion and zombie fencing
-//!   perf        hot-path microbenchmarks -> BENCH_kernel.json
 //!   trace       causal spans, resource series, phase attribution
 //!               -> trace_*.json (Perfetto) + metrics_*.prom
 //!   critpath    observed critical path per invocation: phase shares,
 //!               what-if speedup bounds, MasterSP vs WorkerSP bottlenecks
-//!   all         everything above in order (perf, trace, critpath excluded)
+//!   all         everything above in order (trace, critpath excluded)
 //! ```
 //!
 //! `--trace-out DIR` redirects the `trace` artifacts (default: cwd).
@@ -50,8 +49,7 @@ use faasflow_core::{
     NetFault, NodeCrash, ScheduleMode, StorageFault, StorageFaultKind,
 };
 use faasflow_scheduler::{
-    ContentionSet, GraphScheduler, PartitionConfig, PlacementConfig, PlacementStrategy,
-    RuntimeMetrics, WorkerInfo, WorkerLoad,
+    ContentionSet, GraphScheduler, PlacementConfig, PlacementStrategy, RuntimeMetrics, WorkerInfo,
 };
 use faasflow_sim::SimDuration;
 use faasflow_sim::{NodeId, SimRng};
@@ -131,30 +129,60 @@ impl Scale {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let mut trace_out: Option<String> = None;
-    let mut positional: Vec<&str> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        if let Some(dir) = arg.strip_prefix("--trace-out=") {
+/// Printed on a bad command line; the experiments are listed in the module docs.
+const USAGE: &str = "usage: repro [EXPERIMENT] [--quick] [--trace-out DIR]";
+
+/// The parsed command line; `experiment` is `all` when none is named.
+#[derive(Debug, PartialEq)]
+struct Args {
+    experiment: String,
+    quick: bool,
+    trace_out: Option<String>,
+}
+
+/// Parses the arguments after the program name. An unknown `--flag`, a
+/// `--trace-out` without a directory or a second experiment is an error.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut quick = false;
+    let mut trace_out = None;
+    let mut experiment = None;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if arg == "--quick" {
+            quick = true;
+        } else if let Some(dir) = arg.strip_prefix("--trace-out=") {
             trace_out = Some(dir.to_string());
         } else if arg == "--trace-out" {
-            if i + 1 < args.len() {
-                trace_out = Some(args[i + 1].clone());
-                i += 1;
-            }
-        } else if !arg.starts_with("--") {
-            positional.push(arg);
+            let dir = it.next().filter(|d| !d.starts_with("--"));
+            trace_out = Some(dir.ok_or("`--trace-out` needs a directory")?.clone());
+        } else if arg.starts_with("--") {
+            return Err(format!("unknown option `{arg}`"));
+        } else if experiment.replace(arg.clone()).is_some() {
+            return Err(format!("unexpected argument `{arg}`"));
         }
-        i += 1;
     }
-    let exp = positional.first().copied().unwrap_or("all");
-    let scale = Scale::new(quick);
+    if trace_out.as_deref() == Some("") {
+        return Err("`--trace-out` needs a directory".into());
+    }
+    Ok(Args {
+        experiment: experiment.unwrap_or_else(|| "all".into()),
+        quick,
+        trace_out,
+    })
+}
+
+/// Prints `msg` and the usage line to stderr and exits with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&args).unwrap_or_else(|msg| usage_error(&msg));
+    let scale = Scale::new(args.quick);
     let started = Instant::now();
-    match exp {
+    match args.experiment.as_str() {
         "fig4" => fig4(&scale),
         "fig5" => fig5(&scale),
         "fig11" => fig11(&scale),
@@ -172,8 +200,7 @@ fn main() {
         "degrade" => degrade(&scale),
         "placement" => placement(&scale),
         "grayfail" => grayfail(&scale),
-        "perf" => perf(quick),
-        "trace" => trace_scenario(&scale, trace_out.as_deref().unwrap_or(".")),
+        "trace" => trace_scenario(&scale, args.trace_out.as_deref().unwrap_or(".")),
         "critpath" => critpath_scenario(&scale),
         "all" => {
             fig4(&scale);
@@ -194,10 +221,7 @@ fn main() {
             placement(&scale);
             grayfail(&scale);
         }
-        other => {
-            eprintln!("unknown experiment `{other}`; see the module docs for the list");
-            std::process::exit(2);
-        }
+        other => usage_error(&format!("unknown experiment `{other}`")),
     }
     eprintln!("[repro] done in {:.1}s", started.elapsed().as_secs_f64());
 }
@@ -2246,332 +2270,56 @@ fn critpath_scenario(scale: &Scale) {
     println!("the gap between columns is the most any one optimization can recover.");
 }
 
-// ====================================================================
-// perf — hot-path microbenchmarks and BENCH_kernel.json
-// ====================================================================
-
-/// One microbenchmark row. `baseline: "live"` rows run the pre-overhaul
-/// implementation (preserved in `faasflow_bench::legacy`) back to back
-/// with the current one in this process, so machine state cancels out;
-/// `baseline: "recorded"` rows (whole-cluster runs, where the old code no
-/// longer exists) compare against medians recorded on the pre-overhaul
-/// tree on the same machine class.
-#[derive(serde::Serialize)]
-struct BenchEntry {
-    name: &'static str,
-    baseline: &'static str,
-    baseline_us: f64,
-    measured_us: f64,
-    speedup: f64,
-}
-
-/// The machine-readable artifact behind `repro perf`. Regenerate with
-/// `cargo run --release -p faasflow-bench --bin repro -- perf` from the
-/// repository root (see DESIGN.md, "Performance model").
-#[derive(serde::Serialize)]
-struct BenchReport {
-    schema: &'static str,
-    note: &'static str,
-    quick: bool,
-    entries: Vec<BenchEntry>,
-}
-
-/// Median wall-clock of `reps` runs of `f`, in microseconds.
-fn median_us(reps: usize, mut f: impl FnMut() -> u64) -> f64 {
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        samples.push(start.elapsed().as_secs_f64() * 1e6);
-    }
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-/// The paper's storage topology: 1 storage node at 50 MB/s + 7 workers at
-/// 10 Gbit/s (mirrors `benches/flownet.rs`).
-fn storage_cluster() -> Vec<faasflow_net::NicSpec> {
-    let mut nics = vec![faasflow_net::NicSpec::symmetric(50e6)];
-    nics.extend(std::iter::repeat_n(
-        faasflow_net::NicSpec::symmetric(1.25e9),
-        7,
-    ));
-    nics
-}
-
-/// Hot-path microbenchmarks (DES event queue, flow network, end-to-end
-/// invocation cost), printed as a table and emitted to `BENCH_kernel.json`.
-/// Event-queue and flow-network baselines run the preserved pre-overhaul
-/// implementations (`faasflow_bench::legacy`) live in this process.
-fn perf(quick: bool) {
-    use faasflow_bench::legacy::{LegacyEventQueue, LegacyFlowNet};
-    use faasflow_sim::{EventQueue, SimTime};
-
-    println!("\n=== Perf: hot-path microbenchmarks (baseline = pre-overhaul code) ===");
-    let reps = if quick { 5 } else { 15 };
-    let mut entries: Vec<BenchEntry> = Vec::new();
-    let mut push =
-        |name: &'static str, baseline: &'static str, baseline_us: f64, measured_us: f64| {
-            entries.push(BenchEntry {
-                name,
-                baseline,
-                baseline_us,
-                measured_us,
-                speedup: baseline_us / measured_us,
-            });
-        };
-
-    // DES event queue: bulk schedule + drain (random times).
-    for (n, name) in [
-        (10_000usize, "event_queue/push_pop/10k"),
-        (100_000, "event_queue/push_pop/100k"),
-    ] {
-        let mut rng = SimRng::seed_from(1);
-        let times: Vec<u64> = (0..n).map(|_| rng.next_below(1_000_000_000)).collect();
-        let base = median_us(reps, || {
-            let mut q = LegacyEventQueue::new();
-            for (i, &t) in times.iter().enumerate() {
-                q.schedule(SimTime::from_nanos(t), i);
-            }
-            let mut acc = 0usize;
-            while let Some((_, v)) = q.pop() {
-                acc = acc.wrapping_add(v);
-            }
-            acc as u64
-        });
-        let us = median_us(reps, || {
-            let mut q = EventQueue::new();
-            for (i, &t) in times.iter().enumerate() {
-                q.schedule(SimTime::from_nanos(t), i);
-            }
-            let mut acc = 0usize;
-            while let Some((_, v)) = q.pop() {
-                acc = acc.wrapping_add(v);
-            }
-            acc as u64
-        });
-        push(name, "live", base, us);
-    }
-
-    // DES event queue: the flow-timer pattern (schedule, cancel previous,
-    // reschedule) — cancellation cost dominates.
-    for (n, name) in [
-        (10_000usize, "event_queue/cancel_heavy/10k"),
-        (100_000, "event_queue/cancel_heavy/100k"),
-    ] {
-        let base = median_us(reps, || {
-            let mut q = LegacyEventQueue::new();
-            let mut last = None;
-            for i in 0..n {
-                if let Some(id) = last.take() {
-                    q.cancel(id);
-                }
-                last = Some(q.schedule(SimTime::from_nanos(i as u64 + 1), i));
-            }
-            let mut count = 0u64;
-            while q.pop().is_some() {
-                count += 1;
-            }
-            count
-        });
-        let us = median_us(reps, || {
-            let mut q = EventQueue::new();
-            let mut last = None;
-            for i in 0..n {
-                if let Some(id) = last.take() {
-                    q.cancel(id);
-                }
-                last = Some(q.schedule(SimTime::from_nanos(i as u64 + 1), i));
-            }
-            let mut count = 0u64;
-            while q.pop().is_some() {
-                count += 1;
-            }
-            count
-        });
-        push(name, "live", base, us);
-    }
-
-    // Flow network: arrivals and departures with the completion horizon
-    // observed after every mutation (one max-min fill per operation).
-    for (flows, name) in [
-        (64usize, "flownet/arrival_departure_observed/64"),
-        (256, "flownet/arrival_departure_observed/256"),
-    ] {
-        let mut rng = SimRng::seed_from(3);
-        let endpoints: Vec<(NodeId, NodeId)> = (0..flows)
-            .map(|_| {
-                let w = NodeId::from(1 + rng.next_below(7) as usize);
-                (NodeId::new(0), w)
-            })
-            .collect();
-        let base = median_us(reps, || {
-            let mut net: LegacyFlowNet<usize> = LegacyFlowNet::new(storage_cluster());
-            let ids: Vec<_> = endpoints
-                .iter()
-                .enumerate()
-                .map(|(i, &(src, dst))| {
-                    let id = net.start_flow(src, dst, 1 << 20, i, SimTime::ZERO);
-                    let _ = net.next_completion();
-                    id
-                })
-                .collect();
-            for id in ids {
-                net.cancel_flow(id, SimTime::ZERO);
-                let _ = net.next_completion();
-            }
-            net.active_flows() as u64
-        });
-        let us = median_us(reps, || {
-            let mut net: faasflow_net::FlowNet<usize> =
-                faasflow_net::FlowNet::new(storage_cluster());
-            let ids: Vec<_> = endpoints
-                .iter()
-                .enumerate()
-                .map(|(i, &(src, dst))| {
-                    let id = net.start_flow(src, dst, 1 << 20, i, SimTime::ZERO);
-                    let _ = net.next_completion();
-                    id
-                })
-                .collect();
-            for id in ids {
-                net.cancel_flow(id, SimTime::ZERO);
-                let _ = net.next_completion();
-            }
-            net.active_flows() as u64
-        });
-        push(name, "live", base, us);
-    }
-
-    // Flow network: drive 64 flows to completion through the shared
-    // storage NIC (integration + departures + timer horizon reads).
-    {
-        let base = median_us(reps, || {
-            let mut net: LegacyFlowNet<usize> = LegacyFlowNet::new(storage_cluster());
-            for i in 0..64 {
-                let w = NodeId::from(1 + (i % 7));
-                net.start_flow(NodeId::new(0), w, 4 << 20, i, SimTime::ZERO);
-            }
-            let mut delivered = 0u64;
-            while let Some(t) = net.next_completion() {
-                for (_, f) in net.take_completed(t) {
-                    delivered += f.bytes;
-                }
-            }
-            delivered
-        });
-        let us = median_us(reps, || {
-            let mut net: faasflow_net::FlowNet<usize> =
-                faasflow_net::FlowNet::new(storage_cluster());
-            for i in 0..64 {
-                let w = NodeId::from(1 + (i % 7));
-                net.start_flow(NodeId::new(0), w, 4 << 20, i, SimTime::ZERO);
-            }
-            let mut delivered = 0u64;
-            while let Some(t) = net.next_completion() {
-                for (_, f) in net.take_completed(t) {
-                    delivered += f.bytes;
-                }
-            }
-            delivered
-        });
-        push("flownet/drain_64_flows_to_completion", "live", base, us);
-    }
-
-    // Placement kernel: Algorithm 1 partition of Genome-50 onto 7 loaded
-    // workers — the legacy index tie-break vs the load-aware scoring
-    // (residual capacity, p99/memory tie-breaks, locality affinity). The
-    // delta is the placement layer's per-partition cost on the hot path.
-    {
-        let parser = DagParser::default();
-        let wf = scientific::genome(50);
-        let dag = parser.parse(&wf).expect("genome parses");
-        let metrics = RuntimeMetrics::initial(&dag);
-        let workers: Vec<WorkerInfo> = (0..7u32)
-            .map(|i| {
-                WorkerInfo::new(NodeId::new(i + 1), 40).with_load(WorkerLoad {
-                    queued: i,
-                    running: (i * 3) % 5,
-                    mem_used_bytes: u64::from(i) << 20,
-                    recent_p99_ms: 100 + 40 * i,
-                })
-            })
-            .collect();
-        let bench = |sched: GraphScheduler| {
-            let mut rng = SimRng::seed_from(7);
-            median_us(reps, || {
-                let a = sched
-                    .partition(
-                        &dag,
-                        &workers,
-                        &metrics,
-                        &ContentionSet::default(),
-                        u64::MAX,
-                        &mut rng,
-                    )
-                    .expect("partition succeeds");
-                a.groups.len() as u64
-            })
-        };
-        let base = bench(GraphScheduler::new(PartitionConfig {
-            placement_config: PlacementConfig::legacy(),
-            ..PartitionConfig::default()
-        }));
-        let us = bench(GraphScheduler::new(PartitionConfig::default()));
-        push("scheduler/partition_gen50/load_aware", "live", base, us);
-    }
-
-    // Whole-cluster: five closed-loop invocations end to end (mirrors
-    // `benches/cluster.rs`, FaaSFlow-FaaStore mode). The pre-overhaul
-    // cluster no longer exists, so these rows use recorded medians.
-    for (b, name, base) in [
-        (Benchmark::WordCount, "cluster/faasflow_faastore/WC", 343.0),
-        (Benchmark::Genome, "cluster/faasflow_faastore/Gen", 5_560.0),
-    ] {
-        let us = median_us(reps, || {
-            let mut cluster = Cluster::new(faasflow_config()).expect("valid config");
-            cluster
-                .register(&b.workflow(), ClientConfig::ClosedLoop { invocations: 5 })
-                .expect("registers");
-            cluster.run_until_idle();
-            cluster.report().workflow(b.short_name()).completed
-        });
-        push(name, "recorded", base, us);
-    }
-
-    println!(
-        "{:<42} {:>12} {:>12} {:>9}",
-        "microbench", "before (µs)", "after (µs)", "speedup"
-    );
-    rule(78);
-    for e in &entries {
-        println!(
-            "{:<42} {:>12.1} {:>12.1} {:>8.1}x",
-            e.name, e.baseline_us, e.measured_us, e.speedup
-        );
-    }
-    rule(78);
-
-    let report = BenchReport {
-        schema: "faasflow-bench/kernel/v1",
-        note: "baseline=live rows run the preserved pre-overhaul implementation \
-               (faasflow_bench::legacy: BinaryHeap + tombstone event queue, full \
-               max-min recompute per mutation) back to back with the current code; \
-               baseline=recorded rows compare against medians recorded on the \
-               pre-overhaul tree, same machine class. \
-               Regenerate: cargo run --release -p faasflow-bench --bin repro -- perf",
-        quick,
-        entries,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write("BENCH_kernel.json", json + "\n").expect("BENCH_kernel.json written");
-    println!("wrote BENCH_kernel.json");
-}
-
 fn avg(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         0.0
     } else {
         xs.iter().sum::<f64>() / xs.len() as f64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        parse_args(&argv.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn accepts_quick_both_trace_out_forms_and_no_experiment() {
+        for (argv, experiment, quick, trace_out) in [
+            (&[][..], "all", false, None),
+            (&["--quick"], "all", true, None),
+            (&["fig16", "--quick"], "fig16", true, None),
+            (
+                &["trace", "--trace-out", "out"],
+                "trace",
+                false,
+                Some("out"),
+            ),
+            (&["--trace-out=out", "trace"], "trace", false, Some("out")),
+        ] {
+            let want = Args {
+                experiment: experiment.into(),
+                quick,
+                trace_out: trace_out.map(Into::into),
+            };
+            assert_eq!(parse(argv), Ok(want), "{argv:?}");
+        }
+    }
+
+    #[test]
+    fn rejects_unknown_flags_a_missing_trace_out_dir_and_a_second_experiment() {
+        let no_dir = "`--trace-out` needs a directory";
+        for (argv, err) in [
+            (&["fig16", "--quik"][..], "unknown option `--quik`"),
+            (&["trace", "--trace-out"], no_dir),
+            (&["trace", "--trace-out", "--quick"], no_dir),
+            (&["trace", "--trace-out="], no_dir),
+            (&["fig4", "fig5"], "unexpected argument `fig5`"),
+        ] {
+            assert_eq!(parse(argv), Err(err.to_string()), "{argv:?}");
+        }
     }
 }

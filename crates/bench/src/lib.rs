@@ -17,8 +17,6 @@ use faasflow_core::{ClientConfig, Cluster, ClusterConfig, RunReport, WorkflowRep
 use faasflow_wdl::Workflow;
 use faasflow_workloads::Benchmark;
 
-pub mod legacy;
-
 /// How one experiment cell drives its workflow.
 #[derive(Debug, Clone, Copy)]
 pub struct Drive {
