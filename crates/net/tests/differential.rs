@@ -9,12 +9,15 @@
 //! rates and remaining bytes bit for bit, the completion horizon, the
 //! completed id sequences and the per-node byte counters.
 //!
-//! Two case shapes: endpoints drawn uniformly over 1–6 nodes, and hub
+//! Three case shapes: endpoints drawn uniformly over 1–6 nodes; hub
 //! traffic, where most flows run between one hub and 2–8 spokes as remote
-//! reads and writes do through the storage NIC. Hub traffic puts many flows
-//! on each `(src, dst)` path, and its slow spokes make fills take several
-//! rounds, so a path carrying several flows is fixed while its other
-//! resource still has unfixed flows.
+//! reads and writes do through the storage NIC; and crowded paths, where
+//! nearly every flow runs on one or two `(src, dst)` paths. Hub traffic
+//! puts many flows on each path, and its slow spokes make fills take
+//! several rounds, so a path carrying several flows is fixed while its
+//! other resource still has unfixed flows. Crowded paths draw sizes from a
+//! small set, so flows on one path often hold equal remaining bytes, and
+//! long steps often clamp several of them to exactly zero together.
 
 use faasflow_net::{FlowId, FlowNet, NicSpec};
 use faasflow_sim::{NodeId, SimDuration, SimTime};
@@ -92,11 +95,15 @@ fn dt() -> impl Strategy<Value = u64> {
     prop_oneof![Just(0u64), 1u64..2_000_000_000, 1u64..1_000]
 }
 
-fn op(n: usize, endpoints: BoxedStrategy<(usize, usize)>) -> impl Strategy<Value = Op> {
+fn op(
+    n: usize,
+    endpoints: BoxedStrategy<(usize, usize)>,
+    sizes: BoxedStrategy<u64>,
+) -> impl Strategy<Value = Op> {
     Union::weighted(vec![
         (
             6,
-            (endpoints, bytes(), dt())
+            (endpoints, sizes, dt())
                 .prop_map(|((src, dst), bytes, dt)| Op::Start {
                     src,
                     dst,
@@ -156,7 +163,7 @@ fn case() -> impl Strategy<Value = Case> {
         let endpoints = (0..n, 0..n).boxed();
         (
             proptest::collection::vec(nic, n),
-            proptest::collection::vec(op(n, endpoints), 1..MAX_OPS),
+            proptest::collection::vec(op(n, endpoints, bytes().boxed()), 1..MAX_OPS),
         )
             .prop_map(|(nics, ops)| Case { nics, ops })
     })
@@ -191,12 +198,37 @@ fn hub_case() -> impl Strategy<Value = Case> {
         (
             hub,
             proptest::collection::vec(spoke, n - 1),
-            proptest::collection::vec(op(n, endpoints), 1..MAX_OPS),
+            proptest::collection::vec(op(n, endpoints, bytes().boxed()), 1..MAX_OPS),
         )
             .prop_map(|(hub, spokes, ops)| Case {
                 nics: std::iter::once(hub).chain(spokes).collect(),
                 ops,
             })
+    })
+}
+
+/// Sizes from a small set, zero included, so that flows started together
+/// on one path tie.
+fn crowded_bytes() -> impl Strategy<Value = u64> {
+    (0usize..4).prop_map(|k| [0u64, 1 << 20, 4 << 20, 10_000_000][k])
+}
+
+/// Two to four nodes; most flows run 0→1, the rest 1→0, and a few anywhere.
+fn crowded_case() -> impl Strategy<Value = Case> {
+    (2usize..5).prop_flat_map(|n| {
+        let nic = (hub_capacity(), hub_capacity(), loopback_capacity())
+            .prop_map(|(up, down, lo)| [up, down, lo]);
+        let endpoints = Union::weighted(vec![
+            (6, Just((0usize, 1usize)).boxed()),
+            (3, Just((1usize, 0usize)).boxed()),
+            (1, (0..n, 0..n).boxed()),
+        ])
+        .boxed();
+        (
+            proptest::collection::vec(nic, n),
+            proptest::collection::vec(op(n, endpoints, crowded_bytes().boxed()), 1..MAX_OPS),
+        )
+            .prop_map(|(nics, ops)| Case { nics, ops })
     })
 }
 
@@ -447,6 +479,11 @@ proptest! {
 
     #[test]
     fn flownet_matches_naive_reference_on_hub_traffic(case in hub_case()) {
+        run_case(&case)?;
+    }
+
+    #[test]
+    fn flownet_matches_naive_reference_on_crowded_paths(case in crowded_case()) {
         run_case(&case)?;
     }
 }
