@@ -44,7 +44,7 @@ use crate::error::ClusterError;
 use crate::fault::{DeadLetterReason, EngineTarget, GrayFaultKind, StorageFaultKind};
 use crate::health::{HealthDetector, HealthReport, HealthTransition};
 use crate::hedge::{Booted, HedgeCopy, HedgeEvent, Hedging};
-use crate::invocation::{InstanceState, InstanceToken, InvState};
+use crate::invocation::{InstanceState, InstanceToken, InvState, WorkerSet};
 use crate::journal::{Journal, JournalConfig, JournalRecord, TerminalOutcome};
 use crate::metrics::{
     DistributionRow, FaultReport, LoopProfile, OverloadReport, PlacementReport, RecoveryReport,
@@ -1873,12 +1873,13 @@ impl Cluster {
     /// assignment — stranding successors and breaking the data-placement
     /// contract (a `LocalMem` put whose consumer moved elsewhere).
     fn pin_engine_invocation(&mut self, worker: usize, wf: WorkflowId, inv: InvocationId) {
-        let Some(state) = self.invocations.get(&(wf, inv)) else {
+        let Some(state) = self.invocations.get_mut(&(wf, inv)) else {
             return;
         };
         let Some(ws) = self.workflows.get(&wf) else {
             return;
         };
+        state.holders.insert(worker);
         self.worker_engines[worker].ensure_invocation(
             wf,
             inv,
@@ -2088,8 +2089,8 @@ impl Cluster {
         }
         ws.completed_since_partition += 1;
 
-        // Release state everywhere (§4.2.1).
-        self.release_invocation_state(wf, inv);
+        // Release state everywhere it was kept (§4.2.1).
+        self.release_invocation_state(wf, inv, &state.holders);
         let ws = self.workflows.get_mut(&wf).expect("workflow exists");
         let _retired = ws.deployment.invocation_finished(state.version);
 
@@ -2105,17 +2106,13 @@ impl Cluster {
 
     /// Drops an invocation's engine trigger state and every object it
     /// stored, in the FaaStores and the remote store.
-    fn release_invocation_state(&mut self, wf: WorkflowId, inv: InvocationId) {
-        match self.config.mode {
-            ScheduleMode::WorkerSp => {
-                for e in &mut self.worker_engines {
-                    e.release_invocation(wf, inv);
-                }
-            }
-            ScheduleMode::MasterSp => self.master_engine.release_invocation(wf, inv),
+    fn release_invocation_state(&mut self, wf: WorkflowId, inv: InvocationId, holders: &WorkerSet) {
+        if self.config.mode == ScheduleMode::MasterSp {
+            self.master_engine.release_invocation(wf, inv);
         }
-        for fs in &mut self.faastores {
-            let _ = fs.release_invocation(wf, inv);
+        for w in holders.iter() {
+            self.worker_engines[w].release_invocation(wf, inv);
+            let _ = self.faastores[w].release_invocation(wf, inv);
         }
         let _ = self.remote.release_invocation(inv);
     }
@@ -3152,6 +3149,7 @@ impl Cluster {
                     .map(|d| state.assignment.worker_of(d.consumer))
                     .collect();
                 let key = DataKey::new(token.workflow, token.invocation, token.function);
+                state.holders.insert(worker);
                 let p = self.faastores[worker].decide_put(
                     key,
                     total_out,
@@ -3465,8 +3463,8 @@ impl Cluster {
         };
         // Split borrow: read the DAG while mutating the collector.
         let (dag, feedback) = (&ws.dag, &mut ws.feedback);
-        for e in dag.edges().iter().filter(|e| e.from == producer) {
-            feedback.observe_edge(e.id, latency);
+        for &(edge, _) in dag.successors(producer) {
+            feedback.observe_edge(edge, latency);
         }
     }
 
@@ -4185,6 +4183,9 @@ impl Cluster {
                     self.apply_master_actions(now, actions);
                 }
                 EngineTarget::Worker(w) => {
+                    if let Some(state) = self.invocations.get_mut(&(wf, inv)) {
+                        state.holders.insert(w as usize);
+                    }
                     let actions = self.worker_engines[w as usize].replay_invocation(
                         wf,
                         inv,
@@ -4265,10 +4266,11 @@ impl Cluster {
         state.dispatched.clear();
         state.reported_exits.clear();
         state.exits_remaining = state.dag.exit_nodes().len();
+        let holders = std::mem::take(&mut state.holders);
         self.release_torn_instances(now, stale);
         self.inflight_spawns
             .retain(|t, _| !(t.workflow == wf && t.invocation == inv));
-        self.release_invocation_state(wf, inv);
+        self.release_invocation_state(wf, inv, &holders);
         // Re-pin to the current (post-recovery) deployment.
         let ws = self.workflows.get_mut(&wf).expect("workflow exists");
         let state = self.invocations.get_mut(&(wf, inv)).expect("checked above");
@@ -4402,7 +4404,7 @@ impl Cluster {
         }
         self.inflight_spawns
             .retain(|t, _| !(t.workflow == wf && t.invocation == inv));
-        self.release_invocation_state(wf, inv);
+        self.release_invocation_state(wf, inv, &state.holders);
         let ws = self.workflows.get_mut(&wf).expect("workflow exists");
         let _ = ws.deployment.invocation_finished(state.version);
         // The closed-loop client still owes its remaining invocations.
