@@ -2,7 +2,7 @@
 //! filling recompute runs on every flow arrival/departure, so it dominates
 //! data-heavy experiments (Cycles moves >1 GB per invocation).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
 use faasflow_net::{FlowNet, NicSpec};
 use faasflow_sim::{NodeId, SimRng, SimTime};
 
@@ -14,8 +14,13 @@ fn storage_cluster() -> Vec<NicSpec> {
     nics
 }
 
+/// Timed iterations per row: the default 7 leave medians that move by
+/// 2–3x between runs on a shared VM.
+const SAMPLES: usize = 60;
+
 fn bench_recompute(c: &mut Criterion) {
     let mut group = c.benchmark_group("flownet_recompute");
+    group.sample_size(SAMPLES);
     for &flows in &[8usize, 64, 256] {
         group.bench_with_input(
             BenchmarkId::new("arrival_departure", flows),
@@ -83,8 +88,16 @@ fn bench_recompute(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_drain(c: &mut Criterion) {
-    c.bench_function("flownet/drain_64_flows_to_completion", |b| {
+fn bench_flownet(c: &mut Criterion) {
+    let mut group = c.benchmark_group("flownet");
+    group.sample_size(SAMPLES);
+    bench_drain(&mut group);
+    bench_storage_churn(&mut group);
+    group.finish();
+}
+
+fn bench_drain(group: &mut BenchmarkGroup<'_>) {
+    group.bench_function("drain_64_flows_to_completion", |b| {
         b.iter(|| {
             let mut net: FlowNet<usize> = FlowNet::new(storage_cluster());
             for i in 0..64 {
@@ -102,7 +115,7 @@ fn bench_drain(c: &mut Criterion) {
     });
 }
 
-fn bench_storage_churn(c: &mut Criterion) {
+fn bench_storage_churn(group: &mut BenchmarkGroup<'_>) {
     // The storage-bound MasterSP shape: 32 workers at 10 Gbit/s behind one
     // 200 MB/s storage node that carries about 64 concurrent reads and
     // writes. Each step retires the next completion and starts a
@@ -134,7 +147,7 @@ fn bench_storage_churn(c: &mut Criterion) {
         start(&mut net, &mut rng, SimTime::ZERO);
     }
     let mut done = Vec::new();
-    c.bench_function("flownet/storage_churn/64", |b| {
+    group.bench_function("storage_churn/64", |b| {
         b.iter(|| {
             let mut retired = 0;
             for _ in 0..STEPS {
@@ -151,5 +164,5 @@ fn bench_storage_churn(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_recompute, bench_drain, bench_storage_churn);
+criterion_group!(benches, bench_recompute, bench_flownet);
 criterion_main!(benches);
