@@ -6,8 +6,8 @@
 //!
 //! * [`run_one`] — build a cluster, register one workflow, warm it up,
 //!   measure, and return the steady-state report.
-//! * [`run_colocated`] — all eight benchmarks co-running in one cluster
-//!   (§5.5).
+//! * [`run_colocated_with_distribution`] — all eight benchmarks
+//!   co-running in one cluster (§5.5), with their placement distribution.
 //! * [`parallel_map`] — fan independent simulation cells (bandwidth ×
 //!   rate grids) across OS threads; each cell is its own deterministic
 //!   simulation, so parallelism cannot perturb results.
@@ -84,14 +84,8 @@ pub fn run_one(
 }
 
 /// Runs all eight benchmarks co-located in one cluster (§5.5), each with
-/// its own closed-loop client, and returns the full report.
-pub fn run_colocated(config: ClusterConfig, warmup: u32, measure: u32) -> RunReport {
-    let (report, _) = run_colocated_with_distribution(config, warmup, measure);
-    report
-}
-
-/// Like [`run_colocated`], also returning each benchmark's placement
-/// distribution (Figure 15).
+/// its own closed-loop client, and returns the full report with each
+/// benchmark's placement distribution (Figure 15).
 pub fn run_colocated_with_distribution(
     config: ClusterConfig,
     warmup: u32,
@@ -195,11 +189,6 @@ pub fn mb(bytes: u64) -> String {
     format!("{:.1}", bytes as f64 / 1048576.0)
 }
 
-/// Formats milliseconds as seconds with two decimals.
-pub fn secs(ms: f64) -> String {
-    format!("{:.2}", ms / 1000.0)
-}
-
 /// Prints a separator line sized to `width`.
 pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));
@@ -245,6 +234,5 @@ mod tests {
     #[test]
     fn formatting_helpers() {
         assert_eq!(mb(1048576), "1.0");
-        assert_eq!(secs(2500.0), "2.50");
     }
 }
