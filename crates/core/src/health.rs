@@ -450,22 +450,9 @@ impl HealthDetector {
         };
     }
 
-    /// Merges detector counters and per-worker snapshots into `report`.
-    pub(crate) fn snapshot_into(&self, report: &mut HealthReport) {
-        let injected = (
-            report.zombie_fenced,
-            report.stalled_flows,
-            report.stuck_deferrals,
-            report.quarantine_orphans,
-        );
-        *report = self.report.clone();
-        (
-            report.zombie_fenced,
-            report.stalled_flows,
-            report.stuck_deferrals,
-            report.quarantine_orphans,
-        ) = injected;
-        report.workers = self
+    /// The detector's counters and per-worker state.
+    pub(crate) fn snapshot(&self) -> HealthReport {
+        let workers = self
             .entries
             .iter()
             .enumerate()
@@ -478,6 +465,10 @@ impl HealthDetector {
                 quarantines: e.quarantines,
             })
             .collect();
+        HealthReport {
+            workers,
+            ..self.report.clone()
+        }
     }
 
     fn enter_quarantine(
@@ -775,8 +766,7 @@ mod tests {
             "slow probe relapses: {transitions:?}"
         );
         assert_eq!(d.level(2), HealthLevel::Quarantined);
-        let mut report = HealthReport::default();
-        d.snapshot_into(&mut report);
+        let report = d.snapshot();
         assert_eq!(report.relapses, 1);
         assert_eq!(report.quarantines, 1);
         assert_eq!(report.workers[2].quarantines, 2);
@@ -859,8 +849,7 @@ mod tests {
         assert_eq!(d.level(2), HealthLevel::Quarantined);
         d.on_worker_crash(2);
         assert_eq!(d.level(2), HealthLevel::Healthy);
-        let mut report = HealthReport::default();
-        d.snapshot_into(&mut report);
+        let report = d.snapshot();
         assert_eq!(report.workers[2].samples, 0);
         assert_eq!(report.workers[2].quarantines, 1, "lifetime count survives");
     }

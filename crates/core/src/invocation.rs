@@ -182,8 +182,6 @@ pub(crate) struct InvState {
     /// Whether the timeout fired before completion (latency already
     /// recorded at the cap).
     pub timed_out: bool,
-    /// Whether the invocation completed.
-    pub completed: bool,
     /// Nodes whose every instance finished (core-side mirror of the
     /// engines' state, used to know which producers actually ran).
     pub completed_nodes: NodeSet,
@@ -215,6 +213,9 @@ pub(crate) struct InvState {
     /// Workers whose engine or FaaStore may hold state for the
     /// invocation: the ones release has to visit.
     pub holders: WorkerSet,
+    /// Workers whose container admission queue took an instance of the
+    /// invocation, in any epoch: the ones an abandonment purges.
+    pub queued_on: WorkerSet,
 }
 
 impl InvState {
@@ -234,7 +235,6 @@ impl InvState {
             exits_remaining,
             timeout_event: None,
             timed_out: false,
-            completed: false,
             completed_nodes: NodeSet::new(nodes),
             instances_remaining: NodeMap::new(nodes),
             instances: FastMap::default(),
@@ -246,6 +246,7 @@ impl InvState {
             recovery_attempts: 0,
             degrade_probe: false,
             holders: WorkerSet::default(),
+            queued_on: WorkerSet::default(),
         }
     }
 

@@ -49,6 +49,7 @@ pub mod invocation;
 pub mod journal;
 pub mod metrics;
 pub mod overload;
+mod rebalance;
 pub mod sample;
 pub mod slo;
 pub mod trace;

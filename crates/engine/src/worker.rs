@@ -229,16 +229,16 @@ impl WorkerEngine {
         let installed = self
             .workflows
             .get(&workflow)
-            .expect("begin_invocation on uninstalled workflow")
-            .clone();
+            .expect("begin_invocation on uninstalled workflow");
         let live = self
             .invocations
             .entry((workflow, invocation))
-            .or_insert_with(|| LiveInvocation::new(invocation, installed));
-        let ctx = live.ctx.clone();
+            .or_insert_with(|| LiveInvocation::new(invocation, installed.clone()));
         let mut actions = Vec::new();
-        for entry in ctx.dag.entry_nodes() {
-            if ctx.assignment.worker_of(entry) == self.node && live.tracker.force_trigger(entry) {
+        for entry in live.ctx.dag.entry_nodes() {
+            if live.ctx.assignment.worker_of(entry) == self.node
+                && live.tracker.force_trigger(entry)
+            {
                 self.stats.triggers.inc();
                 actions.push(WorkerAction::TriggerFunction {
                     workflow,
@@ -294,26 +294,19 @@ impl WorkerEngine {
         let installed = self
             .workflows
             .get(&workflow)
-            .expect("state sync for uninstalled workflow")
-            .clone();
+            .expect("state sync for uninstalled workflow");
         let live = self
             .invocations
             .entry((workflow, invocation))
-            .or_insert_with(|| LiveInvocation::new(invocation, installed));
-        let ctx = live.ctx.clone();
+            .or_insert_with(|| LiveInvocation::new(invocation, installed.clone()));
         if !live.tracker.mark_propagated(completed) {
             return Vec::new();
         }
         let mut actions = Vec::new();
-        let successors = live.tracker.successors_to_notify(completed);
-        for s in successors {
-            if ctx.assignment.worker_of(s) != self.node {
+        for s in live.tracker.successors_to_notify(completed) {
+            if live.ctx.assignment.worker_of(s) != self.node {
                 continue; // another worker owns this successor
             }
-            let live = self
-                .invocations
-                .get_mut(&(workflow, invocation))
-                .expect("tracker created above");
             if live.tracker.predecessor_done(s) {
                 self.stats.triggers.inc();
                 actions.push(WorkerAction::TriggerFunction {

@@ -66,6 +66,16 @@ impl MemStore {
         self.used.get(&wf).map(|g| g.get()).unwrap_or(0)
     }
 
+    /// Bytes currently cached across every workflow.
+    pub fn used_total(&self) -> u64 {
+        self.used.values().map(|g| g.get()).sum()
+    }
+
+    /// Budgets summed across every workflow.
+    pub fn budget_total(&self) -> u64 {
+        self.budgets.values().sum()
+    }
+
     /// Peak bytes ever cached for a workflow.
     pub fn peak_used(&self, wf: WorkflowId) -> u64 {
         self.used.get(&wf).map(|g| g.peak()).unwrap_or(0)
@@ -219,6 +229,7 @@ mod tests {
         assert!(!s.try_put(key(0, 0, 1), 30), "wf0 over budget");
         assert!(s.try_put(key(1, 0, 0), 50), "wf1 has its own budget");
         assert_eq!(s.rejection_count(), 1);
+        assert_eq!((s.used_total(), s.budget_total()), (130, 150));
     }
 
     #[test]
