@@ -92,7 +92,9 @@ fn bench_flownet(c: &mut Criterion) {
     let mut group = c.benchmark_group("flownet");
     group.sample_size(SAMPLES);
     bench_drain(&mut group);
-    bench_storage_churn(&mut group);
+    bench_storage_churn(&mut group, "storage_churn/64", 32);
+    // About 64 flows on at most 14 paths, as `storage-msp32` runs them.
+    bench_storage_churn(&mut group, "storage_churn_7w/64", 7);
     group.finish();
 }
 
@@ -115,26 +117,26 @@ fn bench_drain(group: &mut BenchmarkGroup<'_>) {
     });
 }
 
-fn bench_storage_churn(group: &mut BenchmarkGroup<'_>) {
-    // The storage-bound MasterSP shape: 32 workers at 10 Gbit/s behind one
-    // 200 MB/s storage node that carries about 64 concurrent reads and
-    // writes. Each step retires the next completion and starts a
-    // replacement for every finished flow, so it costs one completion scan
-    // and one refill of the storage component at steady state. An
-    // iteration runs 1000 steps.
+fn bench_storage_churn(group: &mut BenchmarkGroup<'_>, name: &str, workers: u64) {
+    // The storage-bound MasterSP shape: `workers` workers at 10 Gbit/s
+    // behind one 200 MB/s storage node that carries about 64 concurrent
+    // reads and writes, each on one of the `2 * workers` storage paths.
+    // Each step retires the next completion and starts a replacement for
+    // every finished flow, so it costs one completion scan and one refill
+    // of the storage component at steady state. An iteration runs 1000
+    // steps.
     const FLOWS: usize = 64;
     const STEPS: usize = 1000;
-    const WORKERS: u64 = 32;
     let mut nics = vec![NicSpec::symmetric(200e6)];
     nics.extend(std::iter::repeat_n(
         NicSpec::symmetric(1.25e9),
-        WORKERS as usize,
+        workers as usize,
     ));
     let mut net: FlowNet<usize> = FlowNet::new(nics);
     let mut rng = SimRng::seed_from(11);
     let start = |net: &mut FlowNet<usize>, rng: &mut SimRng, now: SimTime| {
         let storage = NodeId::new(0);
-        let worker = NodeId::from(1 + rng.next_below(WORKERS) as usize);
+        let worker = NodeId::from(1 + rng.next_below(workers) as usize);
         let (src, dst) = if rng.chance(0.5) {
             (storage, worker)
         } else {
@@ -147,7 +149,7 @@ fn bench_storage_churn(group: &mut BenchmarkGroup<'_>) {
         start(&mut net, &mut rng, SimTime::ZERO);
     }
     let mut done = Vec::new();
-    group.bench_function("storage_churn/64", |b| {
+    group.bench_function(name, |b| {
         b.iter(|| {
             let mut retired = 0;
             for _ in 0..STEPS {
