@@ -24,8 +24,9 @@ use faasflow_core::{ResourceSeriesReport, TraceEvent};
 use faasflow_sim::{NodeId, SimTime};
 use serde::{Deserialize, Error, Serialize, Value};
 
+use crate::critpath::{critical_path, forest_downtime};
 use crate::span::{AnnotationKind, Span, SpanForest, SpanKind, SpanTree};
-use Arg::{Bool, Float, UInt};
+use Arg::{Bool, Float, Micros, UInt};
 
 /// A parsed JSON document. The vendored serde has no blanket
 /// `Serialize for Value`, so this newtype prints a [`Value`] tree;
@@ -55,9 +56,57 @@ pub fn parse_json(text: &str) -> Result<Value, serde_json::Error> {
     serde_json::from_str::<JsonDoc>(text).map(|doc| doc.0)
 }
 
-/// Microseconds of sim time — the unit the trace viewer expects.
-fn us(at: SimTime) -> f64 {
-    at.as_nanos() as f64 / 1000.0
+/// Instants from here on print through the float path: below it, the
+/// decimal of `ns / 1000` has at most 15 significant digits, which an `f64`
+/// round-trips, so its shortest representation is that decimal.
+const MICROS_EXACT_BELOW_NS: u64 = 1_000_000_000_000_000;
+
+/// Appends `at` in microseconds, the unit the trace viewer expects: the
+/// text `{}` prints for `ns as f64 / 1000.0`, written as the fixed-point
+/// decimal `ns / 1000`, then `ns % 1000` with its trailing zeros trimmed
+/// (no `.` when it is zero).
+fn push_micros(out: &mut String, at: SimTime) {
+    let ns = at.as_nanos();
+    if ns >= MICROS_EXACT_BELOW_NS {
+        push_float(out, ns as f64 / 1000.0);
+        return;
+    }
+    push_uint(out, ns / 1000);
+    let frac = ns % 1000;
+    if frac != 0 {
+        let digits = [
+            b'.',
+            b'0' + (frac / 100) as u8,
+            b'0' + (frac / 10 % 10) as u8,
+            b'0' + (frac % 10) as u8,
+        ];
+        let len = 1 + digits
+            .iter()
+            .rposition(|&d| d != b'0')
+            .expect("frac is not zero");
+        out.push_str(std::str::from_utf8(&digits[..len]).expect("ASCII digits"));
+    }
+}
+
+/// Appends `v` in decimal, as `u64::to_string` prints it.
+fn push_uint(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Appends `f` as `f64::to_string` prints it.
+fn push_float(out: &mut String, f: f64) {
+    assert!(f.is_finite(), "trace values are finite");
+    write!(out, "{f}").expect("strings accept any text");
 }
 
 /// The process a node renders under (process 0 is the cluster).
@@ -76,32 +125,40 @@ enum Arg {
     Bool(bool),
     UInt(u64),
     Float(f64),
+    /// An instant, written in microseconds by [`push_micros`].
+    Micros(SimTime),
 }
 
-/// Writes into a JSON string body, escaping exactly the characters the
+/// Appends `s` to a JSON string body, escaping exactly the characters the
 /// vendored `serde_json` string writer escapes, so the export stays
-/// byte-identical to serializing the equivalent [`Value`] tree.
+/// byte-identical to serializing the equivalent [`Value`] tree. Runs that
+/// need no escape are copied in one step.
+fn push_escaped(out: &mut String, s: &str) {
+    let mut rest = s;
+    while let Some(i) = rest
+        .bytes()
+        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+    {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => write!(out, "\\u{b:04x}").expect("strings accept any text"),
+        }
+        rest = &rest[i + 1..];
+    }
+    out.push_str(rest);
+}
+
+/// Formats into a JSON string body through [`push_escaped`].
 struct Escaped<'a>(&'a mut String);
 
 impl fmt::Write for Escaped<'_> {
     fn write_str(&mut self, s: &str) -> fmt::Result {
-        let mut rest = s;
-        while let Some(i) = rest
-            .bytes()
-            .position(|b| b == b'"' || b == b'\\' || b < 0x20)
-        {
-            self.0.push_str(&rest[..i]);
-            match rest.as_bytes()[i] {
-                b'"' => self.0.push_str("\\\""),
-                b'\\' => self.0.push_str("\\\\"),
-                b'\n' => self.0.push_str("\\n"),
-                b'\r' => self.0.push_str("\\r"),
-                b'\t' => self.0.push_str("\\t"),
-                b => write!(self.0, "\\u{b:04x}")?,
-            }
-            rest = &rest[i + 1..];
-        }
-        self.0.push_str(rest);
+        push_escaped(self.0, s);
         Ok(())
     }
 }
@@ -121,6 +178,7 @@ impl Event<'_> {
         self.0.push_str("\":");
     }
 
+    /// A string field holding `value`, formatted and escaped.
     fn text(mut self, key: &str, value: impl Display) -> Self {
         self.key(key);
         self.0.push('"');
@@ -129,22 +187,40 @@ impl Event<'_> {
         self
     }
 
+    /// A string field holding a fixed ASCII identifier, pushed as is.
+    fn tag(mut self, key: &str, value: &'static str) -> Self {
+        debug_assert!(!value.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20));
+        self.key(key);
+        self.0.push('"');
+        self.0.push_str(value);
+        self.0.push('"');
+        self
+    }
+
+    /// The `name` of a span's `B` event: `prefix` (already JSON-safe),
+    /// then the escaped label.
+    fn span_name(mut self, prefix: &str, label: &str) -> Self {
+        self.key("name");
+        self.0.push('"');
+        self.0.push_str(prefix);
+        push_escaped(self.0, label);
+        self.0.push('"');
+        self
+    }
+
     fn value(mut self, key: &str, value: Arg) -> Self {
         self.key(key);
-        // `{}` prints numbers exactly as `u64::to_string`/`f64::to_string`.
         match value {
             Bool(b) => self.0.push_str(if b { "true" } else { "false" }),
-            UInt(u) => write!(self.0, "{u}").expect("strings accept any text"),
-            Float(f) => {
-                assert!(f.is_finite(), "trace values are finite");
-                write!(self.0, "{f}").expect("strings accept any text");
-            }
+            UInt(u) => push_uint(self.0, u),
+            Float(f) => push_float(self.0, f),
+            Micros(at) => push_micros(self.0, at),
         }
         self
     }
 
-    fn thread(self, ts: f64, pid: u64, tid: u64) -> Self {
-        self.value("ts", Float(ts))
+    fn thread(self, ts: Arg, pid: u64, tid: u64) -> Self {
+        self.value("ts", ts)
             .value("pid", UInt(pid))
             .value("tid", UInt(tid))
     }
@@ -192,63 +268,55 @@ impl TraceWriter {
 
     fn metadata(&mut self, pid: u64, name: impl Display) {
         self.event()
-            .text("name", "process_name")
-            .text("ph", "M")
+            .tag("name", "process_name")
+            .tag("ph", "M")
             .value("pid", UInt(pid))
             .value("tid", UInt(0))
             .object("args")
             .text("name", name);
     }
 
-    /// A named `B` or `E` slice edge: span begins and engine outages.
-    fn slice(
-        &mut self,
-        ph: &str,
-        name: impl Display,
-        cat: &str,
-        ts: f64,
-        pid: u64,
-        tid: u64,
-    ) -> Event<'_> {
+    /// An engine outage's `B` or `E` edge.
+    fn outage(&mut self, ph: &'static str, at: SimTime, pid: u64) {
         self.event()
-            .text("name", name)
-            .text("cat", cat)
-            .text("ph", ph)
-            .thread(ts, pid, tid)
+            .tag("name", "engine down")
+            .tag("cat", "fault")
+            .tag("ph", ph)
+            .thread(Micros(at), pid, 0);
     }
 
     /// The bare `E` closing a span's `B` on the same thread.
-    fn end(&mut self, ts: f64, pid: u64, tid: u64) {
-        self.event().text("ph", "E").thread(ts, pid, tid);
+    fn end(&mut self, at: SimTime, pid: u64, tid: u64) {
+        self.event().tag("ph", "E").thread(Micros(at), pid, tid);
     }
 
     /// An instant; `scope` is `p` (process) or `g` (global).
     fn instant(
         &mut self,
         name: impl Display,
-        cat: &str,
-        scope: &str,
-        ts: f64,
+        cat: &'static str,
+        scope: &'static str,
+        at: SimTime,
         pid: u64,
     ) -> Event<'_> {
         self.event()
             .text("name", name)
-            .text("cat", cat)
-            .text("ph", "i")
-            .text("s", scope)
-            .thread(ts, pid, 0)
+            .tag("cat", cat)
+            .tag("ph", "i")
+            .tag("s", scope)
+            .thread(Micros(at), pid, 0)
     }
 
     fn counter<'k>(
         &mut self,
         name: impl Display,
-        ts: f64,
+        ts: Arg,
         pid: u64,
         args: impl IntoIterator<Item = (&'k str, Arg)>,
     ) {
         self.event()
             .text("name", name)
-            .text("ph", "C")
+            .tag("ph", "C")
             .thread(ts, pid, 0)
             .args(args);
     }
@@ -256,21 +324,6 @@ impl TraceWriter {
     fn finish(mut self) -> String {
         self.0.push_str("],\"displayTimeUnit\":\"ms\"}");
         self.0
-    }
-}
-
-/// A span's event name: roots carry their own label, everything else is
-/// prefixed with its invocation so concurrent invocations stay apart.
-struct SpanName<'a>(&'a SpanTree, &'a Span);
-
-impl Display for SpanName<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let SpanName(tree, span) = self;
-        if span.parent.is_none() {
-            f.write_str(&span.label)
-        } else {
-            write!(f, "{}/{} {}", tree.workflow, tree.invocation, span.label)
-        }
     }
 }
 
@@ -348,12 +401,31 @@ fn span_args(span: &Span, critical: bool) -> impl Iterator<Item = (&'static str,
 }
 
 /// The order lanes are allocated in: by start, longer spans first, then
-/// by label, so a parent precedes the children it encloses.
+/// by label, so a parent precedes the children it encloses. The label is
+/// compared only when both instants tie.
 fn lane_order(a: &Span, b: &Span) -> Ordering {
     a.start
         .cmp(&b.start)
         .then(b.end.cmp(&a.end))
-        .then(a.label.cmp(&b.label))
+        .then_with(|| a.label.cmp(&b.label))
+}
+
+/// A span in its process's bucket. Its start, the first key of
+/// [`lane_order`], sits inline, so most sort comparisons touch no span.
+struct Slot {
+    start: SimTime,
+    tree: u32,
+    span: u32,
+}
+
+impl Slot {
+    fn new(tree: usize, span: usize, at: &Span) -> Self {
+        Slot {
+            start: at.start,
+            tree: u32::try_from(tree).expect("tree index fits u32"),
+            span: u32::try_from(span).expect("span index fits u32"),
+        }
+    }
 }
 
 /// Greedy interval-lane allocation over spans fed in [`lane_order`]: each
@@ -385,28 +457,35 @@ pub fn chrome_trace(forest: &SpanForest, resources: Option<&ResourceSeriesReport
     // Spans on an invocation's observed critical path are highlighted
     // (distinct color name + a `critical_path` arg) so the bottleneck
     // chain is visually traceable through the lanes.
-    let mut critical: Vec<Vec<bool>> = forest
+    let downtime = forest_downtime(forest);
+    let critical: Vec<Vec<bool>> = forest
         .trees
         .iter()
-        .map(|tree| vec![false; tree.spans.len()])
+        .map(|tree| {
+            let mut flags = vec![false; tree.spans.len()];
+            for idx in critical_path(tree, &downtime)
+                .segments
+                .iter()
+                .filter_map(|s| s.span)
+            {
+                flags[idx] = true;
+            }
+            flags
+        })
         .collect();
-    for (path, flags) in crate::critpath::extract(forest).iter().zip(&mut critical) {
-        for idx in path.segments.iter().filter_map(|seg| seg.span) {
-            flags[idx] = true;
-        }
-    }
 
-    // Bucket spans by process in one pass; tree-then-span order within a
-    // bucket is the tie-break the stable lane sort preserves. A process is
-    // listed if it is the cluster, holds a span or has a resource series.
-    let mut by_pid: Vec<Vec<(usize, usize)>> = Vec::new();
+    // Bucket spans by process in one pass, in tree-then-span order. A
+    // process is listed if it is the cluster, holds a span or has a
+    // resource series.
+    let mut by_pid: Vec<Vec<Slot>> = Vec::new();
     let mut listed: Vec<bool> = Vec::new();
     let resource_pids = resources
         .into_iter()
         .flat_map(|res| &res.nodes)
         .map(|series| (node_pid(series.node), None));
     let span_pids = forest.trees.iter().enumerate().flat_map(|(t, tree)| {
-        (tree.spans.iter().enumerate()).map(move |(i, span)| (span_pid(span), Some((t, i))))
+        (tree.spans.iter().enumerate())
+            .map(move |(i, span)| (span_pid(span), Some(Slot::new(t, i, span))))
     });
     for (pid, span) in std::iter::once((0, None))
         .chain(resource_pids)
@@ -441,26 +520,46 @@ pub fn chrome_trace(forest: &SpanForest, resources: Option<&ResourceSeriesReport
     }
 
     // --- Spans as B/E pairs --------------------------------------------
+    // Non-root span names carry their invocation, so concurrent
+    // invocations stay apart; ids print nothing JSON escapes.
+    let prefixes: Vec<String> = (forest.trees.iter())
+        .map(|tree| format!("{}/{} ", tree.workflow, tree.invocation))
+        .collect();
     for (pid, bucket) in by_pid.iter_mut().enumerate() {
         let pid = pid as u64;
-        let span_at = |&(t, i): &(usize, usize)| &forest.trees[t].spans[i];
-        bucket.sort_by(|a, b| lane_order(span_at(a), span_at(b)));
+        let span_at = |slot: &Slot| &forest.trees[slot.tree as usize].spans[slot.span as usize];
+        // Tree-then-span order breaks the remaining ties, so the order is
+        // total and the unstable sort is deterministic.
+        bucket.sort_unstable_by(|a, b| {
+            (a.start.cmp(&b.start))
+                .then_with(|| lane_order(span_at(a), span_at(b)))
+                .then((a.tree, a.span).cmp(&(b.tree, b.span)))
+        });
         let mut lanes = Lanes::default();
-        for &(t, i) in bucket.iter() {
-            let (tree, span) = (&forest.trees[t], &forest.trees[t].spans[i]);
+        for slot in bucket.iter() {
+            let (t, i) = (slot.tree as usize, slot.span as usize);
+            let span = span_at(slot);
             let lane = lanes.assign(span) as u64;
-            let name = SpanName(tree, span);
+            let prefix = if span.parent.is_some() {
+                &prefixes[t]
+            } else {
+                ""
+            };
             let begin = w
-                .slice("B", name, category(span), us(span.start), pid, lane)
+                .event()
+                .span_name(prefix, &span.label)
+                .tag("cat", category(span))
+                .tag("ph", "B")
+                .thread(Micros(span.start), pid, lane)
                 .args(span_args(span, critical[t][i]));
             if critical[t][i] {
                 // Legacy Chrome color name: renders the gating slices in a
                 // uniform alarm red in both Perfetto and chrome://tracing.
-                begin.text("cname", "terrible");
+                begin.tag("cname", "terrible");
             } else {
                 drop(begin);
             }
-            w.end(us(span.end), pid, lane);
+            w.end(span.end, pid, lane);
         }
     }
 
@@ -473,17 +572,11 @@ pub fn chrome_trace(forest: &SpanForest, resources: Option<&ResourceSeriesReport
                 AnnotationKind::HedgeLaunched { to, .. } => node_pid(to),
                 _ => 0,
             };
-            w.instant(
-                AnnotationName(tree, &a.kind),
-                "annotation",
-                "p",
-                us(a.at),
-                pid,
-            );
+            w.instant(AnnotationName(tree, &a.kind), "annotation", "p", a.at, pid);
         }
     }
     for event in &forest.node_events {
-        let at = us(event.at());
+        let at = event.at();
         match *event {
             // The storage-node breaker renders twice: an instant per
             // transition and a counter track of its state level (0 =
@@ -494,7 +587,7 @@ pub fn chrome_trace(forest: &SpanForest, resources: Option<&ResourceSeriesReport
                 w.instant(name, "overload", "p", at, 1);
                 w.counter(
                     "breaker state",
-                    at,
+                    Micros(at),
                     1,
                     [("level", UInt(to.as_level().into()))],
                 );
@@ -504,7 +597,7 @@ pub fn chrome_trace(forest: &SpanForest, resources: Option<&ResourceSeriesReport
             // per edge so the replay size is visible at the recovery point.
             TraceEvent::EngineCrashed { worker, .. } => {
                 let pid = worker.map_or(1, node_pid);
-                w.slice("B", "engine down", "fault", at, pid, 0);
+                w.outage("B", at, pid);
                 w.instant("engine crashed", "fault", "p", at, pid);
             }
             TraceEvent::EngineRecovered {
@@ -512,7 +605,7 @@ pub fn chrome_trace(forest: &SpanForest, resources: Option<&ResourceSeriesReport
             } => {
                 let pid = worker.map_or(1, node_pid);
                 let name = format_args!("engine recovered ({replayed} records replayed)");
-                w.slice("E", "engine down", "fault", at, pid, 0);
+                w.outage("E", at, pid);
                 w.instant(name, "fault", "p", at, pid);
             }
             // SLO alert transitions render on the cluster process: an
@@ -527,12 +620,12 @@ pub fn chrome_trace(forest: &SpanForest, resources: Option<&ResourceSeriesReport
                 w.instant(format_args!("SLO alert fired: {wf}"), "slo", "g", at, 0)
                     .args([("fast_burn", Float(fast)), ("slow_burn", Float(slow))]);
                 let burn = [("fast", Float(fast)), ("slow", Float(slow))];
-                w.counter(format_args!("slo burn rate {wf}"), at, 0, burn);
+                w.counter(format_args!("slo burn rate {wf}"), Micros(at), 0, burn);
             }
             TraceEvent::SloAlertResolved { workflow: wf, .. } => {
                 w.instant(format_args!("SLO alert resolved: {wf}"), "slo", "g", at, 0);
                 let burn = [("fast", Float(0.0)), ("slow", Float(0.0))];
-                w.counter(format_args!("slo burn rate {wf}"), at, 0, burn);
+                w.counter(format_args!("slo burn rate {wf}"), Micros(at), 0, burn);
             }
             // Degradation transitions render like the SLO alerts they
             // answer: an instant per transition plus a severity counter
@@ -547,7 +640,7 @@ pub fn chrome_trace(forest: &SpanForest, resources: Option<&ResourceSeriesReport
                 w.instant(name, "degrade", "g", at, 0)
                     .args([("cap", UInt(cap.into()))]);
                 let state = [("level", UInt(level.as_level().into()))];
-                w.counter(format_args!("degrade state {wf}"), at, 0, state);
+                w.counter(format_args!("degrade state {wf}"), Micros(at), 0, state);
             }
             TraceEvent::WorkflowRestored { workflow: wf, .. } => {
                 w.instant(
@@ -559,7 +652,7 @@ pub fn chrome_trace(forest: &SpanForest, resources: Option<&ResourceSeriesReport
                 );
                 w.counter(
                     format_args!("degrade state {wf}"),
-                    at,
+                    Micros(at),
                     0,
                     [("level", UInt(0))],
                 );
@@ -583,12 +676,12 @@ pub fn chrome_trace(forest: &SpanForest, resources: Option<&ResourceSeriesReport
                 let pid = node_pid(worker);
                 w.instant(name, "health", "p", at, pid)
                     .args([("score", Float(score))]);
-                w.counter("health state", at, pid, [("level", UInt(3))]);
+                w.counter("health state", Micros(at), pid, [("level", UInt(3))]);
             }
             TraceEvent::WorkerReinstated { worker, .. } => {
                 let pid = node_pid(worker);
                 w.instant("worker reinstated", "health", "p", at, pid);
-                w.counter("health state", at, pid, [("level", UInt(0))]);
+                w.counter("health state", Micros(at), pid, [("level", UInt(0))]);
             }
             TraceEvent::ZombieFenced {
                 worker,
@@ -617,7 +710,7 @@ pub fn chrome_trace(forest: &SpanForest, resources: Option<&ResourceSeriesReport
         for series in &res.nodes {
             let pid = node_pid(series.node);
             for s in &series.samples {
-                let ts = s.at_secs * 1e6;
+                let ts = Float(s.at_secs * 1e6);
                 let idle = s.containers.saturating_sub(s.busy);
                 w.counter(
                     "containers",
@@ -650,7 +743,7 @@ pub fn chrome_trace(forest: &SpanForest, resources: Option<&ResourceSeriesReport
             ];
             w.counter(
                 "cluster load",
-                s.at_secs * 1e6,
+                Float(s.at_secs * 1e6),
                 0,
                 load.map(|(k, v)| (k, UInt(v))),
             );
@@ -674,6 +767,7 @@ mod tests {
     use super::*;
     use crate::span::build_forest;
     use faasflow_sim::{ContainerId, FunctionId, InvocationId, NodeId, SimDuration, WorkflowId};
+    use proptest::prelude::*;
 
     fn ms(v: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(v)
@@ -777,6 +871,38 @@ mod tests {
             for pair in spans.windows(2) {
                 assert!(pair[1].start >= pair[0].end, "lane occupants overlap");
             }
+        }
+    }
+
+    fn micros_text(ns: u64) -> String {
+        let mut out = String::new();
+        push_micros(&mut out, SimTime::from_nanos(ns));
+        out
+    }
+
+    #[test]
+    fn micros_print_as_the_float_would() {
+        let bound = MICROS_EXACT_BELOW_NS;
+        for ns in [0, 1, 10, 100, 999, 1000, 1001, 1_500_000, bound - 1, bound] {
+            assert_eq!(
+                micros_text(ns),
+                format!("{}", ns as f64 / 1000.0),
+                "{ns} ns"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Every magnitude below the bound, from one digit to fifteen.
+        #[test]
+        fn fixed_point_micros_match_the_float_text(
+            digits in 1u32..16,
+            raw in any::<u64>(),
+        ) {
+            let ns = raw % 10u64.pow(digits);
+            prop_assert_eq!(micros_text(ns), format!("{}", ns as f64 / 1000.0));
         }
     }
 

@@ -38,7 +38,8 @@
 //! no float residue) — [`CriticalPath::validate`] checks all three and is
 //! exercised on every chaos-sweep seed.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 use faasflow_core::TraceEvent;
 use faasflow_sim::{InvocationId, SimDuration, SimTime, WorkflowId};
@@ -319,22 +320,28 @@ pub fn critical_path(tree: &SpanTree, downtime: &[(SimTime, SimTime)]) -> Critic
     bounds.sort_unstable();
     bounds.dedup();
 
+    // Sweep the elementary intervals left to right. Every work span that
+    // has opened sits in a max-heap on its claim key: highest priority
+    // wins, ties go to the latest-starting span (the most recent
+    // dependency), then the lowest index. The index makes each key unique,
+    // so the top is exactly the one best span. A span that closed before
+    // `b` can never cover a later interval either, so it is dropped only
+    // when it surfaces at the top.
+    work.sort_unstable_by_key(|w| w.start);
+    let mut next = 0;
+    let mut open: BinaryHeap<(u8, SimTime, Reverse<usize>, usize)> =
+        BinaryHeap::with_capacity(work.len());
     for pair in bounds.windows(2) {
         let (a, b) = (pair[0], pair[1]);
-        // Highest priority wins; ties go to the latest-starting span (the
-        // most recent dependency), then the lowest index (deterministic).
-        let best = work
-            .iter()
-            .filter(|w| w.start <= a && w.end >= b)
-            .max_by(|x, y| {
-                (x.phase.priority(), x.start, std::cmp::Reverse(x.span)).cmp(&(
-                    y.phase.priority(),
-                    y.start,
-                    std::cmp::Reverse(y.span),
-                ))
-            });
-        let (phase, span) = match best {
-            Some(w) => (w.phase, Some(w.span)),
+        while let Some(w) = work.get(next).filter(|w| w.start <= a) {
+            open.push((w.phase.priority(), w.start, Reverse(w.span), next));
+            next += 1;
+        }
+        while open.peek().is_some_and(|&(.., i)| work[i].end < b) {
+            open.pop();
+        }
+        let (phase, span) = match open.peek() {
+            Some(&(.., i)) => (work[i].phase, Some(work[i].span)),
             None => {
                 let down = downtime.iter().any(|&(ds, de)| ds <= a && de >= b);
                 (
@@ -391,16 +398,22 @@ pub fn downtime_windows(node_events: &[TraceEvent], horizon: SimTime) -> Vec<(Si
     windows
 }
 
-/// Extracts the critical path of every invocation in the forest, sharing
-/// one cluster-wide set of engine-downtime windows.
-pub fn extract(forest: &SpanForest) -> Vec<CriticalPath> {
+/// The forest's engine-outage windows; one still open at the end of the
+/// stream extends to the last root close.
+pub(crate) fn forest_downtime(forest: &SpanForest) -> Vec<(SimTime, SimTime)> {
     let horizon = forest
         .trees
         .iter()
         .map(|t| t.root().end)
         .max()
         .unwrap_or(SimTime::ZERO);
-    let downtime = downtime_windows(&forest.node_events, horizon);
+    downtime_windows(&forest.node_events, horizon)
+}
+
+/// Extracts the critical path of every invocation in the forest, sharing
+/// one cluster-wide set of engine-downtime windows.
+pub fn extract(forest: &SpanForest) -> Vec<CriticalPath> {
+    let downtime = forest_downtime(forest);
     forest
         .trees
         .iter()
@@ -563,6 +576,186 @@ mod tests {
     use super::*;
     use crate::span::{build_forest, Span};
     use faasflow_sim::NodeId;
+    use proptest::prelude::*;
+
+    /// The quadratic interval loop the sweep replaced, kept as its oracle:
+    /// every elementary interval rescans every work span.
+    fn critical_path_reference(tree: &SpanTree, downtime: &[(SimTime, SimTime)]) -> CriticalPath {
+        let root = tree.root();
+        let (rs, re) = (root.start, root.end);
+        let mut path = CriticalPath {
+            workflow: tree.workflow,
+            invocation: tree.invocation,
+            segments: Vec::new(),
+        };
+        if rs == re {
+            return path;
+        }
+
+        // Work intervals clipped to the root window.
+        struct Work {
+            start: SimTime,
+            end: SimTime,
+            phase: CritPhase,
+            span: usize,
+        }
+        let mut work: Vec<Work> = Vec::new();
+        for (idx, span) in tree.spans.iter().enumerate() {
+            let Some(phase) = work_phase(span.kind) else {
+                continue;
+            };
+            let start = span.start.max(rs);
+            let end = span.end.min(re);
+            if start < end {
+                work.push(Work {
+                    start,
+                    end,
+                    phase,
+                    span: idx,
+                });
+            }
+        }
+
+        // Elementary intervals: between two consecutive boundaries the set of
+        // covering work spans (and downtime windows) is constant.
+        let mut bounds: Vec<SimTime> = Vec::with_capacity(2 * work.len() + 2);
+        bounds.push(rs);
+        bounds.push(re);
+        for w in &work {
+            bounds.push(w.start);
+            bounds.push(w.end);
+        }
+        for &(ds, de) in downtime {
+            if ds > rs && ds < re {
+                bounds.push(ds);
+            }
+            if de > rs && de < re {
+                bounds.push(de);
+            }
+        }
+        bounds.sort_unstable();
+        bounds.dedup();
+
+        for pair in bounds.windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            // Highest priority wins; ties go to the latest-starting span (the
+            // most recent dependency), then the lowest index (deterministic).
+            let best = work
+                .iter()
+                .filter(|w| w.start <= a && w.end >= b)
+                .max_by(|x, y| {
+                    (x.phase.priority(), x.start, std::cmp::Reverse(x.span)).cmp(&(
+                        y.phase.priority(),
+                        y.start,
+                        std::cmp::Reverse(y.span),
+                    ))
+                });
+            let (phase, span) = match best {
+                Some(w) => (w.phase, Some(w.span)),
+                None => {
+                    let down = downtime.iter().any(|&(ds, de)| ds <= a && de >= b);
+                    (
+                        if down {
+                            CritPhase::EngineDown
+                        } else {
+                            CritPhase::Control
+                        },
+                        None,
+                    )
+                }
+            };
+            match path.segments.last_mut() {
+                Some(last) if last.phase == phase && last.span == span && last.end == a => {
+                    last.end = b;
+                }
+                _ => path.segments.push(CritSegment {
+                    phase,
+                    start: a,
+                    end: b,
+                    span,
+                }),
+            }
+        }
+        path
+    }
+
+    /// Span kinds the generated trees draw from: the `Function` container
+    /// and every work kind.
+    fn kind_of(pick: u8) -> SpanKind {
+        match pick {
+            0 => SpanKind::Function,
+            1 | 2 => SpanKind::Provision { cold: pick == 1 },
+            3 | 4 => SpanKind::Exec {
+                attempt: 0,
+                failed: pick == 4,
+            },
+            _ => SpanKind::Transfer {
+                read: true,
+                remote: pick == 5,
+                bytes: 1,
+            },
+        }
+    }
+
+    /// A root window and 1–60 spans (kind, two instants) on a 0–24 ms grid,
+    /// so boundaries, priorities and starts tie often; spans may be empty
+    /// or cross the root window. Plus 0–3 downtime windows.
+    #[allow(clippy::type_complexity)]
+    fn sweep_case() -> impl Strategy<Value = ((u64, u64), Vec<(u8, u64, u64)>, Vec<(u64, u64)>)> {
+        (
+            (0u64..10, 0u64..16),
+            proptest::collection::vec((0u8..7, 0u64..25, 0u64..25), 1..61),
+            proptest::collection::vec((0u64..25, 0u64..25), 0..4),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn sweep_matches_the_quadratic_reference(case in sweep_case()) {
+            let ((root_start, root_len), spans, windows) = case;
+            let mut all = vec![span(SpanKind::Invocation, root_start, root_start + root_len, None)];
+            all.extend(spans.iter().map(|&(pick, a, b)| {
+                span(kind_of(pick), a.min(b), a.max(b), Some(0))
+            }));
+            let t = tree(all);
+            let downtime: Vec<(SimTime, SimTime)> = windows
+                .iter()
+                .map(|&(a, b)| (ms(a.min(b)), ms(a.max(b))))
+                .collect();
+            let swept = critical_path(&t, &downtime);
+            prop_assert_eq!(&swept, &critical_path_reference(&t, &downtime));
+            prop_assert!(swept.validate(&t).is_ok(), "{:?}", swept.validate(&t));
+        }
+    }
+
+    /// The sweep against its reference on every tree of a traced
+    /// closed-loop run of all 8 benchmarks, 30 invocations each on the
+    /// default cluster: the shape of the `observe7-traced` workload.
+    #[test]
+    fn sweep_matches_the_reference_on_a_paper7_run() {
+        use faasflow_core::{ClientConfig, Cluster, ClusterConfig};
+        use faasflow_workloads::Benchmark;
+
+        let mut cluster = Cluster::new(ClusterConfig {
+            trace: true,
+            ..ClusterConfig::default()
+        })
+        .unwrap();
+        for b in Benchmark::ALL {
+            cluster
+                .register(&b.workflow(), ClientConfig::ClosedLoop { invocations: 30 })
+                .unwrap();
+        }
+        cluster.run_until_idle();
+        let forest = build_forest(&cluster.take_trace());
+        assert_eq!(forest.trees.len(), 240);
+        let downtime = forest_downtime(&forest);
+        for (tree, path) in forest.trees.iter().zip(extract(&forest)) {
+            assert_eq!(path, critical_path_reference(tree, &downtime));
+        }
+    }
 
     fn ms(v: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(v)
