@@ -25,10 +25,8 @@
 //! causally closed, and anything still open when the stream ends is closed
 //! at the last observed instant with `truncated` set.
 
-use std::collections::HashMap;
-
 use faasflow_core::TraceEvent;
-use faasflow_sim::{FunctionId, InvocationId, NodeId, SimDuration, SimTime, WorkflowId};
+use faasflow_sim::{FastMap, FunctionId, InvocationId, NodeId, SimDuration, SimTime, WorkflowId};
 use serde::{Deserialize, Serialize};
 
 /// What a span measures.
@@ -242,7 +240,7 @@ impl SpanTree {
             }
         }
         // Per-(function, instance) ordering.
-        let mut execs: HashMap<(FunctionId, u32), Vec<&Span>> = HashMap::new();
+        let mut execs: FastMap<(FunctionId, u32), Vec<&Span>> = FastMap::default();
         for s in &self.spans {
             if let (SpanKind::Exec { .. }, Some(f), Some(i)) = (s.kind, s.function, s.instance) {
                 execs.entry((f, i)).or_default().push(s);
@@ -314,9 +312,9 @@ impl SpanForest {
 struct TreeBuilder {
     tree: SpanTree,
     /// Open function spans by function id.
-    open_functions: HashMap<FunctionId, usize>,
+    open_functions: FastMap<FunctionId, usize>,
     /// Open exec spans by (function, instance).
-    open_execs: HashMap<(FunctionId, u32), usize>,
+    open_execs: FastMap<(FunctionId, u32), usize>,
     root_open: bool,
 }
 
@@ -344,8 +342,8 @@ impl TreeBuilder {
                 dead_lettered: false,
                 shed: false,
             },
-            open_functions: HashMap::new(),
-            open_execs: HashMap::new(),
+            open_functions: FastMap::default(),
+            open_execs: FastMap::default(),
             root_open: true,
         }
     }
@@ -665,7 +663,7 @@ impl TreeBuilder {
 /// exactly as `Cluster::take_trace` returns them.
 pub fn build_forest(events: &[TraceEvent]) -> SpanForest {
     let mut order: Vec<(WorkflowId, InvocationId)> = Vec::new();
-    let mut builders: HashMap<(WorkflowId, InvocationId), TreeBuilder> = HashMap::new();
+    let mut builders: FastMap<(WorkflowId, InvocationId), TreeBuilder> = FastMap::default();
     let mut node_events = Vec::new();
     let mut last = SimTime::ZERO;
     for event in events {
