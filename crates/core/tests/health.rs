@@ -406,3 +406,121 @@ fn stagger_spreads_lease_expiry_without_changing_outcomes() {
     }
     assert_eq!(plain.faults.worker_crashes, staggered.faults.worker_crashes);
 }
+
+/// A worker crashes while a gray partition holds data-plane payloads
+/// behind it. Under MasterSP its orphaned instances are re-admitted on the
+/// survivor under the same token, so when the window lifts the dead
+/// attempt's payloads must not reach the new admission: a stale read would
+/// count one input twice (`pending_inputs` underflows), a stale write
+/// would finish an instance whose exec is still running. Both show in the
+/// trace, which records a payload's transfer against the instance's
+/// current worker.
+#[test]
+fn crash_drops_payloads_stalled_behind_its_partition() {
+    use faasflow_core::{NodeCrash, TraceEvent};
+    use faasflow_sim::SimTime;
+    use std::collections::HashMap;
+
+    // Exec lengths put the first attempt's payload behind the window before
+    // the crash at 6 s, and the re-admitted attempt still running when the
+    // window lifts at 10 s (lease expiry at 7.5 s).
+    let det = |ms: u64, bytes: u64| FunctionProfile::with_millis(ms, bytes).exec_variation(0.0);
+    let wf = Workflow::steps(
+        "stalled",
+        Step::sequence(vec![
+            Step::task("ingest", det(3000, 2 << 20)),
+            Step::foreach("crunch", det(4000, 1 << 20), 2),
+            Step::task("merge", det(50, 0)),
+        ]),
+    );
+    for inbound in [true, false] {
+        let plan = FaultPlan {
+            gray_faults: vec![gray(
+                0,
+                0,
+                10,
+                GrayFaultKind::AsymmetricPartition {
+                    inbound,
+                    expire_lease: false,
+                },
+            )],
+            node_crashes: vec![NodeCrash {
+                worker: 0,
+                at: SimDuration::from_secs(6),
+                restart_after: None,
+            }],
+            ..FaultPlan::default()
+        };
+        let config = ClusterConfig {
+            mode: ScheduleMode::MasterSp,
+            faastore: false,
+            workers: 2,
+            fault: plan,
+            trace: true,
+            // Legacy placement pins the workflow to worker 0, the one the
+            // partition and the crash hit.
+            placement_config: PlacementConfig::legacy(),
+            ..ClusterConfig::default()
+        };
+        let mut cluster = Cluster::new(config).expect("valid config");
+        cluster
+            .register(&wf, ClientConfig::ClosedLoop { invocations: 1 })
+            .expect("registers");
+        cluster.run_until_idle();
+        let label = if inbound {
+            "stalled read"
+        } else {
+            "stalled write"
+        };
+        let report = cluster.report();
+        assert_conserved(&report, label);
+        assert_eq!(report.workflow("stalled").completed, 1, "{label}");
+        assert!(report.health.stalled_flows >= 1, "{label}: nothing stalled");
+
+        // Per instance: its latest admission and whether an exec runs.
+        let mut instances: HashMap<_, (SimTime, bool)> = HashMap::new();
+        for event in cluster.trace() {
+            match *event {
+                TraceEvent::InstanceStarted {
+                    function,
+                    instance,
+                    at,
+                    ..
+                } => {
+                    instances.insert((function, instance), (at, false));
+                }
+                TraceEvent::ExecStarted {
+                    function, instance, ..
+                } => {
+                    instances.entry((function, instance)).or_default().1 = true;
+                }
+                TraceEvent::ExecFinished {
+                    function, instance, ..
+                } => {
+                    instances.entry((function, instance)).or_default().1 = false;
+                }
+                TraceEvent::Transferred {
+                    function,
+                    instance,
+                    read,
+                    started,
+                    at,
+                    ..
+                } => {
+                    let (admitted, running) = instances[&(function, instance)];
+                    assert!(
+                        !read || started >= admitted,
+                        "{label}: {function}#{instance} read at {at} started at {started}, \
+                         before its admission at {admitted}"
+                    );
+                    assert!(
+                        read || !running,
+                        "{label}: {function}#{instance} finished its write at {at} \
+                         while its exec is still running"
+                    );
+                }
+                _ => {}
+            }
+        }
+    }
+}
