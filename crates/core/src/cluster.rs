@@ -3167,8 +3167,11 @@ impl Cluster {
             worker: node,
             at: now,
         });
-        // Kill every bulk transfer touching the node.
+        // Kill every bulk transfer touching the node, and the payloads held
+        // behind its partition: MasterSP re-admits the orphans below under
+        // the same token, which a late payload would otherwise reach.
         self.kill_flows(now, |f| f.src == node || f.dst == node);
+        self.windows.drop_stalled_on(w);
         // Warm pool, queued admissions and resource gauges vanish.
         let _ = self.containers[w].crash();
         if let Some(ev) = self.expiry_timers[w].take() {

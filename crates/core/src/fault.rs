@@ -625,6 +625,12 @@ impl<T> FaultWindows<T> {
         self.stalled.retain(|(_, tag)| !doomed(tag));
     }
 
+    /// Drops the payloads stalled behind `worker`'s partition: the worker
+    /// crashed, and the attempts they belong to died with it.
+    pub(crate) fn drop_stalled_on(&mut self, worker: usize) {
+        self.stalled.retain(|&(w, _)| w != worker);
+    }
+
     /// The [`crate::RunReport::health`] section: the detector's state
     /// (when one watches) with the gray-failure counts. A quarantine
     /// orphan is a dead letter, counted with the others in `FaultReport`.
@@ -669,6 +675,17 @@ mod tests {
         let counts = (health.stalled_flows, health.zombie_fenced);
         assert_eq!((counts, health.quarantine_orphans), ((3, 4), 2));
         assert!(health.workers.is_empty());
+    }
+
+    #[test]
+    fn a_crash_drops_only_its_own_stalled_payloads() {
+        let mut w: FaultWindows<&str> = FaultWindows::new(3);
+        w.stall(1, "a");
+        w.stall(2, "b");
+        w.stall(1, "c");
+        w.drop_stalled_on(1);
+        assert_eq!(w.lift_partition(), [(2, "b")]);
+        assert_eq!(w.health_report(None, 0).stalled_flows, 3);
     }
 
     #[test]
