@@ -26,6 +26,7 @@ use serde::{Deserialize, Error, Serialize, Value};
 
 use crate::critpath::{critical_path, forest_downtime};
 use crate::span::{AnnotationKind, Span, SpanForest, SpanKind, SpanTree};
+use crate::text::push_uint;
 use Arg::{Bool, Float, Micros, UInt};
 
 /// A parsed JSON document. The vendored serde has no blanket
@@ -86,21 +87,6 @@ fn push_micros(out: &mut String, at: SimTime) {
             .expect("frac is not zero");
         out.push_str(std::str::from_utf8(&digits[..len]).expect("ASCII digits"));
     }
-}
-
-/// Appends `v` in decimal, as `u64::to_string` prints it.
-fn push_uint(out: &mut String, mut v: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// Appends `f` as `f64::to_string` prints it.

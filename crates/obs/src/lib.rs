@@ -54,6 +54,7 @@ pub mod chrome;
 pub mod critpath;
 pub mod prom;
 pub mod span;
+mod text;
 pub mod whatif;
 
 pub use attribution::{attribute, render_attribution_table, PhaseBreakdown};

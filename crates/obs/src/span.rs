@@ -29,6 +29,8 @@ use faasflow_core::TraceEvent;
 use faasflow_sim::{FastMap, FunctionId, InvocationId, NodeId, SimDuration, SimTime, WorkflowId};
 use serde::{Deserialize, Serialize};
 
+use crate::text::{push_function, push_uint};
+
 /// What a span measures.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum SpanKind {
@@ -308,6 +310,24 @@ impl SpanForest {
     }
 }
 
+/// A function span's label: the function id.
+fn function_label(function: FunctionId) -> String {
+    let mut label = String::with_capacity(8);
+    push_function(&mut label, function);
+    label
+}
+
+/// A per-instance span's label, `{head}{function}#{instance}`, built
+/// without the formatting machinery: the forest makes one per span.
+fn instance_label(head: &str, function: FunctionId, instance: u32) -> String {
+    let mut label = String::with_capacity(head.len() + 16);
+    label.push_str(head);
+    push_function(&mut label, function);
+    label.push('#');
+    push_uint(&mut label, u64::from(instance));
+    label
+}
+
 /// Per-invocation assembly state.
 struct TreeBuilder {
     tree: SpanTree,
@@ -417,7 +437,7 @@ impl TreeBuilder {
                 }
                 let idx = self.push(Span {
                     kind: SpanKind::Function,
-                    label: format!("{function}"),
+                    label: function_label(*function),
                     node: Some(*worker),
                     function: Some(*function),
                     instance: None,
@@ -440,9 +460,10 @@ impl TreeBuilder {
                 let start = self.tree.spans[parent].start;
                 self.push(Span {
                     kind: SpanKind::Provision { cold: *cold },
-                    label: format!(
-                        "{} {function}#{instance}",
-                        if *cold { "cold-start" } else { "queue-wait" }
+                    label: instance_label(
+                        if *cold { "cold-start " } else { "queue-wait " },
+                        *function,
+                        *instance,
                     ),
                     node: Some(*worker),
                     function: Some(*function),
@@ -471,7 +492,7 @@ impl TreeBuilder {
                         attempt: *attempt,
                         failed: false,
                     },
-                    label: format!("exec {function}#{instance}"),
+                    label: instance_label("exec ", *function, *instance),
                     node: Some(*worker),
                     function: Some(*function),
                     instance: Some(*instance),
@@ -520,9 +541,10 @@ impl TreeBuilder {
                         remote: *remote,
                         bytes: *bytes,
                     },
-                    label: format!(
-                        "{} {function}#{instance}",
-                        if *read { "read" } else { "write" }
+                    label: instance_label(
+                        if *read { "read " } else { "write " },
+                        *function,
+                        *instance,
                     ),
                     node: Some(*worker),
                     function: Some(*function),
@@ -861,6 +883,16 @@ mod tests {
         let tree = &forest.trees[0];
         assert!(tree.spans[0].truncated);
         assert!(!tree.completed);
+    }
+
+    #[test]
+    fn labels_print_as_formatted() {
+        let f = FunctionId::new(12);
+        assert_eq!(function_label(f), format!("{f}"));
+        for instance in [0, 7, 31] {
+            let label = instance_label("queue-wait ", f, instance);
+            assert_eq!(label, format!("queue-wait {f}#{instance}"));
+        }
     }
 
     #[test]

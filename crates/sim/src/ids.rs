@@ -20,6 +20,9 @@ macro_rules! define_id {
         pub struct $name(u32);
 
         impl $name {
+            /// What the identifier prints before its index.
+            pub const PREFIX: &'static str = $prefix;
+
             /// Creates the identifier from its raw index.
             pub const fn new(index: u32) -> Self {
                 $name(index)
