@@ -29,7 +29,7 @@ use faasflow_core::TraceEvent;
 use faasflow_sim::{FastMap, FunctionId, InvocationId, NodeId, SimDuration, SimTime, WorkflowId};
 use serde::{Deserialize, Serialize};
 
-use crate::text::{push_function, push_uint};
+use crate::text::{function_len, push_function, push_uint, uint_len};
 
 /// What a span measures.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -312,15 +312,17 @@ impl SpanForest {
 
 /// A function span's label: the function id.
 fn function_label(function: FunctionId) -> String {
-    let mut label = String::with_capacity(8);
+    let mut label = String::with_capacity(function_len(function));
     push_function(&mut label, function);
     label
 }
 
 /// A per-instance span's label, `{head}{function}#{instance}`, built
-/// without the formatting machinery: the forest makes one per span.
+/// without the formatting machinery (the forest makes one per span) in
+/// an allocation of exactly its length.
 fn instance_label(head: &str, function: FunctionId, instance: u32) -> String {
-    let mut label = String::with_capacity(head.len() + 16);
+    let len = head.len() + function_len(function) + 1 + uint_len(u64::from(instance));
+    let mut label = String::with_capacity(len);
     label.push_str(head);
     push_function(&mut label, function);
     label.push('#');
@@ -892,6 +894,7 @@ mod tests {
         for instance in [0, 7, 31] {
             let label = instance_label("queue-wait ", f, instance);
             assert_eq!(label, format!("queue-wait {f}#{instance}"));
+            assert_eq!(label.capacity(), label.len());
         }
     }
 
