@@ -238,8 +238,11 @@ impl Drop for Event<'_> {
 struct TraceWriter(String);
 
 impl TraceWriter {
+    /// Reserves `bytes` rounded up to whole MiB, so exports of similar
+    /// size ask the allocator for the same block and can reuse the one
+    /// the previous export freed instead of touching fresh pages.
     fn with_capacity(bytes: usize) -> Self {
-        let mut out = String::with_capacity(bytes);
+        let mut out = String::with_capacity(bytes.next_multiple_of(1 << 20));
         out.push_str("{\"traceEvents\":[");
         TraceWriter(out)
     }
