@@ -57,9 +57,9 @@ pub fn parse_json(text: &str) -> Result<Value, serde_json::Error> {
     serde_json::from_str::<JsonDoc>(text).map(|doc| doc.0)
 }
 
-/// Instants from here on print through the float path: below it, the
-/// decimal of `ns / 1000` has at most 15 significant digits, which an `f64`
-/// round-trips, so its shortest representation is that decimal.
+/// The first instant, in ns, that prints through the float path. Below
+/// it the decimal of `ns / 1000` has at most 15 significant digits, which
+/// an `f64` round-trips, so its shortest text is that decimal.
 const MICROS_EXACT_BELOW_NS: u64 = 1_000_000_000_000_000;
 
 /// Appends `at` in microseconds, the unit the trace viewer expects: the
@@ -121,10 +121,7 @@ enum Arg {
 /// need no escape are copied in one step.
 fn push_escaped(out: &mut String, s: &str) {
     let mut rest = s;
-    while let Some(i) = rest
-        .bytes()
-        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
-    {
+    while let Some(i) = rest.bytes().position(needs_escape) {
         out.push_str(&rest[..i]);
         match rest.as_bytes()[i] {
             b'"' => out.push_str("\\\""),
@@ -137,6 +134,11 @@ fn push_escaped(out: &mut String, s: &str) {
         rest = &rest[i + 1..];
     }
     out.push_str(rest);
+}
+
+/// Whether a JSON string body must escape `b`.
+fn needs_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
 }
 
 /// Formats into a JSON string body through [`push_escaped`].
@@ -175,7 +177,7 @@ impl Event<'_> {
 
     /// A string field holding a fixed ASCII identifier, pushed as is.
     fn tag(mut self, key: &str, value: &'static str) -> Self {
-        debug_assert!(!value.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20));
+        debug_assert!(!value.bytes().any(needs_escape));
         self.key(key);
         self.0.push('"');
         self.0.push_str(value);

@@ -263,7 +263,9 @@ fn work_phase(kind: SpanKind) -> Option<CritPhase> {
 /// Extracts the observed critical path of one invocation. `downtime` is
 /// the set of engine-outage windows (from [`downtime_windows`]); gaps in
 /// work coverage that fall entirely inside one are charged to
-/// [`CritPhase::EngineDown`] instead of [`CritPhase::Control`].
+/// [`CritPhase::EngineDown`] instead of [`CritPhase::Control`]. One sweep
+/// over the span boundaries: O((n + b) log n) for `n` work spans and `b`
+/// boundaries.
 pub fn critical_path(tree: &SpanTree, downtime: &[(SimTime, SimTime)]) -> CriticalPath {
     let root = tree.root();
     let (rs, re) = (root.start, root.end);
