@@ -9,19 +9,20 @@
 //! window the recovery protocol's duplicate-suppression guards cover.
 //!
 //! The record stream is deliberately coarse (Durable Functions-style
-//! history events, not byte-level state):
+//! history events, not byte-level state). Each [`JournalRecord`] names an
+//! invocation and one [`JournalEvent`]:
 //!
-//! * [`JournalRecord::Admitted`] — the engine accepted an invocation. The
+//! * [`JournalEvent::Admitted`] — the engine accepted the invocation. The
 //!   one record that can *save* work: an admitted invocation with no
 //!   cluster-visible progress is unrecoverable without it.
-//! * [`JournalRecord::Dispatched`] — a function node was handed to a
+//! * [`JournalEvent::Dispatched`] — a function node was handed to a
 //!   worker. Replay uses cluster-side dispatch dedup, so this record is
 //!   corroborating evidence (it marks the invocation as known).
-//! * [`JournalRecord::NodeDone`] — the engine processed a node completion
+//! * [`JournalEvent::NodeDone`] — the engine processed a node completion
 //!   and emitted its downstream effects (syncs, exit reports). Replay
 //!   skips re-emitting effects for recorded nodes; unrecorded completions
 //!   re-emit and rely on receiver-side dedup.
-//! * [`JournalRecord::StateSynced`] / [`JournalRecord::Terminal`] —
+//! * [`JournalEvent::StateSynced`] / [`JournalEvent::Terminal`] —
 //!   bookkeeping for the record stream; terminal outcomes are enforced
 //!   exactly-once structurally (single funnel in the cluster), the journal
 //!   just witnesses them.
@@ -64,85 +65,31 @@ pub enum TerminalOutcome {
     Shed,
 }
 
-/// One journaled workflow transition.
+/// One journaled workflow transition of an invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum JournalRecord {
-    /// The engine accepted this invocation (saw its begin message).
-    Admitted {
-        /// Workflow the invocation belongs to.
-        workflow: WorkflowId,
-        /// The admitted invocation.
-        invocation: InvocationId,
-    },
-    /// A function node was dispatched to a worker.
-    Dispatched {
-        /// Workflow the invocation belongs to.
-        workflow: WorkflowId,
-        /// The invocation being advanced.
-        invocation: InvocationId,
-        /// The dispatched DAG node.
-        function: FunctionId,
-    },
-    /// The engine processed this node's completion (and emitted its
-    /// downstream syncs / exit reports).
-    NodeDone {
-        /// Workflow the invocation belongs to.
-        workflow: WorkflowId,
-        /// The invocation being advanced.
-        invocation: InvocationId,
-        /// The completed DAG node.
-        function: FunctionId,
-    },
-    /// A cross-worker state sync about `function`'s completion was sent.
-    StateSynced {
-        /// Workflow the invocation belongs to.
-        workflow: WorkflowId,
-        /// The invocation being advanced.
-        invocation: InvocationId,
-        /// The completed node the sync describes.
-        function: FunctionId,
-    },
-    /// The invocation reached a terminal outcome.
-    Terminal {
-        /// Workflow the invocation belongs to.
-        workflow: WorkflowId,
-        /// The finished invocation.
-        invocation: InvocationId,
-        /// How it ended.
-        outcome: TerminalOutcome,
-    },
+pub struct JournalRecord {
+    /// Workflow the invocation belongs to.
+    pub workflow: WorkflowId,
+    /// The invocation the transition advanced.
+    pub invocation: InvocationId,
+    /// What happened to it.
+    pub event: JournalEvent,
 }
 
-impl JournalRecord {
-    /// The invocation this record is about.
-    pub fn invocation(&self) -> (WorkflowId, InvocationId) {
-        match *self {
-            JournalRecord::Admitted {
-                workflow,
-                invocation,
-            }
-            | JournalRecord::Dispatched {
-                workflow,
-                invocation,
-                ..
-            }
-            | JournalRecord::NodeDone {
-                workflow,
-                invocation,
-                ..
-            }
-            | JournalRecord::StateSynced {
-                workflow,
-                invocation,
-                ..
-            }
-            | JournalRecord::Terminal {
-                workflow,
-                invocation,
-                ..
-            } => (workflow, invocation),
-        }
-    }
+/// What a [`JournalRecord`] witnesses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum JournalEvent {
+    /// The engine accepted the invocation (saw its begin message).
+    Admitted,
+    /// This function node was dispatched to a worker.
+    Dispatched(FunctionId),
+    /// The engine processed this node's completion (and emitted its
+    /// downstream syncs / exit reports).
+    NodeDone(FunctionId),
+    /// A cross-worker state sync about this node's completion was sent.
+    StateSynced(FunctionId),
+    /// The invocation reached a terminal outcome.
+    Terminal(TerminalOutcome),
 }
 
 /// One engine's journal: a durable-tail record log plus replay accounting.
@@ -215,7 +162,7 @@ impl Journal {
     pub fn mentions(&self, workflow: WorkflowId, invocation: InvocationId) -> bool {
         self.log
             .records()
-            .any(|r| r.invocation() == (workflow, invocation))
+            .any(|r| (r.workflow, r.invocation) == (workflow, invocation))
     }
 
     /// Whether the engine durably recorded processing this node's
@@ -226,10 +173,12 @@ impl Journal {
         invocation: InvocationId,
         function: FunctionId,
     ) -> bool {
-        self.log.records().any(|r| {
-            matches!(r, JournalRecord::NodeDone { workflow: w, invocation: i, function: f }
-                if (*w, *i, *f) == (workflow, invocation, function))
-        })
+        let done = JournalRecord {
+            workflow,
+            invocation,
+            event: JournalEvent::NodeDone(function),
+        };
+        self.log.records().any(|r| *r == done)
     }
 
     /// Durable records currently in the log.
@@ -275,9 +224,10 @@ mod tests {
     }
 
     fn admitted(inv: u32) -> JournalRecord {
-        JournalRecord::Admitted {
+        JournalRecord {
             workflow: WorkflowId::new(0),
             invocation: InvocationId::new(inv),
+            event: JournalEvent::Admitted,
         }
     }
 
@@ -333,10 +283,10 @@ mod tests {
         j.append(
             at(0),
             1.0,
-            JournalRecord::NodeDone {
+            JournalRecord {
                 workflow: wf,
                 invocation: inv,
-                function: FunctionId::new(3),
+                event: JournalEvent::NodeDone(FunctionId::new(3)),
             },
         );
         assert!(j.node_done_recorded(wf, inv, FunctionId::new(3)));
