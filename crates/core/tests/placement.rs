@@ -279,3 +279,31 @@ fn legacy_mode_reports_are_placement_free_and_stable() {
     );
     assert_conserved(&a);
 }
+
+/// Worker load counts each admission once: on one container slot, a
+/// foreach of 4 runs one instance and queues three, so the snapshot the
+/// placement layer and the per-worker gauges read shows 3 queued and 1
+/// running, not the queued three a second time as running.
+#[test]
+fn worker_load_counts_a_queued_admission_once() {
+    let slow = FunctionProfile::with_millis(5000, 0);
+    let wf = Workflow::steps("fan", Step::foreach("fan", slow, 4));
+    let mut cluster = Cluster::new(ClusterConfig {
+        workers: 1,
+        node_caps: NodeCaps {
+            cores: 1,
+            ..NodeCaps::default()
+        },
+        ..aware_config(1)
+    })
+    .expect("valid config");
+    cluster
+        .register(&wf, ClientConfig::ClosedLoop { invocations: 1 })
+        .expect("registers");
+    cluster.run_until(faasflow_sim::SimTime::ZERO + SimDuration::from_secs(1));
+    let (_, load, _) = cluster.worker_load_snapshot()[0];
+    assert_eq!((load.queued, load.running), (3, 1));
+    assert_eq!(load.busy(), 4, "four admissions hold the worker");
+    cluster.run_until_idle();
+    assert_conserved(&cluster.report());
+}
