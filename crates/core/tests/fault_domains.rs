@@ -445,8 +445,10 @@ fn timeout_racing_crash_recovery_drains_cleanly() {
 /// restarts on the survivors. The restart must purge the old attempt's
 /// admissions still queued on worker 0: left there, each would hold a
 /// queue slot and later boot a container only to be released as stale.
-/// At the restart instant the new attempt has dispatched nothing yet, so
-/// no worker may queue anything.
+/// The purge comes before the old attempt's containers are freed, or
+/// each freed container would first admit one of those stale tokens. At
+/// the restart instant the new attempt has dispatched nothing yet, so no
+/// worker may queue anything and worker 0 may boot nothing.
 #[test]
 fn restart_purges_the_old_attempts_queued_admissions() {
     let slow = FunctionProfile::with_millis(5000, 1 << 20);
@@ -472,6 +474,9 @@ fn restart_purges_the_old_attempts_queued_admissions() {
             cores: 2,
             ..NodeCaps::default()
         },
+        // The sample at the restart instant is queued after the lease
+        // expiry, so it reads the state the restart left.
+        sample_every: Some(SimDuration::from_millis(500)),
         ..config(ScheduleMode::WorkerSp, fault)
     })
     .expect("valid config");
@@ -490,6 +495,13 @@ fn restart_purges_the_old_attempts_queued_admissions() {
         [0, 0, 0],
         "the restart leaves stale admissions queued"
     );
+    let series = cluster.report().resources.expect("sampling is on");
+    let worker0 = series.nodes.iter().find(|s| s.node == NodeId::new(1));
+    let last = worker0
+        .and_then(|s| s.samples.last())
+        .expect("worker 0 sampled");
+    assert_eq!(last.at_secs, (restart_at - SimTime::ZERO).as_secs_f64());
+    assert_eq!(last.busy, 0, "freed containers boot stale admissions");
     cluster.run_until_idle();
     let report = cluster.report();
     assert_eq!(report.workflow("WC").completed, 1);
