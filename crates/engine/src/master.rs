@@ -84,11 +84,11 @@ impl MasterEngine {
     }
 
     /// The engine process dies and comes back: every invocation's trigger
-    /// state and the message counters are lost. Installed workflows are
-    /// control-plane config, read again at boot, so they stay.
+    /// state is lost. Installed workflows are control-plane config, read
+    /// again at boot, so they stay, and the message counters count over
+    /// the whole run.
     pub fn crash(&mut self) {
         self.invocations.clear();
-        self.stats = MasterEngineStats::default();
     }
 
     /// Registers a workflow with its placement (the control-variate routing
@@ -450,6 +450,18 @@ mod tests {
                 .any(|a| matches!(a, MasterAction::ExitComplete { .. })),
             "third return completes the foreach and the workflow"
         );
+    }
+
+    /// A crash drops the trigger state but not the run's message counts.
+    #[test]
+    fn crash_keeps_the_message_counters() {
+        let (_dag, mut eng) = build(Step::task("a", p(0)), 1);
+        eng.begin_invocation(WF, INV);
+        eng.on_state_return(WF, INV, FunctionId::new(0));
+        eng.crash();
+        assert_eq!(eng.live_invocations(), 0);
+        assert_eq!(eng.stats().tasks_assigned.get(), 1);
+        assert_eq!(eng.stats().state_returns.get(), 1);
     }
 
     #[test]

@@ -170,11 +170,11 @@ impl WorkerEngine {
     }
 
     /// The engine process dies and comes back: every invocation's trigger
-    /// state and the message counters are lost. Installed workflows are
-    /// control-plane config, read again at boot, so they stay.
+    /// state is lost. Installed workflows are control-plane config, read
+    /// again at boot, so they stay, and the message counters count over
+    /// the whole run.
     pub fn crash(&mut self) {
         self.invocations.clear();
-        self.stats = WorkerEngineStats::default();
     }
 
     /// Pins an invocation to an explicit deployment snapshot before the
@@ -577,6 +577,20 @@ mod tests {
                 function: FunctionId::new(2)
             }]
         );
+    }
+
+    /// A crash drops the trigger state but not the run's message counts.
+    #[test]
+    fn crash_keeps_the_message_counters() {
+        let (_dag, _asg, mut e1, _e2) = setup();
+        e1.begin_invocation(WF, INV);
+        e1.on_instance_complete(WF, INV, FunctionId::new(0));
+        e1.on_instance_complete(WF, INV, FunctionId::new(1));
+        e1.crash();
+        assert_eq!(e1.live_invocations(), 0);
+        assert_eq!(e1.stats().local_updates.get(), 1);
+        assert_eq!(e1.stats().syncs_sent.get(), 1);
+        assert!(e1.stats().triggers.get() > 0);
     }
 
     #[test]
