@@ -89,8 +89,6 @@ pub struct ClusterConfig {
     pub remote_store: RemoteStoreConfig,
     /// Cross-node control message latency model.
     pub lan: MessageModel,
-    /// Same-node RPC latency model.
-    pub local_rpc: MessageModel,
     /// Master engine CPU occupancy per processed message (task trigger
     /// check / assignment / state bookkeeping). The master is a single
     /// queueing station, so under load this serializes — the §2.3 overhead.
@@ -194,7 +192,6 @@ impl Default for ClusterConfig {
             storage_bandwidth: 50e6,  // 50 MB/s (§5.4 default)
             remote_store: RemoteStoreConfig::default(),
             lan: MessageModel::lan_tcp(),
-            local_rpc: MessageModel::local_rpc(),
             master_task_cost: SimDuration::from_millis(18),
             worker_engine_cost: SimDuration::from_millis_f64(3.5),
             mu: 32 << 20,

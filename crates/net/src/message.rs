@@ -68,12 +68,6 @@ impl MessageModel {
         MessageModel::new(SimDuration::from_micros(1500), 1e9, 0.25)
     }
 
-    /// Same-node inter-process RPC (§3.1's "inner RPC connections"):
-    /// ~40 µs base. Used when predecessor and successor share a worker.
-    pub fn local_rpc() -> Self {
-        MessageModel::new(SimDuration::from_micros(40), 4e9, 0.25)
-    }
-
     /// Samples the one-way latency of a `bytes`-sized message.
     pub fn latency(&self, bytes: u64, rng: &mut SimRng) -> SimDuration {
         let nominal = self.base + SimDuration::from_secs_f64(bytes as f64 / self.bandwidth);
@@ -118,13 +112,6 @@ mod tests {
             let l = m.latency(0, &mut rng).as_nanos() as f64;
             assert!((0.75e6..=1.25e6).contains(&l), "latency {l} out of bounds");
         }
-    }
-
-    #[test]
-    fn local_rpc_is_an_order_of_magnitude_cheaper_than_tcp() {
-        let lan = MessageModel::lan_tcp().nominal_latency(256);
-        let local = MessageModel::local_rpc().nominal_latency(256);
-        assert!(lan.as_nanos() > 5 * local.as_nanos());
     }
 
     #[test]

@@ -229,12 +229,6 @@ impl Assignment {
         self.node_of[node.index()]
     }
 
-    /// True when a control edge's endpoints share a worker.
-    pub fn is_local_edge(&self, dag: &WorkflowDag, edge: EdgeId) -> bool {
-        let e = dag.edge(edge);
-        self.worker_of(e.from) == self.worker_of(e.to)
-    }
-
     /// True when at least one DAG node is routed to `worker` — i.e. the
     /// worker's engine plays a part in invocations pinned to this
     /// assignment (crash recovery skips uninvolved engines).

@@ -80,11 +80,6 @@ impl FaaStore {
         }
     }
 
-    /// Whether local placement is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// The underlying budgeted store.
     pub fn memstore(&self) -> &MemStore {
         &self.memstore

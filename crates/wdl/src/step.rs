@@ -182,21 +182,6 @@ impl DagSpec {
         self
     }
 
-    /// Adds a task with an executor fan-out (foreach-like node).
-    pub fn task_with_parallelism(
-        &mut self,
-        name: impl Into<String>,
-        profile: FunctionProfile,
-        parallelism: u32,
-    ) -> &mut Self {
-        self.tasks.push(DagTask {
-            name: name.into(),
-            profile,
-            parallelism,
-        });
-        self
-    }
-
     /// Adds an edge; returns `&mut self` for chaining.
     pub fn edge(&mut self, from: impl Into<String>, to: impl Into<String>) -> &mut Self {
         self.edges.push((from.into(), to.into()));
