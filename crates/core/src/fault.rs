@@ -8,8 +8,8 @@
 //! pure configuration — every fault fires at a pre-declared simulated
 //! instant and all recovery jitter comes from the cluster's seeded RNG — so
 //! the same seed and plan always reproduce the same run, byte for byte.
-//! The run-time fault state lives here too: `WorkerFaults` per worker and
-//! the cluster-wide `FaultWindows`.
+//! The cluster-wide run-time fault state lives here too (`FaultWindows`);
+//! each worker's own fault state is in its `Worker` record.
 //!
 //! Three fault classes are modelled:
 //!
@@ -36,7 +36,7 @@
 //!   ([`crate::HealthConfig`]) exists to catch it.
 
 use faasflow_net::LinkFaultTable;
-use faasflow_sim::{SimDuration, SimRng, SimTime};
+use faasflow_sim::{SimDuration, SimRng};
 use serde::{Deserialize, Serialize};
 
 use crate::health::{HealthDetector, HealthReport};
@@ -479,74 +479,8 @@ impl FaultPlan {
     }
 }
 
-/// One worker's fault state: fail-stop liveness as the node and the
-/// failure detector see it, quarantine, and the passive effects of its
-/// open gray-failure windows (consulted by the exec and flow paths).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct WorkerFaults {
-    /// False while crashed.
-    pub(crate) alive: bool,
-    /// The failure detector has declared the worker down (lags `alive`
-    /// by the lease detection delay).
-    pub(crate) detected_down: bool,
-    /// Instant the worker last (re)started: invocations begun before it
-    /// lost any engine/store state the worker held for them.
-    pub(crate) up_since: SimTime,
-    /// Held in quarantine by the health detector: excluded from the
-    /// partition target set and from hedge candidate rings.
-    pub(crate) quarantined: bool,
-    /// Exec slowdown multiplier (1.0 nominally).
-    pub(crate) slowdown: f64,
-    /// Stuck-executor window end: completions inside the window defer to
-    /// its closing edge.
-    pub(crate) stuck_until: Option<SimTime>,
-    /// Injected exec failure rate (0.0 nominally).
-    pub(crate) flaky: f64,
-    /// Asymmetric data-plane partition: `Some(true)` drops flows toward
-    /// the worker's node, `Some(false)` drops flows from it.
-    pub(crate) partition: Option<bool>,
-    /// The lease was force-expired while the worker was still alive: its
-    /// late completions die on the admission fences and are counted as
-    /// fenced zombies.
-    pub(crate) zombie: bool,
-}
-
-impl Default for WorkerFaults {
-    fn default() -> Self {
-        WorkerFaults {
-            alive: true,
-            detected_down: false,
-            up_since: SimTime::ZERO,
-            quarantined: false,
-            slowdown: 1.0,
-            stuck_until: None,
-            flaky: 0.0,
-            partition: None,
-            zombie: false,
-        }
-    }
-}
-
-impl WorkerFaults {
-    /// A sampled compute time under an open slowdown window. The stretch
-    /// draws nothing, so the RNG sequence is the same with or without it.
-    pub(crate) fn stretch(&self, exec: SimDuration) -> SimDuration {
-        stretched(exec, self.slowdown)
-    }
-
-    /// The exec failure rate on this worker: `base`, raised by an open
-    /// flaky window.
-    pub(crate) fn failure_rate(&self, base: f64) -> f64 {
-        if self.flaky > 0.0 {
-            base.max(self.flaky)
-        } else {
-            base
-        }
-    }
-}
-
 /// `d` multiplied by `factor`, untouched at the nominal 1.0.
-fn stretched(d: SimDuration, factor: f64) -> SimDuration {
+pub(crate) fn stretched(d: SimDuration, factor: f64) -> SimDuration {
     if factor != 1.0 {
         d.mul_f64(factor)
     } else {
@@ -558,7 +492,8 @@ fn stretched(d: SimDuration, factor: f64) -> SimDuration {
 /// blackout and brownout, each node's control-link quality, and the
 /// data-plane payloads (`T`, a flow tag) stalled behind asymmetric
 /// partitions, plus the counts of what gray failures did whether or not a
-/// health detector watches. Per-worker gray state is in [`WorkerFaults`].
+/// health detector watches. Per-worker gray state is in
+/// [`crate::worker::Worker`].
 #[derive(Debug)]
 pub(crate) struct FaultWindows<T> {
     /// Remote store blackout in progress.

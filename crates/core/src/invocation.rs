@@ -2,7 +2,6 @@
 
 use std::sync::Arc;
 
-use faasflow_container::ContainerManager;
 use faasflow_scheduler::{Assignment, Version, WorkerLoad};
 use faasflow_sim::{
     ContainerId, EventId, FastMap, FunctionId, InvocationId, NodeId, SimTime, WorkflowId,
@@ -11,6 +10,7 @@ use faasflow_store::Placement;
 use faasflow_wdl::WorkflowDag;
 
 use crate::metrics::TransferLedger;
+use crate::worker::Worker;
 
 /// Identifies one executor instance of a function node within an
 /// invocation — the unit the container runtime admits and runs.
@@ -343,9 +343,6 @@ pub(crate) struct Attempt {
     pub holders: WorkerSet,
 }
 
-/// A worker's container runtime, admitting instance tokens.
-pub(crate) type ContainerPool = ContainerManager<InstanceToken>;
-
 /// An invocation's key in the live table.
 pub(crate) type InvKey = (WorkflowId, InvocationId);
 
@@ -506,17 +503,18 @@ impl Invocations {
     }
 
     /// Adds to each worker's `running` count its admitted instances and
-    /// the pending admissions that have left its container queue in
-    /// `pools` (its `queued` count holds the others).
-    pub(crate) fn count_busy(&self, loads: &mut [WorkerLoad], pools: &[ContainerPool]) {
+    /// the pending admissions that have left its container queue (its
+    /// `queued` count holds the others).
+    pub(crate) fn count_busy(&self, loads: &mut [WorkerLoad], workers: &[Worker]) {
         for state in self.live.values() {
             let running = state.instances.values().map(|i| i.worker);
             for w in running.chain(state.pending.values().copied()) {
                 loads[w].running += 1;
             }
         }
-        for (w, pool) in pools.iter().enumerate() {
-            let queued = pool
+        for (w, worker) in workers.iter().enumerate() {
+            let queued = worker
+                .pool
                 .queued_tokens()
                 .filter(|&&t| self.pending_on(t) == Some(w));
             loads[w].running -= queued.count() as u32;

@@ -54,6 +54,7 @@ mod rebalance;
 pub mod sample;
 pub mod slo;
 pub mod trace;
+mod worker;
 
 pub use cluster::Cluster;
 pub use config::{ClientConfig, ClusterConfig, ReclamationMode, ScheduleMode};

@@ -17,13 +17,11 @@
 //! `Sampler` owns the cadence, the rings and the report section;
 //! `Cluster` keeps only the `Sample` event that drives it.
 
-use faasflow_container::ContainerManager;
 use faasflow_net::FlowNet;
 use faasflow_sim::{NodeId, SimDuration, SimTime};
-use faasflow_store::FaaStore;
 use serde::{Deserialize, Serialize};
 
-use crate::invocation::InstanceToken;
+use crate::worker::Worker;
 
 /// One per-node snapshot.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -156,8 +154,7 @@ impl Sampler {
         &mut self,
         now: SimTime,
         net: &mut FlowNet<T>,
-        containers: &[ContainerManager<InstanceToken>],
-        faastores: &[FaaStore],
+        workers: &[Worker],
         pending_events: usize,
         inflight_invocations: usize,
     ) {
@@ -186,7 +183,7 @@ impl Sampler {
             // The master/storage node runs no containers or memstore; its
             // interesting signal is the NIC (the §5.4 bottleneck).
             if let Some(w) = node.checked_sub(1) {
-                let (pool, ms) = (&containers[w], faastores[w].memstore());
+                let (pool, ms) = (&workers[w].pool, workers[w].store.memstore());
                 sample.containers = pool.container_count() as u64;
                 sample.busy = pool.stats().cores_busy.get();
                 sample.queued_admissions = pool.queue_len() as u64;
@@ -229,7 +226,7 @@ impl Sampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faasflow_container::{ContainerConfig, NodeCaps};
+    use crate::config::ClusterConfig;
     use faasflow_net::NicSpec;
     use faasflow_sim::WorkflowId;
 
@@ -239,13 +236,13 @@ mod tests {
         let mut net: FlowNet<()> = FlowNet::new(nics);
         net.start_flow(NodeId::new(0), NodeId::new(2), 1 << 20, (), SimTime::ZERO);
         net.start_flow(NodeId::new(1), NodeId::new(1), 1 << 20, (), SimTime::ZERO);
-        let pool = || ContainerManager::new(NodeCaps::default(), ContainerConfig::default());
-        let pools = [pool(), pool()];
-        let mut stores = vec![FaaStore::new(true), FaaStore::new(true)];
-        stores[1].memstore_mut().set_budget(WorkflowId::new(0), 7);
-        stores[1].memstore_mut().set_budget(WorkflowId::new(1), 5);
+        let config = ClusterConfig::default();
+        let mut workers = [Worker::new(&config), Worker::new(&config)];
+        let store = workers[1].store.memstore_mut();
+        store.set_budget(WorkflowId::new(0), 7);
+        store.set_budget(WorkflowId::new(1), 5);
         let mut sampler = Sampler::new(SimDuration::from_secs(1), 3, 4);
-        sampler.take(SimTime::ZERO, &mut net, &pools, &stores, 9, 2);
+        sampler.take(SimTime::ZERO, &mut net, &workers, 9, 2);
         let report = sampler.report();
         let [master, w0, w1] = [0, 1, 2].map(|n| report.nodes[n].samples[0]);
         assert_eq!(

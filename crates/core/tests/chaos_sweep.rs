@@ -505,7 +505,7 @@ fn run_seed(seed: u64) -> (RunReport, Vec<TraceEvent>) {
         "seed {seed}: remote store holds objects after drain; {}",
         repro(seed)
     );
-    for (w, fs) in cluster.faastores().iter().enumerate() {
+    for (w, fs) in cluster.faastores().enumerate() {
         assert_eq!(
             fs.memstore().object_count(),
             0,

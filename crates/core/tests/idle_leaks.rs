@@ -71,7 +71,7 @@ fn run_and_check(label: &str, config: ClusterConfig, invocations: u32) -> (Clust
         "{context}: remote store holds {} bytes after idle",
         cluster.remote_store().resident_bytes()
     );
-    for (w, fs) in cluster.faastores().iter().enumerate() {
+    for (w, fs) in cluster.faastores().enumerate() {
         assert_eq!(
             fs.memstore().object_count(),
             0,
@@ -98,7 +98,6 @@ fn completed_invocations_release_everything() {
         let (cluster, _) = run_and_check("completion", config, 12);
         let stored: u64 = cluster
             .faastores()
-            .iter()
             .map(|fs| fs.memstore().total_bytes_stored())
             .sum();
         assert_eq!(
