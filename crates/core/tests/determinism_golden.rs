@@ -18,6 +18,7 @@ use faasflow_core::{
 };
 use faasflow_sim::SimDuration;
 use faasflow_wdl::{FunctionProfile, Step, Workflow};
+use faasflow_workloads::Benchmark;
 
 /// Map/reduce stand-in: fan-out wide enough to cross partitions so both
 /// local (FaaStore) and remote-store paths carry data.
@@ -126,6 +127,33 @@ fn open_loop_report() -> RunReport {
     cluster.report()
 }
 
+/// Scenario 4: WorkerSP partition iterations (§4.1.2) over fan-out
+/// workflows. Every third completion repartitions from the collected
+/// feedback, so the observed p99 read latencies become edge weights that
+/// steer Algorithm 1's grouping: Genome's merged panel and sifted calls,
+/// and Epigenomics' split chunks, each leave their producer on several
+/// out-edges. Recording p50 instead, or one out-edge per read, moves this
+/// report.
+fn feedback_iteration_report() -> RunReport {
+    let config = ClusterConfig {
+        mode: ScheduleMode::WorkerSp,
+        faastore: true,
+        repartition_every: Some(3),
+        ..ClusterConfig::default()
+    };
+    let mut cluster = Cluster::new(config).expect("valid config");
+    for bench in [Benchmark::Genome, Benchmark::Epigenomics] {
+        cluster
+            .register(
+                &bench.workflow(),
+                ClientConfig::ClosedLoop { invocations: 12 },
+            )
+            .expect("registers");
+    }
+    cluster.run_until_idle();
+    cluster.report()
+}
+
 fn golden_path(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
@@ -176,6 +204,11 @@ fn golden_master_sp_faults() {
 #[test]
 fn golden_open_loop() {
     check("open_loop", &open_loop_report());
+}
+
+#[test]
+fn golden_feedback_iteration() {
+    check("feedback_iteration", &feedback_iteration_report());
 }
 
 /// Same seed twice in-process must also be bit-identical (guards against
