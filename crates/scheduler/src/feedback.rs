@@ -6,6 +6,13 @@
 //! feedback from the last iteration" — and likewise `Map(v_i)` for foreach
 //! executor maps and the observed 99-percentile edge latencies that become
 //! DAG edge weights.
+//!
+//! Edge weights: a control edge's observed weight is the p99 of every read
+//! of its producer's output since the last iteration. Reads travel *data*
+//! edges (producer → consumer), while weights sit on *control* edges, some
+//! of which pass through virtual nodes; so every control out-edge of a
+//! producer gets the same weight, and edges leaving a virtual node keep
+//! theirs. The collector therefore keeps one sample per read, per producer.
 
 use faasflow_sim::stats::Histogram;
 use faasflow_sim::{FunctionId, SimDuration};
@@ -85,8 +92,8 @@ pub struct FeedbackCollector {
     /// Sum and count of executor-map samples per node.
     map_sum: Vec<f64>,
     map_cnt: Vec<u64>,
-    /// Observed transfer latency per control edge.
-    edge_latency: Vec<Histogram>,
+    /// Observed read latency of each node's output.
+    read_latency: Vec<Histogram>,
 }
 
 impl FeedbackCollector {
@@ -98,7 +105,7 @@ impl FeedbackCollector {
             scale_cnt: vec![0; dag.node_count()],
             map_sum: vec![0.0; dag.node_count()],
             map_cnt: vec![0; dag.node_count()],
-            edge_latency: vec![Histogram::new(); dag.edges().len()],
+            read_latency: vec![Histogram::new(); dag.node_count()],
         }
     }
 
@@ -114,20 +121,15 @@ impl FeedbackCollector {
         self.map_cnt[node.index()] += 1;
     }
 
-    /// Records one transfer latency along a control edge.
-    pub fn observe_edge(&mut self, edge: EdgeId, latency: SimDuration) {
-        self.edge_latency[edge.index()].record_duration(latency);
+    /// Records the latency of one read of `producer`'s output.
+    pub fn observe_read(&mut self, producer: FunctionId, latency: SimDuration) {
+        self.read_latency[producer.index()].record_duration(latency);
     }
 
-    /// Number of edge-latency samples collected so far.
-    pub fn edge_samples(&self) -> usize {
-        self.edge_latency.iter().map(Histogram::len).sum()
-    }
-
-    /// Produces the next iteration's metrics and updates the DAG's edge
-    /// weights with observed p99 latencies (edges without samples keep
-    /// their current weight). Falls back to the previous metrics where no
-    /// sample exists.
+    /// Produces the next iteration's metrics and sets each control edge's
+    /// weight to the p99 read latency of its producer (edges whose producer
+    /// was never read keep their current weight). Falls back to the
+    /// previous metrics where no sample exists.
     pub fn finish(mut self, dag: &mut WorkflowDag, previous: &RuntimeMetrics) -> RuntimeMetrics {
         assert_eq!(
             self.node_count,
@@ -144,12 +146,14 @@ impl FeedbackCollector {
                 map[i] = self.map_sum[i] / self.map_cnt[i] as f64;
             }
         }
-        for (idx, hist) in self.edge_latency.iter_mut().enumerate() {
-            if let Some(p99_ms) = hist.p99() {
-                dag.set_edge_weight(
-                    EdgeId::from_index(idx),
-                    SimDuration::from_millis_f64(p99_ms),
-                );
+        let p99: Vec<Option<SimDuration>> = self
+            .read_latency
+            .iter_mut()
+            .map(|hist| hist.p99().map(SimDuration::from_millis_f64))
+            .collect();
+        for idx in 0..dag.edges().len() {
+            if let Some(weight) = p99[dag.edges()[idx].from.index()] {
+                dag.set_edge_weight(EdgeId::from_index(idx), weight);
             }
         }
         RuntimeMetrics { scale, map }
@@ -205,12 +209,13 @@ mod tests {
         let mut d = dag();
         let prev = RuntimeMetrics::initial(&d);
         let eid = d.edges()[0].id;
+        let producer = d.edge(eid).from;
+        assert_eq!(d.successors(producer).len(), 1, "one out-edge");
         let before = d.edge(eid).weight;
         let mut fc = FeedbackCollector::new(&d);
         for ms in [10u64, 20, 30, 1000] {
-            fc.observe_edge(eid, SimDuration::from_millis(ms));
+            fc.observe_read(producer, SimDuration::from_millis(ms));
         }
-        assert_eq!(fc.edge_samples(), 4);
         fc.finish(&mut d, &prev);
         let after = d.edge(eid).weight;
         assert_ne!(before, after);
