@@ -348,3 +348,42 @@ fn engine_crashes_off_is_bit_identical_to_baseline() {
     };
     assert_eq!(baseline(), baseline());
 }
+
+#[test]
+fn journal_flushes_in_order_when_a_brownout_ends() {
+    // A record issued inside a 10× brownout flushes at `now + 20 ms`; one
+    // issued just after the brownout ends would flush at `now + 2 ms`,
+    // ahead of it. A sequential log cannot overtake itself, so the later
+    // record waits for the earlier flush (debug builds used to panic on
+    // the reordered append, release builds kept an unsorted log).
+    for mode in [ScheduleMode::WorkerSp, ScheduleMode::MasterSp] {
+        let mut cluster = Cluster::new(ClusterConfig {
+            mode,
+            faastore: mode == ScheduleMode::WorkerSp,
+            workers: 3,
+            fault: FaultPlan {
+                storage_faults: vec![StorageFault {
+                    at: SimDuration::from_secs(1),
+                    duration: SimDuration::from_secs(1),
+                    kind: StorageFaultKind::Brownout { slowdown: 10.0 },
+                }],
+                ..FaultPlan::default()
+            },
+            journal: JournalConfig {
+                enabled: true,
+                ..JournalConfig::default()
+            },
+            ..ClusterConfig::default()
+        })
+        .expect("valid config");
+        let client = ClientConfig::OpenLoop {
+            per_minute: 6000.0,
+            invocations: 400,
+        };
+        cluster.register(&workflow(), client).expect("registers");
+        cluster.run_until_idle();
+        let report = cluster.report();
+        assert_exactly_once(&report);
+        assert!(report.recovery.journal_appends > 0, "{mode:?}: journaled");
+    }
+}
