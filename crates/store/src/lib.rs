@@ -32,7 +32,6 @@
 
 pub mod breaker;
 pub mod faastore;
-pub mod journal;
 pub mod keys;
 pub mod memstore;
 pub mod quota;
@@ -43,7 +42,6 @@ pub use breaker::{
     CircuitBreaker,
 };
 pub use faastore::{FaaStore, Placement, StorageType};
-pub use journal::JournalLog;
 pub use keys::DataKey;
 pub use memstore::MemStore;
 pub use remote::{RemoteStore, RemoteStoreConfig};
