@@ -18,7 +18,6 @@
 //! Everything else falls back to the remote store, matching the paper's
 //! default path.
 
-use faasflow_sim::stats::Counter;
 use faasflow_sim::{InvocationId, NodeId, WorkflowId};
 use serde::{Deserialize, Serialize};
 
@@ -64,10 +63,6 @@ pub enum Placement {
 pub struct FaaStore {
     enabled: bool,
     memstore: MemStore,
-    local_puts: Counter,
-    remote_puts: Counter,
-    local_hits: Counter,
-    remote_reads: Counter,
 }
 
 impl FaaStore {
@@ -110,23 +105,15 @@ impl FaaStore {
             && co_located
             && self.memstore.try_put(key, bytes)
         {
-            self.local_puts.inc();
             Placement::LocalMem
         } else {
-            self.remote_puts.inc();
             Placement::Remote
         }
     }
 
     /// Attempts a local read; `Some(bytes)` is a quota-memory hit.
-    pub fn read_local(&mut self, key: DataKey) -> Option<u64> {
-        let hit = self.memstore.get(key);
-        if hit.is_some() {
-            self.local_hits.inc();
-        } else {
-            self.remote_reads.inc();
-        }
-        hit
+    pub fn read_local(&self, key: DataKey) -> Option<u64> {
+        self.memstore.get(key)
     }
 
     /// Releases everything an invocation cached (end-of-invocation state
@@ -139,26 +126,6 @@ impl FaaStore {
     /// (budgets and history survive). Returns bytes lost.
     pub fn crash(&mut self) -> u64 {
         self.memstore.wipe()
-    }
-
-    /// Outputs placed in local memory.
-    pub fn local_put_count(&self) -> u64 {
-        self.local_puts.get()
-    }
-
-    /// Outputs shipped to the remote store.
-    pub fn remote_put_count(&self) -> u64 {
-        self.remote_puts.get()
-    }
-
-    /// Reads served from local memory.
-    pub fn local_hit_count(&self) -> u64 {
-        self.local_hits.get()
-    }
-
-    /// Reads that had to go remote.
-    pub fn remote_read_count(&self) -> u64 {
-        self.remote_reads.get()
     }
 }
 
@@ -186,7 +153,6 @@ mod tests {
         let p = fs.decide_put(key(0), 100, StorageType::Mem, HERE, &[HERE]);
         assert_eq!(p, Placement::LocalMem);
         assert_eq!(fs.read_local(key(0)), Some(100));
-        assert_eq!(fs.local_hit_count(), 1);
     }
 
     #[test]
@@ -215,8 +181,6 @@ mod tests {
         let mut fs = budgeted(false);
         let p = fs.decide_put(key(0), 100, StorageType::Mem, HERE, &[HERE]);
         assert_eq!(p, Placement::Remote);
-        assert_eq!(fs.local_put_count(), 0);
-        assert_eq!(fs.remote_put_count(), 1);
     }
 
     #[test]
@@ -250,9 +214,8 @@ mod tests {
     }
 
     #[test]
-    fn miss_counts_as_remote_read() {
-        let mut fs = budgeted(true);
+    fn miss_reads_nothing_locally() {
+        let fs = budgeted(true);
         assert_eq!(fs.read_local(key(9)), None);
-        assert_eq!(fs.remote_read_count(), 1);
     }
 }

@@ -36,8 +36,6 @@ pub struct MemStore {
     /// Producers of each invocation's cached objects, so releasing an
     /// invocation touches only its own keys.
     by_invocation: FastMap<(WorkflowId, InvocationId), Vec<FunctionId>>,
-    hits: Counter,
-    rejections: Counter,
     bytes_stored: Counter,
 }
 
@@ -91,7 +89,6 @@ impl MemStore {
         let budget = self.budget(key.workflow);
         let used = self.used(key.workflow);
         if used + bytes > budget {
-            self.rejections.inc();
             return false;
         }
         self.objects.insert(key, bytes);
@@ -104,14 +101,12 @@ impl MemStore {
         true
     }
 
-    /// Size of a cached object, counting a hit, or `None` on miss.
-    pub fn get(&mut self, key: DataKey) -> Option<u64> {
-        let bytes = self.objects.get(&key).copied()?;
-        self.hits.inc();
-        Some(bytes)
+    /// Size of a cached object, or `None` on miss.
+    pub fn get(&self, key: DataKey) -> Option<u64> {
+        self.objects.get(&key).copied()
     }
 
-    /// True when the object is cached (no hit counted).
+    /// True when the object is cached.
     pub fn contains(&self, key: DataKey) -> bool {
         self.objects.contains_key(&key)
     }
@@ -180,16 +175,6 @@ impl MemStore {
         self.objects.len()
     }
 
-    /// Cache hits served.
-    pub fn hit_count(&self) -> u64 {
-        self.hits.get()
-    }
-
-    /// Puts rejected for lack of budget.
-    pub fn rejection_count(&self) -> u64 {
-        self.rejections.get()
-    }
-
     /// Total bytes ever stored.
     pub fn total_bytes_stored(&self) -> u64 {
         self.bytes_stored.get()
@@ -228,7 +213,6 @@ mod tests {
         assert!(s.try_put(key(0, 0, 0), 80));
         assert!(!s.try_put(key(0, 0, 1), 30), "wf0 over budget");
         assert!(s.try_put(key(1, 0, 0), 50), "wf1 has its own budget");
-        assert_eq!(s.rejection_count(), 1);
         assert_eq!((s.used_total(), s.budget_total()), (130, 150));
     }
 
@@ -273,16 +257,13 @@ mod tests {
     }
 
     #[test]
-    fn hits_counted_only_on_get() {
+    fn get_finds_only_cached_objects() {
         let mut s = MemStore::new();
         s.set_budget(WorkflowId::new(0), 100);
         s.try_put(key(0, 0, 0), 10);
         assert!(s.contains(key(0, 0, 0)));
-        assert_eq!(s.hit_count(), 0);
         assert_eq!(s.get(key(0, 0, 0)), Some(10));
-        assert_eq!(s.hit_count(), 1);
         assert_eq!(s.get(key(0, 0, 9)), None);
-        assert_eq!(s.hit_count(), 1);
     }
 
     #[test]

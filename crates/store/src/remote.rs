@@ -11,7 +11,6 @@
 //! simulated network as flows created by the cluster world, so bandwidth
 //! contention at the storage node emerges naturally.
 
-use faasflow_sim::stats::Counter;
 use faasflow_sim::{FastMap, InvocationId, SimDuration};
 use serde::{Deserialize, Serialize};
 
@@ -53,10 +52,6 @@ pub struct RemoteStore {
     /// Keys of each invocation's objects, so releasing an invocation
     /// touches only its own keys.
     by_invocation: FastMap<InvocationId, Vec<DataKey>>,
-    bytes_written: Counter,
-    bytes_read: Counter,
-    puts: Counter,
-    gets: Counter,
 }
 
 impl RemoteStore {
@@ -82,8 +77,6 @@ impl RemoteStore {
                 .or_default()
                 .push(key);
         }
-        self.bytes_written.add(bytes);
-        self.puts.inc();
         self.config.put_overhead
     }
 
@@ -95,10 +88,8 @@ impl RemoteStore {
 
     /// Reads an object for serving: returns its size and the server-side
     /// latency to charge, or `None` when absent.
-    pub fn read(&mut self, key: DataKey) -> Option<(u64, SimDuration)> {
+    pub fn read(&self, key: DataKey) -> Option<(u64, SimDuration)> {
         let bytes = self.objects.get(&key).copied()?;
-        self.bytes_read.add(bytes);
-        self.gets.inc();
         Some((bytes, self.config.get_overhead))
     }
 
@@ -140,26 +131,6 @@ impl RemoteStore {
     pub fn resident_bytes(&self) -> u64 {
         self.objects.values().sum()
     }
-
-    /// Total bytes ever written.
-    pub fn total_bytes_written(&self) -> u64 {
-        self.bytes_written.get()
-    }
-
-    /// Total bytes ever read.
-    pub fn total_bytes_read(&self) -> u64 {
-        self.bytes_read.get()
-    }
-
-    /// Total put operations.
-    pub fn put_count(&self) -> u64 {
-        self.puts.get()
-    }
-
-    /// Total read operations.
-    pub fn get_count(&self) -> u64 {
-        self.gets.get()
-    }
 }
 
 #[cfg(test)]
@@ -194,7 +165,6 @@ mod tests {
         db.put(key(0, 1), 300);
         assert_eq!(db.get(key(0, 1)), Some(300));
         assert_eq!(db.object_count(), 1);
-        assert_eq!(db.total_bytes_written(), 400, "both writes counted");
     }
 
     #[test]
@@ -206,16 +176,5 @@ mod tests {
         assert_eq!(db.release_invocation(InvocationId::new(0)), 30);
         assert_eq!(db.object_count(), 1);
         assert_eq!(db.resident_bytes(), 40);
-    }
-
-    #[test]
-    fn read_accounting_accumulates() {
-        let mut db = RemoteStore::default();
-        db.put(key(0, 1), 100);
-        db.read(key(0, 1));
-        db.read(key(0, 1));
-        assert_eq!(db.total_bytes_read(), 200);
-        assert_eq!(db.get_count(), 2);
-        assert_eq!(db.put_count(), 1);
     }
 }
