@@ -13,8 +13,8 @@
 //! ```
 
 use faasflow_core::{
-    ClientConfig, Cluster, ClusterConfig, FaultPlan, NetFault, NodeCrash, RunReport, ScheduleMode,
-    StorageFault, StorageFaultKind,
+    ClientConfig, Cluster, ClusterConfig, FaultPlan, GrayFault, GrayFaultKind, NetFault, NodeCrash,
+    PlacementConfig, RunReport, ScheduleMode, StorageFault, StorageFaultKind,
 };
 use faasflow_sim::SimDuration;
 use faasflow_wdl::{FunctionProfile, Step, Workflow};
@@ -102,6 +102,52 @@ fn master_sp_faults_report() -> RunReport {
     cluster
         .register(&word_count(), ClientConfig::ClosedLoop { invocations: 24 })
         .expect("registers");
+    cluster.run_until_idle();
+    cluster.report()
+}
+
+/// Scenario 2b: MasterSP false suspicion with data in flight. Worker 0's
+/// outbound links stall behind an asymmetric partition and the master
+/// force-expires its lease while the node keeps running. Legacy placement
+/// puts both data-heavy workflows on worker 0, so when the lease expires
+/// some evacuated instances are still reading their 48 MB inputs (the
+/// evacuation's flow sweep cancels those transfers) and others are
+/// executing (the zombie's late completions are fenced).
+fn master_sp_evacuation_report() -> RunReport {
+    let fault = FaultPlan {
+        gray_faults: vec![GrayFault {
+            worker: 0,
+            at: SimDuration::from_millis(2900),
+            duration: SimDuration::from_secs(6),
+            kind: GrayFaultKind::AsymmetricPartition {
+                inbound: false,
+                expire_lease: true,
+            },
+        }],
+        ..FaultPlan::default()
+    };
+    let config = ClusterConfig {
+        mode: ScheduleMode::MasterSp,
+        faastore: false,
+        workers: 4,
+        fault,
+        placement_config: PlacementConfig::legacy(),
+        ..ClusterConfig::default()
+    };
+    let mut cluster = Cluster::new(config).expect("valid config");
+    for i in 0..2 {
+        let heavy = Workflow::steps(
+            format!("Heavy{i}"),
+            Step::sequence(vec![
+                Step::task("ingest", FunctionProfile::with_millis(150, 48 << 20)),
+                Step::foreach("crunch", FunctionProfile::with_millis(400, 48 << 20), 6),
+                Step::task("merge", FunctionProfile::with_millis(80, 0)),
+            ]),
+        );
+        cluster
+            .register(&heavy, ClientConfig::ClosedLoop { invocations: 8 })
+            .expect("registers");
+    }
     cluster.run_until_idle();
     cluster.report()
 }
@@ -199,6 +245,31 @@ fn golden_worker_sp_colocated() {
 #[test]
 fn golden_master_sp_faults() {
     check("master_sp_faults", &master_sp_faults_report());
+}
+
+#[test]
+fn golden_master_sp_evacuation() {
+    let report = master_sp_evacuation_report();
+    check("master_sp_evacuation", &report);
+    assert_eq!(report.faults.lease_expiries, 1);
+    assert!(
+        report.faults.flows_killed > 0,
+        "the evacuation must cancel transfers in flight ({:?})",
+        report.faults
+    );
+    assert!(
+        report.health.zombie_fenced > 0,
+        "the zombie's late completions must be fenced ({:?})",
+        report.health
+    );
+    for (name, wf) in &report.workflows {
+        assert_eq!(
+            wf.sent,
+            wf.completed + wf.dead_lettered + wf.shed,
+            "{name}: invocation leak"
+        );
+    }
+    assert_eq!(report.live_invocation_states, 0, "leaked engine state");
 }
 
 #[test]
