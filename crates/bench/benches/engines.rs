@@ -4,9 +4,10 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use faasflow_core::{Journal, JournalConfig, JournalEvent, JournalRecord, TerminalOutcome};
 use faasflow_engine::{MasterAction, MasterEngine, WorkerAction, WorkerEngine};
 use faasflow_scheduler::{Assignment, ContentionSet, GraphScheduler, RuntimeMetrics, WorkerInfo};
-use faasflow_sim::{InvocationId, NodeId, SimRng, WorkflowId};
+use faasflow_sim::{FunctionId, InvocationId, NodeId, SimDuration, SimRng, SimTime, WorkflowId};
 use faasflow_wdl::{DagParser, Workflow, WorkflowDag};
 use faasflow_workloads::{scientific, Benchmark};
 
@@ -173,10 +174,82 @@ fn bench_mastersp_invocation(c: &mut Criterion) {
     });
 }
 
+/// Nodes each journaled invocation completes.
+const JOURNALED_NODES: u32 = 8;
+
+/// A journal after `ended` invocations came and went, holding `live`
+/// invocations that each completed [`JOURNALED_NODES`] nodes. Appends
+/// are 1 ms apart, so each record is durable before the next one.
+fn journal_with_history(ended: u32, live: u32) -> Journal {
+    let mut journal = Journal::new(JournalConfig {
+        enabled: true,
+        ..JournalConfig::default()
+    });
+    let wf = WorkflowId::new(0);
+    let mut now = SimTime::ZERO;
+    let mut append = |journal: &mut Journal, inv: u32, event| {
+        now += SimDuration::from_millis(1);
+        let invocation = InvocationId::new(inv);
+        let record = JournalRecord {
+            workflow: wf,
+            invocation,
+            event,
+        };
+        journal.append(now, 1.0, record);
+    };
+    for inv in 0..ended + live {
+        append(&mut journal, inv, JournalEvent::Admitted);
+        for f in (0..JOURNALED_NODES).map(FunctionId::new) {
+            append(&mut journal, inv, JournalEvent::Dispatched(f));
+            append(&mut journal, inv, JournalEvent::NodeDone(f));
+        }
+        if inv < ended {
+            let done = JournalEvent::Terminal(TerminalOutcome::Completed);
+            append(&mut journal, inv, done);
+            journal.release_invocation(wf, InvocationId::new(inv));
+        }
+    }
+    journal
+}
+
+/// The journal lookups of an engine revival's reconcile sweep (ROADMAP
+/// item 12): one `recorded` per live invocation, then a check of each
+/// completed node, after 20,000 ended invocations. Both rows make 65,536
+/// invocation lookups per iteration (repeated sweeps over 256 live
+/// invocations, or 16 over 4,096), so their ratio is the ratio of the
+/// per-invocation cost.
+fn bench_journal_reconcile(c: &mut Criterion) {
+    const LOOKUPS: u32 = 65_536;
+    const ENDED: u32 = 20_000;
+    let wf = WorkflowId::new(0);
+    let mut group = c.benchmark_group("journal");
+    for live in [256u32, 4_096] {
+        let journal = journal_with_history(ENDED, live);
+        group.bench_function(&format!("reconcile_{live}_live"), |b| {
+            b.iter(|| {
+                let mut propagated = 0usize;
+                for _ in 0..LOOKUPS / live {
+                    for inv in ENDED..ENDED + live {
+                        let Some(done) = journal.recorded(wf, InvocationId::new(inv)) else {
+                            continue;
+                        };
+                        propagated += (0..JOURNALED_NODES)
+                            .filter(|&f| done.contains(&FunctionId::new(f)))
+                            .count();
+                    }
+                }
+                propagated
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_workersp_invocation,
     bench_workersp_genome_fleet,
-    bench_mastersp_invocation
+    bench_mastersp_invocation,
+    bench_journal_reconcile
 );
 criterion_main!(benches);
