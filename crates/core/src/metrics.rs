@@ -383,7 +383,7 @@ pub struct RecoveryReport {
     pub journal_lost_appends: u64,
     /// Journal replay passes performed at engine restart.
     pub journal_replays: u64,
-    /// Durable records read back across all replay passes.
+    /// Kept journal records read back across all replay passes.
     pub journal_replayed_records: u64,
     /// Replay attempts deferred because the journal store was blacked out.
     pub replay_backoffs: u64,
