@@ -1,6 +1,5 @@
 //! Container runtime configuration (Table 3 of the paper).
 
-use faasflow_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// Per-node capacity: the worker hardware of Table 3.
@@ -22,39 +21,24 @@ impl Default for NodeCaps {
     }
 }
 
-/// Container lifecycle parameters.
+/// Container lifecycle parameters. The fixed testbed values (start
+/// latencies, keep-alive, container size) are the constants of
+/// [`crate::manager`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ContainerConfig {
-    /// Mean cold-start latency (image pull is warm; this is create + boot
-    /// of a Python runtime container, a few hundred milliseconds on the
-    /// paper's Docker 20.10 setup).
-    pub cold_start_mean: SimDuration,
     /// Multiplicative jitter on the cold start: samples are uniform in
-    /// `[1-j, 1+j] * mean`.
+    /// `[1-j, 1+j] * COLD_START_MEAN`.
     pub cold_start_jitter: f64,
-    /// Fixed cost of dispatching onto a warm container.
-    pub warm_start: SimDuration,
-    /// Idle lifetime before a container is recycled ("Lifetime: 600s").
-    pub keep_alive: SimDuration,
     /// Maximum containers per function per node ("Function container
     /// limit: 10 for each function on each node").
     pub per_function_limit: u32,
-    /// Provisioned memory per container ("1-core with 256MB").
-    pub container_mem: u64,
-    /// Cores per running container.
-    pub container_cores: u32,
 }
 
 impl Default for ContainerConfig {
     fn default() -> Self {
         ContainerConfig {
-            cold_start_mean: SimDuration::from_millis(500),
             cold_start_jitter: 0.2,
-            warm_start: SimDuration::from_millis(3),
-            keep_alive: SimDuration::from_secs(600),
             per_function_limit: 10,
-            container_mem: 256 << 20,
-            container_cores: 1,
         }
     }
 }
@@ -75,12 +59,6 @@ impl ContainerConfig {
         if self.per_function_limit == 0 {
             return Err("per_function_limit must be positive".to_string());
         }
-        if self.container_cores == 0 {
-            return Err("container_cores must be positive".to_string());
-        }
-        if self.container_mem == 0 {
-            return Err("container_mem must be positive".to_string());
-        }
         Ok(())
     }
 }
@@ -96,8 +74,6 @@ mod tests {
         assert_eq!(caps.mem, 32 << 30);
         let cfg = ContainerConfig::default();
         assert_eq!(cfg.per_function_limit, 10);
-        assert_eq!(cfg.container_mem, 256 << 20);
-        assert_eq!(cfg.keep_alive, SimDuration::from_secs(600));
         assert!(cfg.validate().is_ok());
     }
 
@@ -110,14 +86,6 @@ mod tests {
             },
             ContainerConfig {
                 per_function_limit: 0,
-                ..ContainerConfig::default()
-            },
-            ContainerConfig {
-                container_cores: 0,
-                ..ContainerConfig::default()
-            },
-            ContainerConfig {
-                container_mem: 0,
                 ..ContainerConfig::default()
             },
         ];

@@ -36,4 +36,4 @@ pub mod config;
 pub mod manager;
 
 pub use config::{ContainerConfig, NodeCaps};
-pub use manager::{Admission, ContainerManager, ContainerStats, PoolKey, StartKind};
+pub use manager::{Admission, ContainerManager, ContainerStats, PoolKey, StartKind, CONTAINER_MEM};

@@ -9,9 +9,22 @@
 use std::collections::VecDeque;
 
 use faasflow_sim::stats::{Counter, Gauge};
-use faasflow_sim::{ContainerId, FastMap, FunctionId, SimRng, SimTime, WorkflowId};
+use faasflow_sim::{ContainerId, FastMap, FunctionId, SimDuration, SimRng, SimTime, WorkflowId};
 
 use crate::config::{ContainerConfig, NodeCaps};
+
+/// Mean cold-start latency: create + boot of a Python runtime container, a
+/// few hundred milliseconds on the paper's Docker 20.10 setup (the image
+/// pull is warm).
+pub(crate) const COLD_START_MEAN: SimDuration = SimDuration::from_millis(500);
+/// Fixed cost of dispatching onto a warm container.
+pub(crate) const WARM_START: SimDuration = SimDuration::from_millis(3);
+/// Idle lifetime before a container is recycled (Table 3: "Lifetime: 600s").
+pub(crate) const KEEP_ALIVE: SimDuration = SimDuration::from_secs(600);
+/// Provisioned memory per container (Table 3: "1-core with 256MB").
+pub const CONTAINER_MEM: u64 = 256 << 20;
+/// Cores per running container (Table 3: "1-core with 256MB").
+pub(crate) const CONTAINER_CORES: u32 = 1;
 
 /// A warm pool is keyed by workflow and function: containers are never
 /// shared across functions (each has its own image/state).
@@ -267,10 +280,8 @@ impl<T> ContainerManager<T> {
             .get_mut(&container)
             .expect("released container must exist");
         assert_eq!(ctr.state, CtrState::Busy, "released container must be busy");
-        self.cores_busy -= self.config.container_cores;
-        self.stats
-            .cores_busy
-            .sub(self.config.container_cores as u64);
+        self.cores_busy -= CONTAINER_CORES;
+        self.stats.cores_busy.sub(u64::from(CONTAINER_CORES));
         if ctr.doomed {
             let key = ctr.key;
             let mem = ctr.mem_limit;
@@ -280,7 +291,7 @@ impl<T> ContainerManager<T> {
             *self.pool_sizes.get_mut(&key).expect("pool exists") -= 1;
         } else {
             ctr.state = CtrState::Idle {
-                expires_at: now + self.config.keep_alive,
+                expires_at: now + KEEP_ALIVE,
             };
             let key = ctr.key;
             self.idle.entry(key).or_default().push(container);
@@ -388,15 +399,6 @@ impl<T> ContainerManager<T> {
         Ok(())
     }
 
-    /// Current memory limit of a container.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `container` is unknown.
-    pub fn memory_limit(&self, container: ContainerId) -> u64 {
-        self.containers[&container].mem_limit
-    }
-
     // ------------------------------------------------------------------
 
     fn remove_idle(&mut self, id: ContainerId) {
@@ -418,26 +420,24 @@ impl<T> ContainerManager<T> {
         now: SimTime,
         rng: &mut SimRng,
     ) -> Option<(ContainerId, SimTime, StartKind)> {
-        if self.cores_busy + self.config.container_cores > self.caps.cores {
+        if self.cores_busy + CONTAINER_CORES > self.caps.cores {
             return None; // no core to run on
         }
         // Warm reuse: most-recently-used idle container of this pool.
         if let Some(id) = self.idle.get_mut(&key).and_then(Vec::pop) {
             let ctr = self.containers.get_mut(&id).expect("idle container exists");
             ctr.state = CtrState::Busy;
-            self.cores_busy += self.config.container_cores;
-            self.stats
-                .cores_busy
-                .add(self.config.container_cores as u64);
+            self.cores_busy += CONTAINER_CORES;
+            self.stats.cores_busy.add(u64::from(CONTAINER_CORES));
             self.stats.warm_starts.inc();
-            return Some((id, now + self.config.warm_start, StartKind::Warm));
+            return Some((id, now + WARM_START, StartKind::Warm));
         }
         // Cold start: respect the per-function container limit...
         if self.pool_size(key) >= self.config.per_function_limit {
             return None;
         }
         // ...and node memory, evicting idle LRU containers if needed.
-        while self.mem_resident + self.config.container_mem > self.caps.mem {
+        while self.mem_resident + CONTAINER_MEM > self.caps.mem {
             let victim = self
                 .containers
                 .iter()
@@ -461,25 +461,21 @@ impl<T> ContainerManager<T> {
             Container {
                 key,
                 state: CtrState::Busy,
-                mem_limit: self.config.container_mem,
+                mem_limit: CONTAINER_MEM,
                 doomed: false,
             },
         );
         *self.pool_sizes.entry(key).or_insert(0) += 1;
-        self.mem_resident += self.config.container_mem;
-        self.stats.mem_resident.add(self.config.container_mem);
-        self.cores_busy += self.config.container_cores;
-        self.stats
-            .cores_busy
-            .add(self.config.container_cores as u64);
+        self.mem_resident += CONTAINER_MEM;
+        self.stats.mem_resident.add(CONTAINER_MEM);
+        self.cores_busy += CONTAINER_CORES;
+        self.stats.cores_busy.add(u64::from(CONTAINER_CORES));
         self.stats.cold_starts.inc();
         let jitter = self.config.cold_start_jitter;
         let boot = if jitter == 0.0 {
-            self.config.cold_start_mean
+            COLD_START_MEAN
         } else {
-            self.config
-                .cold_start_mean
-                .mul_f64(rng.range_f64(1.0 - jitter, 1.0 + jitter))
+            COLD_START_MEAN.mul_f64(rng.range_f64(1.0 - jitter, 1.0 + jitter))
         };
         Some((id, now + boot, StartKind::Cold))
     }
@@ -522,7 +518,7 @@ mod tests {
         ContainerManager::new(
             NodeCaps {
                 cores,
-                mem: mem_containers * cfg.container_mem,
+                mem: mem_containers * CONTAINER_MEM,
             },
             cfg,
         )
@@ -645,7 +641,6 @@ mod tests {
         let cfg = ContainerConfig {
             per_function_limit: 2,
             cold_start_jitter: 0.0,
-            ..ContainerConfig::default()
         };
         let mut m: ContainerManager<u32> = ContainerManager::new(
             NodeCaps {
@@ -723,7 +718,6 @@ mod tests {
         m.set_memory_limit(adm.container, 128 << 20)
             .expect("shrink");
         assert_eq!(m.stats().mem_resident.get(), before - (128 << 20));
-        assert_eq!(m.memory_limit(adm.container), 128 << 20);
         m.set_memory_limit(adm.container, 256 << 20)
             .expect("grow back");
         assert_eq!(m.stats().mem_resident.get(), before);
@@ -753,7 +747,6 @@ mod tests {
         let cfg = ContainerConfig {
             per_function_limit: 1,
             cold_start_jitter: 0.0,
-            ..ContainerConfig::default()
         };
         let mut m: ContainerManager<u32> = ContainerManager::new(
             NodeCaps {

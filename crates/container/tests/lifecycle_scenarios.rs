@@ -2,7 +2,7 @@
 //! under load, memory pressure against multiple pools, red-black retirement
 //! racing the run queue, and reclamation interacting with eviction.
 
-use faasflow_container::{ContainerConfig, ContainerManager, NodeCaps, StartKind};
+use faasflow_container::{ContainerConfig, ContainerManager, NodeCaps, StartKind, CONTAINER_MEM};
 use faasflow_sim::{FunctionId, SimDuration, SimRng, SimTime, WorkflowId};
 
 fn key(wf: u32, f: u32) -> (WorkflowId, FunctionId) {
@@ -61,7 +61,7 @@ fn pressure_eviction_prefers_the_stalest_pool() {
     let mut m: ContainerManager<u32> = ContainerManager::new(
         NodeCaps {
             cores: 8,
-            mem: 3 * cfg.container_mem,
+            mem: 3 * CONTAINER_MEM,
         },
         cfg,
     );
@@ -112,7 +112,7 @@ fn reclaimed_memory_admits_more_containers() {
     let mut m: ContainerManager<u32> = ContainerManager::new(
         NodeCaps {
             cores: 8,
-            mem: 2 * cfg.container_mem,
+            mem: 2 * CONTAINER_MEM,
         },
         cfg,
     );
@@ -123,9 +123,9 @@ fn reclaimed_memory_admits_more_containers() {
         m.request(key(0, 2), 3, t(0), &mut rng).is_none(),
         "memory full at provisioned sizes"
     );
-    m.set_memory_limit(a.container, cfg.container_mem / 2)
+    m.set_memory_limit(a.container, CONTAINER_MEM / 2)
         .expect("shrink");
-    m.set_memory_limit(b.container, cfg.container_mem / 2)
+    m.set_memory_limit(b.container, CONTAINER_MEM / 2)
         .expect("shrink");
     // The queued request plus one more now fit.
     let admitted = m.release(a.container, t(1), &mut rng);

@@ -12,9 +12,9 @@
 //! | real mechanism | model |
 //! |---|---|
 //! | task assignment / state return / state sync (TCP) | [`faasflow_net::MessageModel`] latency |
-//! | master engine trigger checks | single-server CPU queue, `master_task_cost` per message |
-//! | worker engine event handling | fixed `worker_engine_cost` |
-//! | container cold/warm start, keep-alive, caps | [`ContainerManager`] |
+//! | master engine trigger checks | single-server CPU queue, `MASTER_TASK_COST` per message |
+//! | worker engine event handling | fixed `WORKER_ENGINE_COST` |
+//! | container cold/warm start, keep-alive, caps | [`faasflow_container::ContainerManager`] |
 //! | remote store reads/writes | per-op overhead + max-min fair flow through the storage NIC |
 //! | FaaStore local passing | loopback flow (no NIC usage) |
 
@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use faasflow_container::StartKind;
 use faasflow_engine::{MasterAction, WorkerAction};
-use faasflow_net::{Flow, FlowId, FlowNet, LinkQuality, NicSpec};
+use faasflow_net::{Flow, FlowId, FlowNet, LinkQuality, MessageModel, NicSpec};
 use faasflow_scheduler::{
     Assignment, ContentionSet, DeploymentManager, FeedbackCollector, GraphScheduler,
     PartitionConfig, RuntimeMetrics, ScheduleError, Version, WorkerInfo, WorkerLoad,
@@ -52,10 +52,22 @@ use crate::metrics::{
 };
 use crate::overload::Admission;
 use crate::rebalance::Rebalancer;
-use crate::sample::Sampler;
+use crate::sample::{Sampler, SAMPLE_CAPACITY};
 use crate::slo::SloControl;
-use crate::trace::{TraceEvent, Tracer};
+use crate::trace::{TraceEvent, Tracer, TRACE_CAPACITY};
 use crate::worker::Worker;
+
+/// Worker NIC bandwidth, bytes/s: 10 Gbit/s, unthrottled in the paper
+/// (the bottleneck is the storage node).
+const WORKER_BANDWIDTH: f64 = 1.25e9;
+/// Master engine CPU occupancy per processed message (task trigger check /
+/// assignment / state bookkeeping). The master is a single queueing
+/// station, so under load this serializes — the §2.3 overhead.
+const MASTER_TASK_COST: SimDuration = SimDuration::from_millis(18);
+/// Worker engine processing cost per local trigger/state event.
+const WORKER_ENGINE_COST: SimDuration = SimDuration::from_micros(3500);
+/// Crash recoveries one invocation may take before it is dead-lettered.
+const MAX_RECOVERIES: u32 = 5;
 
 /// How an invocation is being abandoned — decides the accounting in
 /// `abandon_invocation`.
@@ -342,10 +354,10 @@ struct WorkflowState {
     /// Interned name, shared with the cluster's by-name index.
     name: Arc<str>,
     metrics: WorkflowMetrics,
-    /// Mutable master copy of the DAG (edge weights evolve with feedback).
-    dag: WorkflowDag,
-    /// Snapshot deployed to engines for the current version.
-    dag_arc: Arc<WorkflowDag>,
+    /// The DAG engines and new invocations share. Feedback edits its edge
+    /// weights through `Arc::make_mut`, which clones only while a deployed
+    /// copy is still shared.
+    dag: Arc<WorkflowDag>,
     deployment: DeploymentManager,
     client: ClientConfig,
     contention: ContentionSet,
@@ -366,7 +378,7 @@ impl WorkflowState {
         let version = self.deployment.invocation_started();
         let assignment = self.deployment.assignment_arc(version);
         let assignment = assignment.expect("current version has an assignment");
-        (version, self.dag_arc.clone(), assignment)
+        (version, self.dag.clone(), assignment)
     }
 }
 
@@ -508,18 +520,15 @@ impl Cluster {
     pub fn new(config: ClusterConfig) -> Result<Self, ClusterError> {
         config.validate().map_err(ClusterError::InvalidConfig)?;
         let mut rng = SimRng::seed_from(config.seed);
-        let mut nics = Vec::with_capacity(config.node_count());
-        nics.push(NicSpec::symmetric(config.storage_bandwidth)); // master/storage
-        for _ in 0..config.workers {
-            nics.push(NicSpec::symmetric(config.worker_bandwidth));
-        }
+        let mut nics = vec![NicSpec::symmetric(WORKER_BANDWIDTH); config.node_count()];
+        nics[0] = NicSpec::symmetric(config.storage_bandwidth); // master/storage
         let _ = rng.next_u64(); // decorrelate from the seed value itself
         let mut cluster = Cluster {
             queue: EventQueue::new(),
             rng,
             net: FlowNet::new(nics),
             flow_timer: None,
-            remote: RemoteStore::new(config.remote_store),
+            remote: RemoteStore::default(),
             engines: Engines::new(&config),
             workflows: Vec::new(),
             names: FastMap::default(),
@@ -548,10 +557,10 @@ impl Cluster {
             health: config
                 .health
                 .map(|h| HealthDetector::new(h, config.workers)),
-            tracer: Tracer::new(config.trace, config.trace_capacity),
+            tracer: Tracer::new(config.trace, TRACE_CAPACITY),
             sampler: config
                 .sample_every
-                .map(|every| Sampler::new(every, config.node_count(), config.sample_capacity)),
+                .map(|every| Sampler::new(every, config.node_count(), SAMPLE_CAPACITY)),
             loop_events: 0,
             loop_wall_secs: 0.0,
             #[cfg(feature = "loop-profile")]
@@ -650,8 +659,7 @@ impl Cluster {
             feedback: (self.config.repartition_every.is_some() || self.config.qos_target.is_some())
                 .then(|| FeedbackCollector::new(&dag)),
             critical_exec: dag.critical_path_exec(),
-            dag_arc: Arc::new(dag.clone()),
-            dag,
+            dag: Arc::new(dag),
             deployment: DeploymentManager::new(),
             client,
             contention,
@@ -675,14 +683,8 @@ impl Cluster {
 
         // Kick off the client.
         match client {
-            ClientConfig::ClosedLoop { .. } => {
-                self.schedule_arrival(self.queue.now(), wf);
-            }
-            ClientConfig::OpenLoop { per_minute, .. } => {
-                let gap = self.rng.exp_f64(60.0 / per_minute);
-                let at = self.queue.now() + SimDuration::from_secs_f64(gap);
-                self.schedule_arrival(at, wf);
-            }
+            ClientConfig::ClosedLoop { .. } => self.schedule_arrival(self.queue.now(), wf),
+            ClientConfig::OpenLoop { per_minute, .. } => self.schedule_open_arrival(wf, per_minute),
             ClientConfig::Manual => {}
         }
         Ok(wf)
@@ -752,9 +754,7 @@ impl Cluster {
             per_minute,
             invocations: state.sent + invocations,
         };
-        let gap = self.rng.exp_f64(60.0 / per_minute);
-        let at = self.queue.now() + SimDuration::from_secs_f64(gap);
-        self.schedule_arrival(at, wf);
+        self.schedule_open_arrival(wf, per_minute);
     }
 
     /// Sends one invocation immediately (manual clients).
@@ -793,6 +793,12 @@ impl Cluster {
     fn schedule_arrival(&mut self, at: SimTime, wf: WorkflowId) {
         self.pending_arrivals += 1;
         self.queue.schedule(at, Event::Arrival { wf });
+    }
+
+    /// Schedules the next open-loop arrival one exponential gap from now.
+    fn schedule_open_arrival(&mut self, wf: WorkflowId, per_minute: f64) {
+        let gap = self.rng.exp_f64(60.0 / per_minute);
+        self.schedule_arrival(self.queue.now() + SimDuration::from_secs_f64(gap), wf);
     }
 
     /// Runs until the clock reaches `deadline` (events at the deadline are
@@ -944,17 +950,11 @@ impl Cluster {
             return;
         }
         match state.client {
-            ClientConfig::ClosedLoop { .. } => {
-                if !self.invocations.any_of(wf) {
-                    self.schedule_arrival(self.queue.now(), wf);
-                }
+            ClientConfig::ClosedLoop { .. } if !self.invocations.any_of(wf) => {
+                self.schedule_arrival(self.queue.now(), wf);
             }
-            ClientConfig::OpenLoop { per_minute, .. } => {
-                let gap = self.rng.exp_f64(60.0 / per_minute);
-                let at = self.queue.now() + SimDuration::from_secs_f64(gap);
-                self.schedule_arrival(at, wf);
-            }
-            ClientConfig::Manual => {}
+            ClientConfig::OpenLoop { per_minute, .. } => self.schedule_open_arrival(wf, per_minute),
+            ClientConfig::ClosedLoop { .. } | ClientConfig::Manual => {}
         }
     }
 
@@ -1082,12 +1082,11 @@ impl Cluster {
 
         let assignment = Arc::new(assignment);
         let state = &mut self.workflows[wf.index()];
-        state.dag_arc = Arc::new(state.dag.clone());
         let (_version, _retired) = state.deployment.deploy(assignment.clone());
 
         // Install on the engines and budget the memstores.
         self.engines
-            .install(wf, &state.dag_arc, &assignment, state.arm_seed);
+            .install(wf, &state.dag, &assignment, state.arm_seed);
         for (i, worker) in self.workers.iter_mut().enumerate() {
             let node = self.config.worker_node(i as u32);
             let members = assignment
@@ -1116,7 +1115,7 @@ impl Cluster {
         state.completed_since_partition = 0;
         let collector = state.feedback.replace(FeedbackCollector::new(&state.dag));
         let collector = collector.expect("an iteration trigger keeps a collector");
-        state.prev_metrics = collector.finish(&mut state.dag, &state.prev_metrics);
+        state.prev_metrics = collector.finish(Arc::make_mut(&mut state.dag), &state.prev_metrics);
         if let Err(e) = self.partition_and_deploy(wf) {
             // A repartition that no longer fits keeps the previous version —
             // counted, not silently swallowed. Capacity misses are a
@@ -1354,18 +1353,14 @@ impl Cluster {
         }
         state.sent += 1;
         // Open-loop: schedule the next arrival independently of completion.
-        let next_open_rate = match state.client {
-            ClientConfig::OpenLoop { per_minute, .. }
-                if state.sent < state.client.total_invocations() =>
-            {
-                Some(per_minute)
+        if let ClientConfig::OpenLoop {
+            per_minute,
+            invocations,
+        } = state.client
+        {
+            if state.sent < invocations {
+                self.schedule_open_arrival(wf, per_minute);
             }
-            _ => None,
-        };
-        if let Some(per_minute) = next_open_rate {
-            let gap = self.rng.exp_f64(60.0 / per_minute);
-            let at = now + SimDuration::from_secs_f64(gap);
-            self.schedule_arrival(at, wf);
         }
         let state = &mut self.workflows[wf.index()];
         let inv = self.invocations.next_id();
@@ -1484,7 +1479,7 @@ impl Cluster {
     /// this is exactly one `MessageModel` draw — bit-identical to the
     /// pre-fault behaviour.
     fn control_delay(&mut self, bytes: u64, src: NodeId, dst: NodeId) -> SimDuration {
-        let delay = self.config.lan.latency(bytes, &mut self.rng);
+        let delay = MessageModel::LAN_TCP.latency(bytes, &mut self.rng);
         let quality = self.windows.links.path(src, dst);
         if quality.is_clean() {
             return delay;
@@ -1496,12 +1491,9 @@ impl Cluster {
             && self.rng.chance(quality.loss)
         {
             self.faults.message_retransmits += 1;
-            total += self.config.fault.backoff.delay(attempt, &mut self.rng)
-                + self
-                    .config
-                    .lan
-                    .latency(bytes, &mut self.rng)
-                    .mul_f64(quality.latency_factor);
+            total += self.config.fault.backoff.delay(attempt, &mut self.rng);
+            let resend = MessageModel::LAN_TCP.latency(bytes, &mut self.rng);
+            total += resend.mul_f64(quality.latency_factor);
             attempt += 1;
         }
         total
@@ -1715,14 +1707,13 @@ impl Cluster {
 
     fn try_start_master(&mut self, now: SimTime) {
         if let Some(gen) = self.engines.master_start() {
-            let at = now + self.config.master_task_cost;
+            let at = now + MASTER_TASK_COST;
             self.queue.schedule(at, Event::MasterDone { gen });
         }
     }
 
     fn on_master_done(&mut self, now: SimTime, gen: u64) {
-        let cost = self.config.master_task_cost;
-        let Some(msg) = self.engines.master_finish(gen, cost) else {
+        let Some(msg) = self.engines.master_finish(gen, MASTER_TASK_COST) else {
             return;
         };
         let actions = match msg {
@@ -1827,7 +1818,7 @@ impl Cluster {
                     };
                     if is_virtual {
                         self.queue.schedule(
-                            now + self.config.worker_engine_cost,
+                            now + WORKER_ENGINE_COST,
                             Event::VirtualDone {
                                 worker,
                                 wf: workflow,
@@ -1865,7 +1856,7 @@ impl Cluster {
                     });
                     let wi = self.config.worker_index(to).expect("syncs target workers");
                     let epoch = self.invocations.epoch_of((workflow, invocation));
-                    let delay = self.control_delay(256, from, to) + self.config.worker_engine_cost;
+                    let delay = self.control_delay(256, from, to) + WORKER_ENGINE_COST;
                     self.queue.schedule(
                         now + delay,
                         Event::DeliverSync {
@@ -2695,7 +2686,7 @@ impl Cluster {
                 // `worker`, but a hedge win runs the instance elsewhere —
                 // the completion must travel back to the home engine
                 // (paying a LAN hop), or it would wait for the node forever.
-                let mut delay = self.config.worker_engine_cost;
+                let mut delay = WORKER_ENGINE_COST;
                 if home != worker {
                     let src = self.config.worker_node(worker as u32);
                     let dst = self.config.worker_node(home as u32);
@@ -2881,8 +2872,7 @@ impl Cluster {
         let mut orphans = std::mem::take(&mut self.workers[w].orphans);
         orphans.sort_unstable();
         orphans.dedup();
-        let max = self.config.fault.max_recovery_attempts;
-        for (wf, inv) in self.invocations.charge_owners(&orphans, max) {
+        for (wf, inv) in self.invocations.charge_owners(&orphans, MAX_RECOVERIES) {
             self.dead_letter_invocation(now, wf, inv, DeadLetterReason::RetriesExhausted);
         }
         for &token in &orphans {
@@ -3162,8 +3152,7 @@ impl Cluster {
         inv: InvocationId,
         exhausted: DeadLetterReason,
     ) {
-        let max = self.config.fault.max_recovery_attempts;
-        match self.invocations.charge_recovery((wf, inv), max) {
+        match self.invocations.charge_recovery((wf, inv), MAX_RECOVERIES) {
             None => return,
             Some(true) => {
                 self.dead_letter_invocation(now, wf, inv, exhausted);
@@ -3338,7 +3327,7 @@ impl Cluster {
             self.windows.links.clear(node);
         }
         let factor = if open { fault.bandwidth_factor } else { 1.0 };
-        let nic = NicSpec::symmetric(self.config.worker_bandwidth * factor);
+        let nic = NicSpec::symmetric(WORKER_BANDWIDTH * factor);
         self.net.set_nic(node, nic, now);
         self.reschedule_flow_timer(now);
     }
@@ -3506,8 +3495,7 @@ impl Cluster {
     /// budget is spent dead-letter with `reason`.
     fn evacuate_worker(&mut self, now: SimTime, w: usize, reason: DeadLetterReason) {
         let tokens = self.invocations.running_on(w);
-        let max = self.config.fault.max_recovery_attempts;
-        for (wf, inv) in self.invocations.charge_owners(&tokens, max) {
+        for (wf, inv) in self.invocations.charge_owners(&tokens, MAX_RECOVERIES) {
             self.dead_letter_invocation(now, wf, inv, reason);
         }
         // Transfers in flight for the evacuated attempts (including
@@ -3606,7 +3594,7 @@ impl Cluster {
             };
             Some(overhead)
         } else {
-            Some(self.config.remote_store.put_overhead)
+            Some(RemoteStore::PUT_OVERHEAD)
         };
         let served = served.map(|o| self.windows.storage_overhead(o));
         // The breaker judges every call that reached the store: one hitting

@@ -5,10 +5,8 @@
 //! remote store, and a 50 MB/s storage-node NIC (the §5.4 default).
 
 use faasflow_container::{ContainerConfig, NodeCaps};
-use faasflow_net::MessageModel;
 use faasflow_scheduler::{PlacementConfig, PlacementStrategy};
 use faasflow_sim::{NodeId, SimDuration};
-use faasflow_store::RemoteStoreConfig;
 use serde::{Deserialize, Serialize};
 
 use crate::degrade::DegradeConfig;
@@ -79,22 +77,9 @@ pub struct ClusterConfig {
     pub node_caps: NodeCaps,
     /// Container lifecycle knobs.
     pub container: ContainerConfig,
-    /// Worker NIC bandwidth, bytes/s (unthrottled in the paper; the
-    /// bottleneck is the storage node).
-    pub worker_bandwidth: f64,
     /// Storage/master node NIC bandwidth, bytes/s — the wondershaper knob
     /// of §5.4 (25/50/75/100 MB/s).
     pub storage_bandwidth: f64,
-    /// Remote store per-operation overheads.
-    pub remote_store: RemoteStoreConfig,
-    /// Cross-node control message latency model.
-    pub lan: MessageModel,
-    /// Master engine CPU occupancy per processed message (task trigger
-    /// check / assignment / state bookkeeping). The master is a single
-    /// queueing station, so under load this serializes — the §2.3 overhead.
-    pub master_task_cost: SimDuration,
-    /// Worker engine processing cost per local trigger/state event.
-    pub worker_engine_cost: SimDuration,
     /// Safety reserve μ of Eq. (1).
     pub mu: u64,
     /// Invocation timeout; late invocations are recorded at this latency
@@ -111,19 +96,11 @@ pub struct ClusterConfig {
     /// Record a structured [`crate::trace::TraceEvent`] per lifecycle step
     /// (off by default: tracing a 1000-invocation run allocates MBs).
     pub trace: bool,
-    /// Maximum retained trace events. Events past the cap are dropped
-    /// (newest first, keeping the retained prefix causally closed) and
-    /// counted in `RunReport::trace_dropped`, so `trace` on a long
-    /// open-loop run cannot grow memory without bound.
-    pub trace_capacity: usize,
     /// Sample per-node resource gauges (container pool, memstore bytes,
     /// NIC rates, queue depths) every interval of deterministic sim time.
     /// `None` (the default) disables sampling entirely — runs are then
     /// bit-identical to pre-observability builds.
     pub sample_every: Option<SimDuration>,
-    /// Ring-buffer capacity per sampled series; the oldest samples are
-    /// evicted (and counted) once full.
-    pub sample_capacity: usize,
     /// Probability that one executor instance's run fails and is retried
     /// (transient function errors — OOM-kills, runtime exceptions). Zero
     /// disables failure injection.
@@ -150,8 +127,8 @@ pub struct ClusterConfig {
     /// just converts scheduling into queueing.
     pub partition_capacity: u32,
     /// Declarative fault schedule: node crashes, storage outages and link
-    /// degradation windows, plus the recovery knobs (lease detection,
-    /// backoff, dead-lettering). Empty by default.
+    /// degradation windows, plus the recovery knobs (backoff,
+    /// dead-lettering, heartbeat staggering). Empty by default.
     pub fault: FaultPlan,
     /// Overload protection: admission control, the remote-store circuit
     /// breaker, hedged exec retries and pool backpressure. All off by
@@ -188,20 +165,13 @@ impl Default for ClusterConfig {
             seed: 0xFAA5_F10E,
             node_caps: NodeCaps::default(),
             container: ContainerConfig::default(),
-            worker_bandwidth: 1.25e9, // 10 Gbit/s
-            storage_bandwidth: 50e6,  // 50 MB/s (§5.4 default)
-            remote_store: RemoteStoreConfig::default(),
-            lan: MessageModel::lan_tcp(),
-            master_task_cost: SimDuration::from_millis(18),
-            worker_engine_cost: SimDuration::from_millis_f64(3.5),
+            storage_bandwidth: 50e6, // 50 MB/s (§5.4 default)
             mu: 32 << 20,
             timeout: SimDuration::from_secs(60),
             repartition_every: None,
             qos_target: None,
             trace: false,
-            trace_capacity: 1 << 20,
             sample_every: None,
-            sample_capacity: 4096,
             exec_failure_rate: 0.0,
             max_exec_retries: 3,
             reclamation: ReclamationMode::default(),
@@ -249,11 +219,6 @@ impl ClusterConfig {
         self.partition_capacity
     }
 
-    /// Containers a worker's memory can physically host.
-    pub fn memory_capacity(&self) -> u32 {
-        (self.node_caps.mem / self.container.container_mem) as u32
-    }
-
     /// Checks internal consistency.
     ///
     /// # Errors
@@ -262,9 +227,6 @@ impl ClusterConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.workers == 0 {
             return Err("at least one worker is required".to_string());
-        }
-        if !(self.worker_bandwidth.is_finite() && self.worker_bandwidth > 0.0) {
-            return Err("worker_bandwidth must be positive".to_string());
         }
         if !(self.storage_bandwidth.is_finite() && self.storage_bandwidth > 0.0) {
             return Err("storage_bandwidth must be positive".to_string());
@@ -291,16 +253,11 @@ impl ClusterConfig {
                 );
             }
         }
-        if self.trace && self.trace_capacity == 0 {
-            return Err("trace_capacity must be positive when trace is on".to_string());
-        }
-        if let Some(every) = self.sample_every {
-            if every <= SimDuration::ZERO {
-                return Err("sample_every must be positive".to_string());
-            }
-            if self.sample_capacity == 0 {
-                return Err("sample_capacity must be positive when sampling is on".to_string());
-            }
+        if self
+            .sample_every
+            .is_some_and(|every| every <= SimDuration::ZERO)
+        {
+            return Err("sample_every must be positive".to_string());
         }
         self.fault.validate(self.workers)?;
         for e in &self.fault.engine_crashes {
@@ -395,7 +352,6 @@ mod tests {
         assert_eq!(c.storage_bandwidth, 50e6);
         assert_eq!(c.node_count(), 8);
         assert_eq!(c.worker_capacity(), 12);
-        assert_eq!(c.memory_capacity(), 128);
     }
 
     #[test]

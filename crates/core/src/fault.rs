@@ -252,11 +252,17 @@ impl BackoffPolicy {
     }
 }
 
+/// Workers heartbeat the failure detector at this interval.
+const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_millis(500);
+/// Missed heartbeats before a worker's lease expires and recovery starts.
+/// Detection delay = `HEARTBEAT_INTERVAL * LEASE_MISSES`.
+const LEASE_MISSES: u64 = 3;
+
 /// The declarative fault schedule of one cluster run.
 ///
 /// The default plan is empty: no crashes, no outages, no degradation —
 /// existing experiments are bit-for-bit unaffected.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// Worker-node crashes.
     pub node_crashes: Vec<NodeCrash>,
@@ -269,16 +275,8 @@ pub struct FaultPlan {
     /// Gray-failure windows: the worker stays "alive" while degrading.
     #[serde(default)]
     pub gray_faults: Vec<GrayFault>,
-    /// Workers heartbeat the failure detector at this interval.
-    pub heartbeat_interval: SimDuration,
-    /// Missed heartbeats before a worker's lease expires and recovery
-    /// starts. Detection delay = `heartbeat_interval * lease_misses`.
-    pub lease_misses: u32,
     /// Backoff for storage retries and message retransmissions.
     pub backoff: BackoffPolicy,
-    /// How many times one invocation may be crash-recovered before it is
-    /// dead-lettered.
-    pub max_recovery_attempts: u32,
     /// When `true`, an instance that exhausts its transient-exec retry
     /// budget dead-letters the whole invocation (with accounting) instead
     /// of completing as if it had succeeded. Defaults to `false`, the
@@ -294,24 +292,6 @@ pub struct FaultPlan {
     pub stagger_heartbeats: bool,
 }
 
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan {
-            node_crashes: Vec::new(),
-            storage_faults: Vec::new(),
-            net_faults: Vec::new(),
-            engine_crashes: Vec::new(),
-            gray_faults: Vec::new(),
-            heartbeat_interval: SimDuration::from_millis(500),
-            lease_misses: 3,
-            backoff: BackoffPolicy::default(),
-            max_recovery_attempts: 5,
-            dead_letter_on_exhaustion: false,
-            stagger_heartbeats: false,
-        }
-    }
-}
-
 impl FaultPlan {
     /// `true` when the plan schedules no faults at all.
     pub fn is_empty(&self) -> bool {
@@ -324,7 +304,7 @@ impl FaultPlan {
 
     /// Time from a crash to its lease expiring (recovery kicking in).
     pub fn detection_delay(&self) -> SimDuration {
-        self.heartbeat_interval * u64::from(self.lease_misses)
+        HEARTBEAT_INTERVAL * LEASE_MISSES
     }
 
     /// Time from worker `worker`'s crash (or suspicion) to its lease
@@ -335,7 +315,7 @@ impl FaultPlan {
     pub fn lease_delay(&self, worker: u32) -> SimDuration {
         let base = self.detection_delay();
         if self.stagger_heartbeats {
-            base + self.heartbeat_interval.mul_f64(f64::from(worker % 8) / 8.0)
+            base + HEARTBEAT_INTERVAL.mul_f64(f64::from(worker % 8) / 8.0)
         } else {
             base
         }
@@ -344,12 +324,6 @@ impl FaultPlan {
     /// Validates the plan against a cluster with `workers` worker nodes.
     pub fn validate(&self, workers: u32) -> Result<(), String> {
         self.backoff.validate()?;
-        if self.lease_misses == 0 {
-            return Err("lease_misses must be at least 1".into());
-        }
-        if self.heartbeat_interval.is_zero() {
-            return Err("heartbeat_interval must be positive".into());
-        }
         for c in &self.node_crashes {
             if c.worker >= workers {
                 return Err(format!(
@@ -859,7 +833,7 @@ mod tests {
         // so detection_delay semantics (lower bound) are preserved.
         assert_eq!(plan.lease_delay(3), plan.lease_delay(11));
         for w in 0..16 {
-            assert!(plan.lease_delay(w) < plan.detection_delay() + plan.heartbeat_interval);
+            assert!(plan.lease_delay(w) < plan.detection_delay() + HEARTBEAT_INTERVAL);
             assert!(plan.lease_delay(w) >= plan.detection_delay());
         }
     }

@@ -208,7 +208,7 @@ pub(crate) struct InvState {
     /// the invocation (stale-event fencing).
     pub epoch: u32,
     /// Crash recoveries performed for this invocation (dead-letter once it
-    /// exceeds the plan's `max_recovery_attempts`).
+    /// exceeds the cluster's `MAX_RECOVERIES`).
     pub recovery_attempts: u32,
     /// Admitted as a degradation recovery probe: its terminal outcome
     /// feeds the controller's restore/relapse decision.

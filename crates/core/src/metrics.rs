@@ -162,7 +162,7 @@ pub struct RunReport {
     /// reports in that case so pre-gray-failure goldens stay
     /// bit-identical).
     pub health: HealthReport,
-    /// Trace events rejected by the `trace_capacity` cap (0 when tracing
+    /// Trace events rejected by the `TRACE_CAPACITY` cap (0 when tracing
     /// is off or the cap was never hit).
     pub trace_dropped: u64,
     /// Resource time-series sampled over the run (`None` unless

@@ -123,6 +123,10 @@ impl<T: Clone> Ring<T> {
     }
 }
 
+/// Ring-buffer capacity per sampled series of a cluster run; the oldest
+/// samples are evicted (and counted) once full.
+pub(crate) const SAMPLE_CAPACITY: usize = 4096;
+
 /// The resource sampler: one bounded series per node (0 = master/storage)
 /// plus the cluster-wide series.
 #[derive(Debug)]

@@ -10,7 +10,7 @@
 //! the timeline renderer used by examples and the span-tree assembly in
 //! `faasflow-obs`.
 //!
-//! The recorder is bounded: [`crate::ClusterConfig::trace_capacity`] caps
+//! The recorder is bounded: `TRACE_CAPACITY` caps
 //! the event vector, and events beyond the cap are counted (surfaced as
 //! `trace_dropped` in [`crate::RunReport`]) rather than recorded, so long
 //! open-loop runs cannot grow memory without bound. Dropping the *newest*
@@ -522,6 +522,12 @@ impl TraceEvent {
         }
     }
 }
+
+/// Maximum retained trace events of a cluster run. Events past the cap
+/// are dropped (newest first, keeping the retained prefix causally closed)
+/// and counted in `RunReport::trace_dropped`, so `trace` on a long
+/// open-loop run cannot grow memory without bound.
+pub(crate) const TRACE_CAPACITY: usize = 1 << 20;
 
 /// The recorder held by the cluster.
 #[derive(Debug, Clone)]

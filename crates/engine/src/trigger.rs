@@ -204,11 +204,6 @@ impl TriggerTracker {
         self.states[node.index()].done
     }
 
-    /// True once `node` was triggered.
-    pub fn is_triggered(&self, node: FunctionId) -> bool {
-        self.states[node.index()].triggered
-    }
-
     /// The successors that must learn about `node`'s completion, with
     /// switch-arm edges of non-chosen arms filtered out.
     pub fn successors_to_notify(&self, node: FunctionId) -> Vec<FunctionId> {
@@ -297,7 +292,10 @@ mod tests {
         tr.force_done(fe);
         tr.force_done(fe);
         assert!(tr.is_done(fe));
-        assert!(tr.is_triggered(fe));
+        assert!(
+            !tr.force_trigger(fe),
+            "force_done also marks the node triggered"
+        );
     }
 
     #[test]
@@ -363,7 +361,6 @@ mod tests {
         let mut tr = TriggerTracker::new(dag, InvocationId::new(0), 1);
         assert!(tr.force_trigger(a));
         assert!(!tr.force_trigger(a));
-        assert!(tr.is_triggered(a));
     }
 
     #[test]

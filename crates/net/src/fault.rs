@@ -89,11 +89,6 @@ impl LinkFaultTable {
             latency_factor: a.latency_factor.max(b.latency_factor),
         }
     }
-
-    /// `true` when any node is degraded.
-    pub fn any_degraded(&self) -> bool {
-        self.links.iter().any(|q| !q.is_clean())
-    }
 }
 
 #[cfg(test)]
@@ -103,7 +98,6 @@ mod tests {
     #[test]
     fn clean_table_has_clean_paths() {
         let t = LinkFaultTable::new(3);
-        assert!(!t.any_degraded());
         let q = t.path(NodeId::new(0), NodeId::new(2));
         assert!(q.is_clean());
     }
@@ -128,11 +122,10 @@ mod tests {
         let q = t.path(NodeId::new(1), NodeId::new(2));
         assert!((q.loss - 0.75).abs() < 1e-12);
         assert_eq!(q.latency_factor, 3.0);
-        assert!(t.any_degraded());
 
         t.clear(NodeId::new(1));
         t.clear(NodeId::new(2));
-        assert!(!t.any_degraded());
+        assert!(t.path(NodeId::new(1), NodeId::new(2)).is_clean());
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! multiplicative jitter drawn deterministically from the simulation RNG.
 
 use faasflow_sim::{SimDuration, SimRng};
-use serde::{Deserialize, Serialize};
 
 /// Latency model for a class of small control messages.
 ///
@@ -22,12 +21,12 @@ use serde::{Deserialize, Serialize};
 /// use faasflow_net::MessageModel;
 /// use faasflow_sim::SimRng;
 ///
-/// let model = MessageModel::lan_tcp();
+/// let model = MessageModel::LAN_TCP;
 /// let mut rng = SimRng::seed_from(1);
 /// let d = model.latency(256, &mut rng);
 /// assert!(d.as_millis_f64() > 0.1 && d.as_millis_f64() < 2.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MessageModel {
     /// Fixed one-way latency (propagation + kernel + protocol handling).
     pub base: SimDuration,
@@ -64,9 +63,11 @@ impl MessageModel {
     /// Cross-node TCP on a datacenter LAN: ~1.5 ms base (connect + send on a gevent loop), 1 GB/s payload
     /// bandwidth, ±25 % jitter. Used for master↔worker and worker↔worker
     /// messages.
-    pub fn lan_tcp() -> Self {
-        MessageModel::new(SimDuration::from_micros(1500), 1e9, 0.25)
-    }
+    pub const LAN_TCP: MessageModel = MessageModel {
+        base: SimDuration::from_micros(1500),
+        bandwidth: 1e9,
+        jitter: 0.25,
+    };
 
     /// Samples the one-way latency of a `bytes`-sized message.
     pub fn latency(&self, bytes: u64, rng: &mut SimRng) -> SimDuration {
@@ -77,11 +78,6 @@ impl MessageModel {
             nominal.mul_f64(rng.range_f64(1.0 - self.jitter, 1.0 + self.jitter))
         }
     }
-
-    /// The latency with jitter disabled (useful for analytical tests).
-    pub fn nominal_latency(&self, bytes: u64) -> SimDuration {
-        self.base + SimDuration::from_secs_f64(bytes as f64 / self.bandwidth)
-    }
 }
 
 #[cfg(test)]
@@ -89,10 +85,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn nominal_latency_is_base_plus_serialization() {
+    fn latency_is_base_plus_serialization() {
         let m = MessageModel::new(SimDuration::from_micros(100), 1e6, 0.0);
         // 1000 bytes at 1 MB/s = 1 ms; plus 0.1 ms base.
-        assert_eq!(m.nominal_latency(1000), SimDuration::from_micros(1100));
+        let mut rng = SimRng::seed_from(1);
+        assert_eq!(m.latency(1000, &mut rng), SimDuration::from_micros(1100));
     }
 
     #[test]

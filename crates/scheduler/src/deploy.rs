@@ -144,11 +144,6 @@ impl DeploymentManager {
         }
     }
 
-    /// Versions still draining.
-    pub fn draining_count(&self) -> usize {
-        self.draining.len()
-    }
-
     /// In-flight invocations on the current version.
     pub fn current_inflight(&self) -> u32 {
         self.current_inflight
@@ -201,13 +196,12 @@ mod tests {
         assert_eq!(started, v0);
         let (v1, retired) = dm.deploy(assignment());
         assert!(retired.is_empty(), "v0 still has traffic");
-        assert_eq!(dm.draining_count(), 1);
         assert!(dm.assignment(v0).is_some(), "draining assignment reachable");
         // New invocations land on v1.
         assert_eq!(dm.invocation_started(), v1);
         // Draining completes when the old invocation finishes.
         assert_eq!(dm.invocation_finished(v0), Some(v0));
-        assert_eq!(dm.draining_count(), 0);
+        assert!(dm.assignment(v0).is_none(), "retired assignment dropped");
         assert_eq!(dm.invocation_finished(v1), None);
     }
 

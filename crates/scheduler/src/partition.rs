@@ -19,7 +19,7 @@
 //!
 //! and stops when a full pass makes no merge (line 26).
 
-use faasflow_sim::{FastMap, FastSet, FunctionId, GroupId, NodeId, SimDuration, SimRng};
+use faasflow_sim::{FastSet, FunctionId, GroupId, NodeId, SimDuration, SimRng};
 use faasflow_wdl::{EdgeId, WorkflowDag};
 use serde::{Deserialize, Serialize};
 
@@ -96,12 +96,13 @@ impl PlacementConfig {
     }
 }
 
+/// Effective weight of an edge whose endpoints share a group (local
+/// memory transfer — nearly free compared to the network).
+const LOCAL_EDGE_WEIGHT: SimDuration = SimDuration::from_micros(200);
+
 /// Partitioner tunables.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PartitionConfig {
-    /// Effective weight of an edge whose endpoints share a group (local
-    /// memory transfer — nearly free compared to the network).
-    pub local_edge_weight: SimDuration,
     /// Safety bound on merge iterations (the algorithm terminates after at
     /// most `n-1` merges anyway; this guards against regressions).
     pub max_merges: u32,
@@ -115,7 +116,6 @@ pub struct PartitionConfig {
 impl Default for PartitionConfig {
     fn default() -> Self {
         PartitionConfig {
-            local_edge_weight: SimDuration::from_micros(200),
             max_merges: 100_000,
             placement: PlacementStrategy::WorstFit,
             placement_config: PlacementConfig::default(),
@@ -254,28 +254,6 @@ impl Assignment {
         per.into_iter().map(|(n, (g, f))| (n, g, f)).collect()
     }
 
-    /// Bytes per invocation that must cross workers under this placement —
-    /// the data a FaaStore deployment cannot localise even with unlimited
-    /// quota (each data edge whose producer and consumer live on different
-    /// workers, plus every output whose consumer *set* spans workers,
-    /// since FaaStore's placement rule is all-or-nothing).
-    pub fn cross_worker_bytes(&self, dag: &WorkflowDag) -> u64 {
-        // Group data edges by producer to apply the all-consumers rule.
-        let mut by_producer: FastMap<_, Vec<_>> = FastMap::default();
-        for d in dag.data_edges() {
-            by_producer.entry(d.producer).or_default().push(d);
-        }
-        let mut total = 0;
-        for (producer, edges) in by_producer {
-            let home = self.worker_of(producer);
-            let co_located = edges.iter().all(|d| self.worker_of(d.consumer) == home);
-            if !co_located {
-                total += edges.iter().map(|d| d.bytes).sum::<u64>();
-            }
-        }
-        total
-    }
-
     /// Rough resident size of this assignment (Figure 16's scheduler memory
     /// series): sums the owned buffers.
     pub fn approx_memory_bytes(&self) -> usize {
@@ -386,10 +364,9 @@ impl GraphScheduler {
                 break;
             }
             // Line 4: critical path under effective weights.
-            let local_w = self.config.local_edge_weight;
             let (_, cpath_edges) = dag.critical_path_with(|e| {
                 if group_of[e.from.index()] == group_of[e.to.index()] {
-                    local_w.min(e.weight)
+                    LOCAL_EDGE_WEIGHT.min(e.weight)
                 } else {
                     e.weight
                 }
@@ -830,22 +807,6 @@ mod tests {
         let funcs: usize = dist.iter().map(|&(_, _, f)| f).sum();
         assert_eq!(funcs, dag.function_count());
         assert!(a.approx_memory_bytes() > 0);
-    }
-
-    #[test]
-    fn cross_worker_bytes_follows_the_placement() {
-        let wf = chain(&[("a", 50 << 20), ("b", 50 << 20), ("c", 0)]);
-        let dag = parse(&wf);
-        // Full merge: nothing crosses.
-        let merged = run(&dag, &workers(4, 64), &ContentionSet::default(), u64::MAX);
-        assert_eq!(merged.cross_worker_bytes(&dag), 0);
-        // Forced spread (capacity 1 each): everything crosses.
-        let spread = run(&dag, &workers(3, 1), &ContentionSet::default(), u64::MAX);
-        assert_eq!(
-            spread.cross_worker_bytes(&dag),
-            dag.total_data_bytes(),
-            "singleton groups ship every edge"
-        );
     }
 
     #[test]

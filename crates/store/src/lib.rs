@@ -44,4 +44,4 @@ pub use breaker::{
 pub use faastore::{FaaStore, Placement, StorageType};
 pub use keys::DataKey;
 pub use memstore::MemStore;
-pub use remote::{RemoteStore, RemoteStoreConfig};
+pub use remote::RemoteStore;

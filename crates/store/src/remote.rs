@@ -12,27 +12,8 @@
 //! contention at the storage node emerges naturally.
 
 use faasflow_sim::{FastMap, InvocationId, SimDuration};
-use serde::{Deserialize, Serialize};
 
 use crate::keys::DataKey;
-
-/// Remote store parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RemoteStoreConfig {
-    /// Server-side overhead per put (CouchDB document insert).
-    pub put_overhead: SimDuration,
-    /// Server-side overhead per get.
-    pub get_overhead: SimDuration,
-}
-
-impl Default for RemoteStoreConfig {
-    fn default() -> Self {
-        RemoteStoreConfig {
-            put_overhead: SimDuration::from_millis(3),
-            get_overhead: SimDuration::from_millis(2),
-        }
-    }
-}
 
 /// The storage-node object catalog.
 ///
@@ -47,7 +28,6 @@ impl Default for RemoteStoreConfig {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RemoteStore {
-    config: RemoteStoreConfig,
     objects: FastMap<DataKey, u64>,
     /// Keys of each invocation's objects, so releasing an invocation
     /// touches only its own keys.
@@ -55,18 +35,10 @@ pub struct RemoteStore {
 }
 
 impl RemoteStore {
-    /// Creates a store with explicit configuration.
-    pub fn new(config: RemoteStoreConfig) -> Self {
-        RemoteStore {
-            config,
-            ..RemoteStore::default()
-        }
-    }
-
-    /// The configured per-operation overheads.
-    pub fn config(&self) -> RemoteStoreConfig {
-        self.config
-    }
+    /// Server-side overhead per put (CouchDB document insert).
+    pub const PUT_OVERHEAD: SimDuration = SimDuration::from_millis(3);
+    /// Server-side overhead per get.
+    pub(crate) const GET_OVERHEAD: SimDuration = SimDuration::from_millis(2);
 
     /// Stores (or overwrites) an object and returns the server-side
     /// processing latency to charge.
@@ -77,7 +49,7 @@ impl RemoteStore {
                 .or_default()
                 .push(key);
         }
-        self.config.put_overhead
+        Self::PUT_OVERHEAD
     }
 
     /// Size of a stored object, or `None` when absent. Does not charge
@@ -90,7 +62,7 @@ impl RemoteStore {
     /// latency to charge, or `None` when absent.
     pub fn read(&self, key: DataKey) -> Option<(u64, SimDuration)> {
         let bytes = self.objects.get(&key).copied()?;
-        Some((bytes, self.config.get_overhead))
+        Some((bytes, Self::GET_OVERHEAD))
     }
 
     /// Deletes one object; returns its size if it existed.

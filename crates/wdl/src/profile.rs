@@ -111,12 +111,6 @@ impl FunctionProfile {
         self
     }
 
-    /// Sets the provisioned memory (`Mem(v)`), returning the modified profile.
-    pub fn provisioned_mem(mut self, bytes: u64) -> Self {
-        self.provisioned_mem_bytes = bytes;
-        self
-    }
-
     /// Sets the execution-time coefficient of variation.
     pub fn exec_variation(mut self, cv: f64) -> Self {
         self.exec_cv = cv;
@@ -204,9 +198,8 @@ mod tests {
 
     #[test]
     fn overprovisioned_slack_matches_equation_one() {
-        let p = FunctionProfile::with_millis(10, 0)
-            .peak_mem(100 << 20)
-            .provisioned_mem(256 << 20);
+        // `with_millis` provisions the default 256 MB container.
+        let p = FunctionProfile::with_millis(10, 0).peak_mem(100 << 20);
         let mu = 16 << 20;
         assert_eq!(p.overprovisioned_bytes(mu), (256 - 100 - 16) << 20);
         // Clamp at zero when the function already uses everything.
