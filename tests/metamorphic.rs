@@ -1,8 +1,11 @@
 //! Metamorphic integration tests: relations between runs that must hold
 //! regardless of calibration constants.
 
-use faasflow::core::{ClientConfig, Cluster, ClusterConfig, RunReport, ScheduleMode};
-use faasflow::workloads::{without_data, Benchmark};
+use std::collections::{BTreeMap, BTreeSet};
+
+use faasflow::core::{ClientConfig, Cluster, ClusterConfig, RunReport, ScheduleMode, TraceEvent};
+use faasflow::obs::{build_forest, extract, CritPhase};
+use faasflow::workloads::{deterministic_exec, without_data, Benchmark};
 
 fn run(config: ClusterConfig, b: Benchmark, invocations: u32) -> RunReport {
     let mut cluster = Cluster::new(config).expect("valid config");
@@ -201,4 +204,98 @@ fn timeout_bound_is_respected_in_reports() {
     cluster.run_until_idle();
     let w = cluster.report().workflow("Cyc").clone();
     assert!(w.e2e.max <= 60_000.0 + 1.0, "timeouts cap the histogram");
+}
+
+#[test]
+fn both_schedule_patterns_complete_the_same_invocations() {
+    // Without faults the schedule pattern decides when an invocation
+    // finishes, never whether: the k-th invocation of every workflow
+    // completes under both, exactly once (a late one past the timeout
+    // still completes). Invocation ids are global and follow arrival
+    // order, which differs between the modes, so an invocation is named
+    // by its workflow and its rank among that workflow's arrivals.
+    for seed in [1, 7919] {
+        let completed = |config: ClusterConfig| {
+            let mut cluster = Cluster::new(ClusterConfig {
+                seed,
+                trace: true,
+                ..config
+            })
+            .expect("valid config");
+            for b in Benchmark::ALL {
+                cluster
+                    .register(&b.workflow(), ClientConfig::ClosedLoop { invocations: 4 })
+                    .expect("registers");
+            }
+            cluster.run_until_idle();
+            let mut rank = BTreeMap::new();
+            let mut arrivals: BTreeMap<_, usize> = BTreeMap::new();
+            let mut done = BTreeSet::new();
+            for event in cluster.trace() {
+                match *event {
+                    TraceEvent::InvocationArrived {
+                        workflow,
+                        invocation,
+                        ..
+                    } => {
+                        let k = arrivals.entry(workflow).or_default();
+                        rank.insert(invocation, (workflow, *k));
+                        *k += 1;
+                    }
+                    TraceEvent::InvocationCompleted { invocation, .. } => {
+                        assert!(done.insert(rank[&invocation]), "completed twice");
+                    }
+                    _ => {}
+                }
+            }
+            done
+        };
+        let master = completed(hyperflow());
+        let worker = completed(faasflow(true));
+        assert_eq!(master.len(), 4 * Benchmark::ALL.len(), "seed {seed}");
+        assert_eq!(
+            master, worker,
+            "seed {seed}: the modes completed different invocations"
+        );
+    }
+}
+
+#[test]
+fn observed_dominates_exec_only_dominates_the_static_critical_path() {
+    // Per invocation: the observed critical path (its makespan) is at
+    // least its exec phases alone, and with deterministic exec times those
+    // are at least the DAG's static `critical_path_exec()`.
+    for seed in [1, 7919] {
+        for config in [hyperflow(), faasflow(true)] {
+            let mode = config.mode;
+            let mut cluster = Cluster::new(ClusterConfig {
+                seed,
+                trace: true,
+                ..config
+            })
+            .expect("valid config");
+            for b in Benchmark::REAL_WORLD {
+                cluster
+                    .register(
+                        &deterministic_exec(&b.workflow()),
+                        ClientConfig::ClosedLoop { invocations: 5 },
+                    )
+                    .expect("registers");
+            }
+            cluster.run_until_idle();
+            let paths = extract(&build_forest(cluster.trace()));
+            assert_eq!(paths.len(), 5 * Benchmark::REAL_WORLD.len());
+            for path in &paths {
+                let observed = path.total();
+                let exec_only = path.phase_total(CritPhase::Exec);
+                let static_exec = cluster.critical_exec(path.workflow).expect("registered");
+                let at = format!("seed {seed} {mode:?} {}/{}", path.workflow, path.invocation);
+                assert!(observed >= exec_only, "{at}: {observed:?} < {exec_only:?}");
+                assert!(
+                    exec_only >= static_exec,
+                    "{at}: {exec_only:?} < {static_exec:?}"
+                );
+            }
+        }
+    }
 }
