@@ -25,7 +25,7 @@ use faasflow_sim::{NodeId, SimTime};
 use serde::{Deserialize, Error, Serialize, Value};
 
 use crate::critpath::{critical_path, forest_downtime};
-use crate::span::{AnnotationKind, Span, SpanForest, SpanKind, SpanTree};
+use crate::span::{write_invocation, AnnotationKind, Span, SpanForest, SpanKind, SpanTree};
 use crate::text::push_uint;
 use Arg::{Bool, Float, Micros, UInt};
 
@@ -185,13 +185,21 @@ impl Event<'_> {
         self
     }
 
-    /// The `name` of a span's `B` event: `prefix` (already JSON-safe),
-    /// then the escaped label.
-    fn span_name(mut self, prefix: &str, label: &str) -> Self {
+    /// The `name` of span `idx`'s `B` event: its label, after
+    /// `{workflow}/{invocation} ` unless it is the root, so concurrent
+    /// invocations stay apart. Both are written straight from the ids,
+    /// which print nothing JSON escapes.
+    fn span_name(mut self, tree: &SpanTree, idx: usize) -> Self {
         self.key("name");
         self.0.push('"');
-        self.0.push_str(prefix);
-        push_escaped(self.0, label);
+        if tree.spans[idx].parent.is_some() {
+            write_invocation(self.0, tree.workflow, tree.invocation)
+                .expect("strings accept any text");
+            self.0.push(' ');
+        }
+        tree.label(idx)
+            .write_to(self.0)
+            .expect("strings accept any text");
         self.0.push('"');
         self
     }
@@ -392,13 +400,18 @@ fn span_args(span: &Span, critical: bool) -> impl Iterator<Item = (&'static str,
 }
 
 /// The order lanes are allocated in: by start, longer spans first, then
-/// by label, so a parent precedes the children it encloses. The label is
-/// compared only when both instants tie.
-fn lane_order(a: &Span, b: &Span) -> Ordering {
-    a.start
-        .cmp(&b.start)
-        .then(b.end.cmp(&a.end))
-        .then_with(|| a.label.cmp(&b.label))
+/// by label bytes, so a parent precedes the children it encloses. The
+/// labels are written onto the stack only when both instants tie.
+fn lane_order((ta, a): (&SpanTree, usize), (tb, b): (&SpanTree, usize)) -> Ordering {
+    let (sa, sb) = (&ta.spans[a], &tb.spans[b]);
+    (sa.start.cmp(&sb.start))
+        .then(sb.end.cmp(&sa.end))
+        .then_with(|| {
+            ta.label(a)
+                .to_stack()
+                .as_str()
+                .cmp(tb.label(b).to_stack().as_str())
+        })
 }
 
 /// A span in its process's bucket. Its start, the first key of
@@ -511,14 +524,9 @@ pub fn chrome_trace(forest: &SpanForest, resources: Option<&ResourceSeriesReport
     }
 
     // --- Spans as B/E pairs --------------------------------------------
-    // Non-root span names carry their invocation, so concurrent
-    // invocations stay apart; ids print nothing JSON escapes.
-    let prefixes: Vec<String> = (forest.trees.iter())
-        .map(|tree| format!("{}/{} ", tree.workflow, tree.invocation))
-        .collect();
     for (pid, bucket) in by_pid.iter_mut().enumerate() {
         let pid = pid as u64;
-        let span_at = |slot: &Slot| &forest.trees[slot.tree as usize].spans[slot.span as usize];
+        let span_at = |slot: &Slot| (&forest.trees[slot.tree as usize], slot.span as usize);
         // Tree-then-span order breaks the remaining ties, so the order is
         // total and the unstable sort is deterministic.
         bucket.sort_unstable_by(|a, b| {
@@ -528,22 +536,17 @@ pub fn chrome_trace(forest: &SpanForest, resources: Option<&ResourceSeriesReport
         });
         let mut lanes = Lanes::default();
         for slot in bucket.iter() {
-            let (t, i) = (slot.tree as usize, slot.span as usize);
-            let span = span_at(slot);
+            let (tree, i) = span_at(slot);
+            let (span, critical) = (&tree.spans[i], critical[slot.tree as usize][i]);
             let lane = lanes.assign(span) as u64;
-            let prefix = if span.parent.is_some() {
-                &prefixes[t]
-            } else {
-                ""
-            };
             let begin = w
                 .event()
-                .span_name(prefix, &span.label)
+                .span_name(tree, i)
                 .tag("cat", category(span))
                 .tag("ph", "B")
                 .thread(Micros(span.start), pid, lane)
-                .args(span_args(span, critical[t][i]));
-            if critical[t][i] {
+                .args(span_args(span, critical));
+            if critical {
                 // Legacy Chrome color name: renders the gating slices in a
                 // uniform alarm red in both Perfetto and chrome://tracing.
                 begin.tag("cname", "terrible");
@@ -851,11 +854,12 @@ mod tests {
     #[test]
     fn lanes_never_overlap() {
         let forest = tiny_forest();
-        let mut spans: Vec<&Span> = forest.trees[0].spans.iter().collect();
-        spans.sort_by(|a, b| lane_order(a, b));
+        let tree = &forest.trees[0];
+        let mut order: Vec<usize> = (0..tree.spans.len()).collect();
+        order.sort_by(|&a, &b| lane_order((tree, a), (tree, b)));
         let mut lanes = Lanes::default();
         let mut by_lane: std::collections::HashMap<usize, Vec<&Span>> = Default::default();
-        for span in spans {
+        for span in order.into_iter().map(|i| &tree.spans[i]) {
             by_lane.entry(lanes.assign(span)).or_default().push(span);
         }
         for spans in by_lane.values() {
@@ -895,6 +899,17 @@ mod tests {
             let ns = raw % 10u64.pow(digits);
             prop_assert_eq!(micros_text(ns), format!("{}", ns as f64 / 1000.0));
         }
+    }
+
+    /// The escaper writes every character class exactly as the vendored
+    /// `serde_json` string writer does.
+    #[test]
+    fn escaped_text_matches_the_json_writer() {
+        let text = "q\"uote\\back\r\nnew\ttab\u{1}ctl\u{1f}unit \u{7f}del é";
+        let mut out = String::from("\"");
+        push_escaped(&mut out, text);
+        out.push('"');
+        assert_eq!(out, serde_json::to_string(text).expect("strings serialize"));
     }
 
     #[test]

@@ -203,7 +203,7 @@ impl CriticalPath {
                     if seg.start < span.start || seg.end > span.end {
                         return Err(format!(
                             "{who}: segment {i} leaks outside span {idx} ({})",
-                            span.label
+                            tree.label(idx)
                         ));
                     }
                 }
@@ -577,7 +577,7 @@ pub fn render_critpath_table(
 mod tests {
     use super::*;
     use crate::span::{build_forest, Span};
-    use faasflow_sim::NodeId;
+    use faasflow_sim::{FunctionId, NodeId};
     use proptest::prelude::*;
 
     /// The quadratic interval loop the sweep replaced, kept as its oracle:
@@ -763,10 +763,9 @@ mod tests {
         SimTime::ZERO + SimDuration::from_millis(v)
     }
 
-    fn span(kind: SpanKind, start: u64, end: u64, parent: Option<usize>) -> Span {
+    fn span(kind: SpanKind, start: u64, end: u64, parent: Option<u32>) -> Span {
         Span {
             kind,
-            label: format!("{kind:?}"),
             node: Some(NodeId::new(1)),
             function: None,
             instance: None,
@@ -788,6 +787,33 @@ mod tests {
             dead_lettered: false,
             shed: false,
         }
+    }
+
+    /// A segment outside the span it charges is reported with the span's
+    /// derived label.
+    #[test]
+    fn validate_names_the_span_a_segment_leaks_from() {
+        let mut t = tree(vec![
+            span(SpanKind::Invocation, 0, 100, None),
+            span(
+                SpanKind::Exec {
+                    attempt: 0,
+                    failed: false,
+                },
+                0,
+                100,
+                Some(0),
+            ),
+        ]);
+        t.spans[1].function = Some(FunctionId::new(3));
+        t.spans[1].instance = Some(0);
+        let p = critical_path(&t, &[]);
+        p.validate(&t).unwrap();
+        t.spans[1].end = ms(50);
+        assert_eq!(
+            p.validate(&t),
+            Err("wf0/inv0: segment 0 leaks outside span 1 (exec fn3#0)".to_string())
+        );
     }
 
     #[test]

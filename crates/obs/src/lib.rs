@@ -64,7 +64,9 @@ pub use critpath::{
     CritPhase, CritSegment, CriticalPath,
 };
 pub use prom::{prometheus_snapshot, prometheus_worker_loads};
-pub use span::{build_forest, Annotation, AnnotationKind, Span, SpanForest, SpanKind, SpanTree};
+pub use span::{
+    build_forest, Annotation, AnnotationKind, Span, SpanForest, SpanKind, SpanLabel, SpanTree,
+};
 pub use whatif::{
     render_whatif_table, what_if, what_if_all, WhatIfBound, WhatIfScenario, WorkflowWhatIf,
 };

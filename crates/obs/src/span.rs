@@ -25,11 +25,13 @@
 //! causally closed, and anything still open when the stream ends is closed
 //! at the last observed instant with `truncated` set.
 
+use std::fmt;
+
 use faasflow_core::TraceEvent;
 use faasflow_sim::{FastMap, FunctionId, InvocationId, NodeId, SimDuration, SimTime, WorkflowId};
 use serde::{Deserialize, Serialize};
 
-use crate::text::{function_len, push_function, push_uint, uint_len};
+use crate::text::write_id;
 
 /// What a span measures.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -64,13 +66,12 @@ pub enum SpanKind {
 }
 
 /// One node of a span tree. `parent` indexes into the owning
-/// [`SpanTree::spans`] vector and always points at an earlier entry.
+/// [`SpanTree::spans`] vector and always points at an earlier entry. Its
+/// human-readable name is derived from its ids by [`SpanTree::label`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Span {
     /// What the span measures.
     pub kind: SpanKind,
-    /// Human-readable name (the Chrome-trace event name).
-    pub label: String,
     /// The node the work ran on (`None` for the cluster-scoped root).
     pub node: Option<NodeId>,
     /// The function node, where applicable.
@@ -81,18 +82,112 @@ pub struct Span {
     pub start: SimTime,
     /// Close instant (`>= start`).
     pub end: SimTime,
-    /// Parent span index (`None` only for the root).
-    pub parent: Option<usize>,
+    /// Parent span index (`None` only for the root). It is 32 bits wide
+    /// because every span pays for it.
+    pub parent: Option<u32>,
     /// The span did not close naturally: it was cut short by a crash, an
     /// epoch bump, or the end of the recorded stream.
     pub truncated: bool,
 }
+
+// A traced run holds one `Span` per trace event that opens work, so its
+// size is paid ~150 times per invocation.
+const _: () = assert!(std::mem::size_of::<Span>() <= 72);
 
 impl Span {
     /// The span's extent.
     pub fn duration(&self) -> SimDuration {
         self.end - self.start
     }
+}
+
+/// A span's human-readable name (the Chrome-trace event name), derived
+/// from the ids it holds rather than stored. It prints
+/// `{workflow}/{invocation}` for the root, `{function}` for a function
+/// span, and `{head}{function}#{instance}` for the rest, where the head
+/// is `cold-start `, `queue-wait `, `exec `, `read ` or `write `.
+#[derive(Debug, Clone, Copy)]
+pub struct SpanLabel<'a> {
+    workflow: WorkflowId,
+    invocation: InvocationId,
+    span: &'a Span,
+}
+
+impl SpanLabel<'_> {
+    /// Writes the label through `write_id`, without the formatting
+    /// machinery: the Chrome export writes it straight into its buffer.
+    pub(crate) fn write_to(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        let head = match self.span.kind {
+            SpanKind::Invocation => return write_invocation(out, self.workflow, self.invocation),
+            SpanKind::Function => "",
+            SpanKind::Provision { cold: true } => "cold-start ",
+            SpanKind::Provision { cold: false } => "queue-wait ",
+            SpanKind::Exec { .. } => "exec ",
+            SpanKind::Transfer { read: true, .. } => "read ",
+            SpanKind::Transfer { read: false, .. } => "write ",
+        };
+        out.write_str(head)?;
+        if let Some(function) = self.span.function {
+            write_id(out, FunctionId::PREFIX, function.index())?;
+        }
+        if let Some(instance) = self.span.instance {
+            write_id(out, "#", instance as usize)?;
+        }
+        Ok(())
+    }
+
+    /// The label written onto the stack, for callers that compare or pad
+    /// it without allocating.
+    pub(crate) fn to_stack(self) -> StackLabel {
+        let mut buf = StackLabel {
+            bytes: [0; 40],
+            len: 0,
+        };
+        self.write_to(&mut buf).expect("every label fits");
+        buf
+    }
+}
+
+impl fmt::Display for SpanLabel<'_> {
+    /// Honors width, fill and alignment, like `str`'s `Display`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(self.to_stack().as_str())
+    }
+}
+
+/// A span label held on the stack. Every label fits: an id prints at most
+/// ten digits, so the longest, `cold-start fn{u32}#{u32}`, takes 34 bytes.
+pub(crate) struct StackLabel {
+    bytes: [u8; 40],
+    len: usize,
+}
+
+impl StackLabel {
+    pub(crate) fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.bytes[..self.len]).expect("written from whole strs")
+    }
+}
+
+impl fmt::Write for StackLabel {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let end = self.len + s.len();
+        let room = self.bytes.get_mut(self.len..end).ok_or(fmt::Error)?;
+        room.copy_from_slice(s.as_bytes());
+        self.len = end;
+        Ok(())
+    }
+}
+
+/// Writes `{workflow}/{invocation}`: the root's label, and the prefix the
+/// Chrome export puts before every other span's.
+pub(crate) fn write_invocation(
+    out: &mut impl fmt::Write,
+    workflow: WorkflowId,
+    invocation: InvocationId,
+) -> fmt::Result {
+    write_id(out, WorkflowId::PREFIX, workflow.index())?;
+    out.write_char('/')?;
+    write_id(out, InvocationId::PREFIX, invocation.index())
 }
 
 /// A point event attached to a span tree.
@@ -194,6 +289,23 @@ impl SpanTree {
         self.root().duration()
     }
 
+    /// The label of span `idx`, derived from its ids.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range.
+    pub fn label(&self, idx: usize) -> SpanLabel<'_> {
+        self.label_of(&self.spans[idx])
+    }
+
+    fn label_of<'a>(&self, span: &'a Span) -> SpanLabel<'a> {
+        SpanLabel {
+            workflow: self.workflow,
+            invocation: self.invocation,
+            span,
+        }
+    }
+
     /// Checks structural well-formedness:
     ///
     /// 1. the root exists, is an [`SpanKind::Invocation`] and has no parent;
@@ -209,36 +321,31 @@ impl SpanTree {
     ///    first attempt.
     pub fn validate(&self) -> Result<(), String> {
         let who = |i: usize| format!("{}/{} span {i}", self.workflow, self.invocation);
+        let named = |i: usize| format!("{} ({})", who(i), self.label(i));
         let root = self.spans.first().ok_or("empty span tree")?;
         if root.kind != SpanKind::Invocation || root.parent.is_some() {
             return Err(format!("{}: root is not an invocation span", who(0)));
         }
         for (i, s) in self.spans.iter().enumerate() {
             if s.end < s.start {
-                return Err(format!("{} ({}): closes before it opens", who(i), s.label));
+                return Err(format!("{}: closes before it opens", named(i)));
             }
             if i == 0 {
                 continue;
             }
-            let p = s
-                .parent
-                .ok_or_else(|| format!("{} ({}): no parent", who(i), s.label))?;
+            let p = s.parent.ok_or_else(|| format!("{}: no parent", named(i)))? as usize;
             if p >= i {
-                return Err(format!("{} ({}): parent {p} not earlier", who(i), s.label));
+                return Err(format!("{}: parent {p} not earlier", named(i)));
             }
             let parent = &self.spans[p];
             if s.start < parent.start {
-                return Err(format!("{} ({}): opens before its parent", who(i), s.label));
+                return Err(format!("{}: opens before its parent", named(i)));
             }
             if s.start > parent.end && !parent.truncated {
-                return Err(format!(
-                    "{} ({}): opens after its parent closed",
-                    who(i),
-                    s.label
-                ));
+                return Err(format!("{}: opens after its parent closed", named(i)));
             }
             if s.end > parent.end && !s.truncated && !parent.truncated {
-                return Err(format!("{} ({}): outlives its parent", who(i), s.label));
+                return Err(format!("{}: outlives its parent", named(i)));
             }
         }
         // Per-(function, instance) ordering.
@@ -254,7 +361,9 @@ impl SpanTree {
                 if pair[1].start < pair[0].end {
                     return Err(format!(
                         "{}/{}: overlapping exec attempts on {}",
-                        self.workflow, self.invocation, pair[0].label
+                        self.workflow,
+                        self.invocation,
+                        self.label_of(pair[0])
                     ));
                 }
             }
@@ -274,13 +383,17 @@ impl SpanTree {
             if read && s.end > last {
                 return Err(format!(
                     "{}/{}: read {} finished after the last exec attempt started",
-                    self.workflow, self.invocation, s.label
+                    self.workflow,
+                    self.invocation,
+                    self.label_of(s)
                 ));
             }
             if !read && s.start < first {
                 return Err(format!(
                     "{}/{}: write {} started before the first exec attempt",
-                    self.workflow, self.invocation, s.label
+                    self.workflow,
+                    self.invocation,
+                    self.label_of(s)
                 ));
             }
         }
@@ -310,24 +423,9 @@ impl SpanForest {
     }
 }
 
-/// A function span's label: the function id.
-fn function_label(function: FunctionId) -> String {
-    let mut label = String::with_capacity(function_len(function));
-    push_function(&mut label, function);
-    label
-}
-
-/// A per-instance span's label, `{head}{function}#{instance}`, built
-/// without the formatting machinery (the forest makes one per span) in
-/// an allocation of exactly its length.
-fn instance_label(head: &str, function: FunctionId, instance: u32) -> String {
-    let len = head.len() + function_len(function) + 1 + uint_len(u64::from(instance));
-    let mut label = String::with_capacity(len);
-    label.push_str(head);
-    push_function(&mut label, function);
-    label.push('#');
-    push_uint(&mut label, u64::from(instance));
-    label
+/// A span index as [`Span::parent`] holds it.
+fn parent_index(idx: usize) -> Option<u32> {
+    Some(u32::try_from(idx).expect("span index fits u32"))
 }
 
 /// Per-invocation assembly state.
@@ -343,10 +441,21 @@ struct TreeBuilder {
 }
 
 impl TreeBuilder {
-    fn new(workflow: WorkflowId, invocation: InvocationId, at: SimTime) -> Self {
-        let root = Span {
+    /// A builder whose tree has room for exactly `spans` spans, the root
+    /// included.
+    fn new(workflow: WorkflowId, invocation: InvocationId, at: SimTime, spans: usize) -> Self {
+        let mut tree = SpanTree {
+            workflow,
+            invocation,
+            spans: Vec::with_capacity(spans),
+            annotations: Vec::new(),
+            completed: false,
+            timed_out: false,
+            dead_lettered: false,
+            shed: false,
+        };
+        tree.spans.push(Span {
             kind: SpanKind::Invocation,
-            label: format!("{workflow}/{invocation}"),
             node: None,
             function: None,
             instance: None,
@@ -354,18 +463,9 @@ impl TreeBuilder {
             end: at,
             parent: None,
             truncated: false,
-        };
+        });
         TreeBuilder {
-            tree: SpanTree {
-                workflow,
-                invocation,
-                spans: vec![root],
-                annotations: Vec::new(),
-                completed: false,
-                timed_out: false,
-                dead_lettered: false,
-                shed: false,
-            },
+            tree,
             open_functions: FastMap::default(),
             open_execs: FastMap::default(),
             root_open: true,
@@ -442,7 +542,6 @@ impl TreeBuilder {
                 }
                 let idx = self.push(Span {
                     kind: SpanKind::Function,
-                    label: function_label(*function),
                     node: Some(*worker),
                     function: Some(*function),
                     instance: None,
@@ -465,17 +564,12 @@ impl TreeBuilder {
                 let start = self.tree.spans[parent].start;
                 self.push(Span {
                     kind: SpanKind::Provision { cold: *cold },
-                    label: instance_label(
-                        if *cold { "cold-start " } else { "queue-wait " },
-                        *function,
-                        *instance,
-                    ),
                     node: Some(*worker),
                     function: Some(*function),
                     instance: Some(*instance),
                     start,
                     end: (*at).max(start),
-                    parent: Some(parent),
+                    parent: parent_index(parent),
                     truncated: false,
                 });
             }
@@ -497,13 +591,12 @@ impl TreeBuilder {
                         attempt: *attempt,
                         failed: false,
                     },
-                    label: instance_label("exec ", *function, *instance),
                     node: Some(*worker),
                     function: Some(*function),
                     instance: Some(*instance),
                     start: *at,
                     end: *at,
-                    parent: Some(parent),
+                    parent: parent_index(parent),
                     truncated: false,
                 });
                 self.open_execs.insert(key, idx);
@@ -546,17 +639,12 @@ impl TreeBuilder {
                         remote: *remote,
                         bytes: *bytes,
                     },
-                    label: instance_label(
-                        if *read { "read " } else { "write " },
-                        *function,
-                        *instance,
-                    ),
                     node: Some(*worker),
                     function: Some(*function),
                     instance: Some(*instance),
                     start: (*started).max(self.tree.spans[parent].start),
                     end: *at,
-                    parent: Some(parent),
+                    parent: parent_index(parent),
                     truncated: false,
                 });
             }
@@ -686,9 +774,28 @@ impl TreeBuilder {
     }
 }
 
+/// Whether [`TreeBuilder::apply`] pushes a span for `event`.
+fn opens_span(event: &TraceEvent) -> bool {
+    matches!(
+        event,
+        TraceEvent::FunctionTriggered { .. }
+            | TraceEvent::InstanceStarted { .. }
+            | TraceEvent::ExecStarted { .. }
+            | TraceEvent::Transferred { .. }
+    )
+}
+
 /// Assembles the forest. Events must be in recorded (chronological) order,
 /// exactly as `Cluster::take_trace` returns them.
 pub fn build_forest(events: &[TraceEvent]) -> SpanForest {
+    // A counting pass sizes each tree exactly, so no span vector grows and
+    // none keeps the spare slots that growth by doubling leaves.
+    let mut sizes: FastMap<(WorkflowId, InvocationId), usize> = FastMap::default();
+    for event in events {
+        if let Some(key) = event.invocation() {
+            *sizes.entry(key).or_insert(1) += usize::from(opens_span(event));
+        }
+    }
     let mut order: Vec<(WorkflowId, InvocationId)> = Vec::new();
     let mut builders: FastMap<(WorkflowId, InvocationId), TreeBuilder> = FastMap::default();
     // Trees that may hold an open exec span: every tree with one is listed.
@@ -716,7 +823,7 @@ pub fn build_forest(events: &[TraceEvent]) -> SpanForest {
             Some(key) => {
                 let builder = builders.entry(key).or_insert_with(|| {
                     order.push(key);
-                    TreeBuilder::new(key.0, key.1, event.at())
+                    TreeBuilder::new(key.0, key.1, event.at(), sizes[&key])
                 });
                 builder.apply(event);
                 if !builder.listed && !builder.open_execs.is_empty() {
@@ -1001,14 +1108,102 @@ mod tests {
         assert!(!tree.completed);
     }
 
+    /// The derived label prints the text each span kind was once built
+    /// with by `format!`, for ids of one to three digits and the widest.
     #[test]
     fn labels_print_as_formatted() {
-        let f = FunctionId::new(12);
-        assert_eq!(function_label(f), format!("{f}"));
-        for instance in [0, 7, 31] {
-            let label = instance_label("queue-wait ", f, instance);
-            assert_eq!(label, format!("queue-wait {f}#{instance}"));
-            assert_eq!(label.capacity(), label.len());
+        let kinds = [
+            SpanKind::Function,
+            SpanKind::Provision { cold: true },
+            SpanKind::Provision { cold: false },
+            SpanKind::Exec {
+                attempt: 0,
+                failed: false,
+            },
+            SpanKind::Transfer {
+                read: true,
+                remote: true,
+                bytes: 1,
+            },
+            SpanKind::Transfer {
+                read: false,
+                remote: false,
+                bytes: 1,
+            },
+        ];
+        let check = |workflow: WorkflowId, invocation: InvocationId, f: FunctionId, n: u32| {
+            let mut tree = TreeBuilder::new(workflow, invocation, ms(0), 1 + kinds.len()).tree;
+            for kind in kinds {
+                tree.spans.push(Span {
+                    kind,
+                    node: Some(NodeId::new(1)),
+                    function: Some(f),
+                    instance: (kind != SpanKind::Function).then_some(n),
+                    start: ms(0),
+                    end: ms(0),
+                    parent: Some(0),
+                    truncated: false,
+                });
+            }
+            let expected = [
+                format!("{workflow}/{invocation}"),
+                format!("{f}"),
+                format!("cold-start {f}#{n}"),
+                format!("queue-wait {f}#{n}"),
+                format!("exec {f}#{n}"),
+                format!("read {f}#{n}"),
+                format!("write {f}#{n}"),
+            ];
+            for (idx, want) in expected.iter().enumerate() {
+                assert_eq!(&tree.label(idx).to_string(), want);
+                assert_eq!(format!("{:>30}", tree.label(idx)), format!("{want:>30}"));
+                let mut pushed = String::new();
+                tree.label(idx)
+                    .write_to(&mut pushed)
+                    .expect("strings accept any text");
+                assert_eq!(&pushed, want);
+            }
+        };
+        let ids = [7, 42, 517, u32::MAX];
+        for w in ids {
+            for i in ids {
+                for f in ids {
+                    for n in ids {
+                        check(
+                            WorkflowId::new(w),
+                            InvocationId::new(i),
+                            FunctionId::new(f),
+                            n,
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The counting pass sizes every tree of a traced closed-loop run of
+    /// all 8 benchmarks, 30 invocations each, exactly: no span vector
+    /// holds a spare slot.
+    #[test]
+    fn trees_are_sized_exactly_on_a_paper7_run() {
+        use faasflow_core::{ClientConfig, Cluster, ClusterConfig};
+        use faasflow_workloads::Benchmark;
+
+        let mut cluster = Cluster::new(ClusterConfig {
+            trace: true,
+            ..ClusterConfig::default()
+        })
+        .unwrap();
+        for b in Benchmark::ALL {
+            cluster
+                .register(&b.workflow(), ClientConfig::ClosedLoop { invocations: 30 })
+                .unwrap();
+        }
+        cluster.run_until_idle();
+        let forest = build_forest(&cluster.take_trace());
+        assert_eq!(forest.trees.len(), 240);
+        for tree in &forest.trees {
+            assert_eq!(tree.spans.capacity(), tree.spans.len());
         }
     }
 
@@ -1016,13 +1211,19 @@ mod tests {
     fn validate_rejects_an_orphan_child() {
         let mut forest = build_forest(&small_stream());
         forest.trees[0].spans[2].parent = None;
-        assert!(forest.validate().is_err());
+        assert_eq!(
+            forest.validate(),
+            Err("wf0/inv0 span 2 (cold-start fn1#0): no parent".to_string())
+        );
     }
 
     #[test]
     fn validate_rejects_inverted_spans() {
         let mut forest = build_forest(&small_stream());
         forest.trees[0].spans[3].end = ms(1);
-        assert!(forest.validate().is_err());
+        assert_eq!(
+            forest.validate(),
+            Err("wf0/inv0 span 3 (exec fn1#0): closes before it opens".to_string())
+        );
     }
 }

@@ -1,11 +1,10 @@
 //! Text building without the formatting machinery, for the strings the
 //! obs pipeline writes once per span: span labels and the Chrome export.
 
-use faasflow_sim::FunctionId;
+use std::fmt;
 
-/// Appends `v` in decimal, as `u64::to_string` prints it.
-pub(crate) fn push_uint(out: &mut String, mut v: u64) {
-    let mut digits = [0u8; 20];
+/// `v` in decimal, as `u64::to_string` prints it, in the tail of `digits`.
+fn uint_text(digits: &mut [u8; 20], mut v: u64) -> &str {
     let mut at = digits.len();
     loop {
         at -= 1;
@@ -15,28 +14,25 @@ pub(crate) fn push_uint(out: &mut String, mut v: u64) {
             break;
         }
     }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    std::str::from_utf8(&digits[at..]).expect("ASCII digits")
 }
 
-/// How many bytes [`push_uint`] appends for `v`.
-pub(crate) fn uint_len(v: u64) -> usize {
-    v.checked_ilog10().map_or(1, |d| d as usize + 1)
+/// Appends `v` in decimal, as `u64::to_string` prints it.
+pub(crate) fn push_uint(out: &mut String, v: u64) {
+    out.push_str(uint_text(&mut [0; 20], v));
 }
 
-/// How many bytes [`push_function`] appends for `function`.
-pub(crate) fn function_len(function: FunctionId) -> usize {
-    FunctionId::PREFIX.len() + uint_len(function.index() as u64)
-}
-
-/// Appends `function` as its `Display` prints it.
-pub(crate) fn push_function(out: &mut String, function: FunctionId) {
-    out.push_str(FunctionId::PREFIX);
-    push_uint(out, function.index() as u64);
+/// Writes an id as its `Display` prints it: `prefix`, then `index` in
+/// decimal.
+pub(crate) fn write_id(out: &mut impl fmt::Write, prefix: &str, index: usize) -> fmt::Result {
+    out.write_str(prefix)?;
+    out.write_str(uint_text(&mut [0; 20], index as u64))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faasflow_sim::FunctionId;
 
     #[test]
     fn digits_and_ids_print_as_display_does() {
@@ -44,13 +40,12 @@ mod tests {
             let mut out = String::new();
             push_uint(&mut out, v);
             assert_eq!(out, v.to_string());
-            assert_eq!(uint_len(v), out.len());
         }
         for index in [0, 3, 41] {
+            let f = FunctionId::new(index);
             let mut out = String::new();
-            push_function(&mut out, FunctionId::new(index));
-            assert_eq!(out, FunctionId::new(index).to_string());
-            assert_eq!(function_len(FunctionId::new(index)), out.len());
+            write_id(&mut out, FunctionId::PREFIX, f.index()).expect("strings accept any text");
+            assert_eq!(out, f.to_string());
         }
     }
 }

@@ -67,7 +67,8 @@ fn main() -> Result<(), ClusterError> {
         tree.e2e().as_millis_f64()
     );
     for (idx, span) in tree.spans.iter().enumerate() {
-        let depth = std::iter::successors(Some(idx), |&i| tree.spans[i].parent).count() - 1;
+        let parent = |&i: &usize| tree.spans[i].parent.map(|p| p as usize);
+        let depth = std::iter::successors(Some(idx), parent).count() - 1;
         let marker = match span.kind {
             SpanKind::Invocation => "inv ",
             SpanKind::Function => "fn  ",
@@ -78,7 +79,7 @@ fn main() -> Result<(), ClusterError> {
         println!(
             "  {:indent$}{marker} {:<24} {:>8.2} ms",
             "",
-            span.label,
+            tree.label(idx),
             span.duration().as_millis_f64(),
             indent = depth * 2
         );
@@ -95,8 +96,8 @@ fn main() -> Result<(), ClusterError> {
     );
     for seg in &path.segments {
         let label = match seg.span {
-            Some(idx) => tree.spans[idx].label.as_str(),
-            None => "-",
+            Some(idx) => tree.label(idx).to_string(),
+            None => "-".to_string(),
         };
         println!(
             "  {:<9} {:<24} {:>8.2} ms",
