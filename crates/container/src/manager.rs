@@ -5,6 +5,10 @@
 //! under memory pressure, and cgroup-style memory-limit updates for
 //! FaaStore's reclamation (§4.3.2: "the container releases to-be-reclaimed
 //! memory by setting an updated cgroup memory limit").
+//!
+//! The node's idle containers sit on one intrusive doubly linked list sorted
+//! by `(expires_at, id)`, so the next keep-alive expiry, the memory-pressure
+//! victim and the expired prefix are all read from its head.
 
 use std::collections::VecDeque;
 
@@ -53,24 +57,32 @@ pub struct Admission<T> {
     pub start: StartKind,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CtrState {
-    /// Executing (or booting toward) a request.
-    Busy,
-    /// Warm and reusable; recycled at `expires_at`.
-    Idle { expires_at: SimTime },
-}
+/// The end of the idle list. Container ids count up from 0 and are never
+/// reused, so no live container has this id.
+const NIL: ContainerId = ContainerId::new(u32::MAX);
 
 #[derive(Debug, Clone)]
 struct Container {
     key: PoolKey,
-    state: CtrState,
+    /// When an idle container is recycled; stale while busy.
+    expires_at: SimTime,
     /// Current cgroup memory limit (shrinks under FaaStore reclamation).
     mem_limit: u64,
+    /// Neighbours on the idle list ([`NIL`] at either end); stale while
+    /// busy.
+    prev: ContainerId,
+    next: ContainerId,
+    /// Warm and reusable, on the idle list; otherwise executing (or booting
+    /// toward) a request.
+    idle: bool,
     /// Marked when the workflow version was retired while this container
     /// was busy (red-black deployment): recycle on release.
     doomed: bool,
 }
+
+// The links fit in what was padding: one container per map slot stays at
+// 40 bytes.
+const _: () = assert!(std::mem::size_of::<Container>() <= 40);
 
 #[derive(Debug, Clone)]
 struct Waiting<T> {
@@ -110,6 +122,10 @@ pub struct ContainerManager<T> {
     /// Idle container ids per pool, most-recently-used last (reuse prefers
     /// the MRU container, matching Docker-level warm pools).
     idle: FastMap<PoolKey, Vec<ContainerId>>,
+    /// Ends of the node-wide idle list, sorted by `(expires_at, id)`; the
+    /// head is the next to expire and the first pressure victim.
+    idle_head: ContainerId,
+    idle_tail: ContainerId,
     /// Containers (busy + idle) per pool, for the per-function limit.
     pool_sizes: FastMap<PoolKey, u32>,
     queue: VecDeque<Waiting<T>>,
@@ -133,6 +149,8 @@ impl<T> ContainerManager<T> {
             config,
             containers: FastMap::default(),
             idle: FastMap::default(),
+            idle_head: NIL,
+            idle_tail: NIL,
             pool_sizes: FastMap::default(),
             queue: VecDeque::new(),
             next_id: 0,
@@ -171,10 +189,7 @@ impl<T> ContainerManager<T> {
     /// this to distinguish stale admissions (for a container that died in
     /// a crash) from live ones before releasing.
     pub fn is_busy(&self, container: ContainerId) -> bool {
-        matches!(
-            self.containers.get(&container).map(|c| c.state),
-            Some(CtrState::Busy)
-        )
+        self.containers.get(&container).is_some_and(|c| !c.idle)
     }
 
     /// Simulates the node crashing: every container (busy and idle) and
@@ -187,6 +202,8 @@ impl<T> ContainerManager<T> {
         let lost = (self.containers.len(), self.queue.len());
         self.containers.clear();
         self.idle.clear();
+        self.idle_head = NIL;
+        self.idle_tail = NIL;
         self.pool_sizes.clear();
         self.queue.clear();
         self.cores_busy = 0;
@@ -279,7 +296,7 @@ impl<T> ContainerManager<T> {
             .containers
             .get_mut(&container)
             .expect("released container must exist");
-        assert_eq!(ctr.state, CtrState::Busy, "released container must be busy");
+        assert!(!ctr.idle, "released container must be busy");
         self.cores_busy -= CONTAINER_CORES;
         self.stats.cores_busy.sub(u64::from(CONTAINER_CORES));
         if ctr.doomed {
@@ -290,39 +307,25 @@ impl<T> ContainerManager<T> {
             self.stats.mem_resident.sub(mem);
             *self.pool_sizes.get_mut(&key).expect("pool exists") -= 1;
         } else {
-            ctr.state = CtrState::Idle {
-                expires_at: now + KEEP_ALIVE,
-            };
+            ctr.idle = true;
+            ctr.expires_at = now + KEEP_ALIVE;
             let key = ctr.key;
             self.idle.entry(key).or_default().push(container);
+            self.link_idle(container);
         }
         self.drain_queue(now, rng)
     }
 
     /// The earliest keep-alive expiry among idle containers, if any.
     pub fn next_expiry(&self) -> Option<SimTime> {
-        self.containers
-            .values()
-            .filter_map(|c| match c.state {
-                CtrState::Idle { expires_at } => Some(expires_at),
-                CtrState::Busy => None,
-            })
-            .min()
+        (self.idle_head != NIL).then(|| self.containers[&self.idle_head].expires_at)
     }
 
     /// Recycles idle containers whose keep-alive expired by `now`, then
     /// admits any queued requests the freed memory allows.
     pub fn evict_expired(&mut self, now: SimTime, rng: &mut SimRng) -> Vec<Admission<T>> {
-        let expired: Vec<ContainerId> = self
-            .containers
-            .iter()
-            .filter(|(_, c)| matches!(c.state, CtrState::Idle { expires_at } if expires_at <= now))
-            .map(|(&id, _)| id)
-            .collect();
-        let mut expired = expired;
-        expired.sort_unstable();
-        for id in expired {
-            self.remove_idle(id);
+        while self.next_expiry().is_some_and(|at| at <= now) {
+            self.remove_idle(self.idle_head);
             self.stats.expired.inc();
         }
         self.drain_queue(now, rng)
@@ -346,15 +349,11 @@ impl<T> ContainerManager<T> {
         let mut ids = ids;
         ids.sort_unstable();
         for id in ids {
-            let state = self.containers[&id].state;
-            match state {
-                CtrState::Idle { .. } => self.remove_idle(id),
-                CtrState::Busy => {
-                    self.containers
-                        .get_mut(&id)
-                        .expect("container exists")
-                        .doomed = true
-                }
+            let ctr = self.containers.get_mut(&id).expect("container exists");
+            if ctr.idle {
+                self.remove_idle(id);
+            } else {
+                ctr.doomed = true;
             }
         }
         self.drain_queue(now, rng)
@@ -401,9 +400,66 @@ impl<T> ContainerManager<T> {
 
     // ------------------------------------------------------------------
 
+    /// Puts the just-idled `id` on the idle list, walking back from the
+    /// tail past every later `(expires_at, id)`. The cluster releases in
+    /// clock order, so the walk passes only same-instant ties; the manager
+    /// itself accepts releases in any order.
+    fn link_idle(&mut self, id: ContainerId) {
+        let key = (self.containers[&id].expires_at, id);
+        let mut prev = self.idle_tail;
+        while prev != NIL {
+            let p = &self.containers[&prev];
+            if (p.expires_at, prev) < key {
+                break;
+            }
+            prev = p.prev;
+        }
+        let next = if prev == NIL {
+            std::mem::replace(&mut self.idle_head, id)
+        } else {
+            let p = self
+                .containers
+                .get_mut(&prev)
+                .expect("linked container exists");
+            std::mem::replace(&mut p.next, id)
+        };
+        if next == NIL {
+            self.idle_tail = id;
+        } else {
+            self.containers
+                .get_mut(&next)
+                .expect("linked container exists")
+                .prev = id;
+        }
+        let ctr = self.containers.get_mut(&id).expect("idle container exists");
+        ctr.prev = prev;
+        ctr.next = next;
+    }
+
+    /// Takes a container with links `prev` and `next` off the idle list.
+    fn unlink_idle(&mut self, prev: ContainerId, next: ContainerId) {
+        if prev == NIL {
+            self.idle_head = next;
+        } else {
+            self.containers
+                .get_mut(&prev)
+                .expect("linked container exists")
+                .next = next;
+        }
+        if next == NIL {
+            self.idle_tail = prev;
+        } else {
+            self.containers
+                .get_mut(&next)
+                .expect("linked container exists")
+                .prev = prev;
+        }
+    }
+
     fn remove_idle(&mut self, id: ContainerId) {
         let ctr = self.containers.remove(&id).expect("idle container exists");
-        debug_assert!(matches!(ctr.state, CtrState::Idle { .. }));
+        debug_assert!(ctr.idle);
+        self.unlink_idle(ctr.prev, ctr.next);
         self.mem_resident -= ctr.mem_limit;
         self.stats.mem_resident.sub(ctr.mem_limit);
         *self.pool_sizes.get_mut(&ctr.key).expect("pool exists") -= 1;
@@ -426,7 +482,9 @@ impl<T> ContainerManager<T> {
         // Warm reuse: most-recently-used idle container of this pool.
         if let Some(id) = self.idle.get_mut(&key).and_then(Vec::pop) {
             let ctr = self.containers.get_mut(&id).expect("idle container exists");
-            ctr.state = CtrState::Busy;
+            ctr.idle = false;
+            let (prev, next) = (ctr.prev, ctr.next);
+            self.unlink_idle(prev, next);
             self.cores_busy += CONTAINER_CORES;
             self.stats.cores_busy.add(u64::from(CONTAINER_CORES));
             self.stats.warm_starts.inc();
@@ -436,23 +494,14 @@ impl<T> ContainerManager<T> {
         if self.pool_size(key) >= self.config.per_function_limit {
             return None;
         }
-        // ...and node memory, evicting idle LRU containers if needed.
+        // ...and node memory, evicting idle LRU containers (the idle
+        // list's head, the least `(expires_at, id)`) if needed.
         while self.mem_resident + CONTAINER_MEM > self.caps.mem {
-            let victim = self
-                .containers
-                .iter()
-                .filter_map(|(&id, c)| match c.state {
-                    CtrState::Idle { expires_at } => Some((expires_at, id)),
-                    CtrState::Busy => None,
-                })
-                .min();
-            match victim {
-                Some((_, id)) => {
-                    self.remove_idle(id);
-                    self.stats.pressure_evictions.inc();
-                }
-                None => return None, // everything busy; wait
+            if self.idle_head == NIL {
+                return None; // everything busy; wait
             }
+            self.remove_idle(self.idle_head);
+            self.stats.pressure_evictions.inc();
         }
         let id = ContainerId::new(self.next_id);
         self.next_id += 1;
@@ -460,8 +509,11 @@ impl<T> ContainerManager<T> {
             id,
             Container {
                 key,
-                state: CtrState::Busy,
+                expires_at: now,
                 mem_limit: CONTAINER_MEM,
+                prev: NIL,
+                next: NIL,
+                idle: false,
                 doomed: false,
             },
         );

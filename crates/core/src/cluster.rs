@@ -3651,27 +3651,41 @@ impl Cluster {
     // ==================================================================
 
     fn reschedule_flow_timer(&mut self, now: SimTime) {
-        if let Some(ev) = self.flow_timer.take() {
-            self.queue.cancel(ev);
-        }
-        if let Some(t) = self.net.next_completion() {
-            let at = t.max(now);
-            self.flow_timer = Some(self.queue.schedule(at, Event::FlowTick));
-        }
+        let at = self.net.next_completion().map(|t| t.max(now));
+        self.flow_timer = rearm(&mut self.queue, self.flow_timer, at, Event::FlowTick);
     }
 
     /// After any change to `worker`'s pool: refreshes its gauges and
-    /// re-arms the keep-alive expiry timer.
+    /// re-arms the keep-alive expiry timer in place.
     fn pool_changed(&mut self, now: SimTime, worker: usize) {
         let w = &mut self.workers[worker];
         w.track(now);
-        if let Some(ev) = w.expiry_timer.take() {
-            self.queue.cancel(ev);
+        let at = w.pool.next_expiry().map(|t| t.max(now));
+        w.expiry_timer = rearm(
+            &mut self.queue,
+            w.expiry_timer,
+            at,
+            Event::ContainerExpiry { worker },
+        );
+    }
+}
+
+/// Moves `timer` to `at`, arming it if it is not pending and cancelling it
+/// when `at` is `None`; returns the timer's id. Pop order is exactly that
+/// of cancelling the old timer and scheduling `event` afresh.
+fn rearm(
+    queue: &mut EventQueue<Event>,
+    timer: Option<EventId>,
+    at: Option<SimTime>,
+    event: Event,
+) -> Option<EventId> {
+    match (timer, at) {
+        (Some(ev), Some(at)) if queue.reschedule(ev, at) => Some(ev),
+        (Some(ev), None) => {
+            queue.cancel(ev);
+            None
         }
-        if let Some(t) = w.pool.next_expiry() {
-            let at = t.max(now);
-            w.expiry_timer = Some(self.queue.schedule(at, Event::ContainerExpiry { worker }));
-        }
+        (_, at) => at.map(|at| queue.schedule(at, event)),
     }
 }
 

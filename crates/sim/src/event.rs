@@ -10,9 +10,11 @@
 //! heap position. That makes [`EventQueue::cancel`] a true `O(log n)`
 //! removal (no tombstones to skip later) and [`EventQueue::peek_time`] /
 //! [`EventQueue::is_empty`] exact `O(1)` reads — with no hashing anywhere
-//! on the hot path. Slots are recycled through a free list; a per-slot
-//! generation counter keeps recycled [`EventId`]s from aliasing, so
-//! cancelling a fired or already-cancelled event stays a cheap, safe no-op.
+//! on the hot path. [`EventQueue::reschedule`] re-keys a pending entry and
+//! sifts it where it stands, for timers that move on every state change.
+//! Slots are recycled through a free list; a per-slot generation counter
+//! keeps recycled [`EventId`]s from aliasing, so cancelling a fired or
+//! already-cancelled event stays a cheap, safe no-op.
 //!
 //! The arity is 4: sift-down touches 4 children per level but the tree is
 //! half as deep as a binary heap's, which wins on timer-heavy workloads
@@ -172,18 +174,48 @@ impl<E> EventQueue<E> {
     /// cancel removes the entry from the heap immediately — nothing lingers
     /// to slow later pops.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let slot = id.slot();
-        if slot >= self.slots.len() {
+        let Some(slot) = self.pending_slot(id) else {
             return false;
-        }
+        };
         let s = &mut self.slots[slot];
-        if s.gen != id.gen() || s.event.is_none() {
-            return false;
-        }
         s.event = None;
         let pos = s.pos as usize;
         self.release(slot as u32);
         self.remove_at(pos);
+        true
+    }
+
+    /// Moves a pending event to `time` in place, keeping its id and payload.
+    ///
+    /// The entry takes the key `(time, next_seq)` — one fresh sequence
+    /// number, exactly what cancelling and scheduling the same payload
+    /// again would give it — so pop order matches that pair bit for bit,
+    /// including among same-instant events. The key is refreshed even when
+    /// `time` is unchanged, for the same reason. Returns `false` and
+    /// changes nothing when `id` already fired or was cancelled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is pending and `time` is earlier than the instant of
+    /// the last popped event.
+    pub fn reschedule(&mut self, id: EventId, time: SimTime) -> bool {
+        let Some(slot) = self.pending_slot(id) else {
+            return false;
+        };
+        assert!(
+            time >= self.now,
+            "cannot reschedule an event to {time} before the current time {now}",
+            now = self.now
+        );
+        let pos = self.slots[slot].pos as usize;
+        let entry = &mut self.heap[pos];
+        entry.time = time;
+        entry.seq = self.next_seq;
+        self.next_seq += 1;
+        // The new key may be smaller than the parent's or larger than a
+        // child's; try both directions (one is a no-op).
+        self.sift_down(pos);
+        self.sift_up(self.slots[slot].pos as usize);
         true
     }
 
@@ -216,6 +248,13 @@ impl<E> EventQueue<E> {
     /// True when no event is pending. `O(1)`.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
+    }
+
+    /// The slot of `id` while its event is pending; `None` once it fired
+    /// or was cancelled, or when the slot was recycled since.
+    fn pending_slot(&self, id: EventId) -> Option<usize> {
+        let s = self.slots.get(id.slot())?;
+        (s.gen == id.gen() && s.event.is_some()).then_some(id.slot())
     }
 
     /// Recycles `slot` for reuse, invalidating any outstanding [`EventId`]s
@@ -382,6 +421,49 @@ mod tests {
         let _b = q.schedule(SimTime::from_nanos(2), "b");
         assert!(!q.cancel(a));
         assert_eq!(q.pop().map(|(_, e)| e), Some("b"));
+    }
+
+    #[test]
+    fn reschedule_to_the_same_instant_goes_behind_its_ties() {
+        // Cancel-then-schedule would put "a" after "b"; so must reschedule.
+        let mut q = EventQueue::new();
+        let t = SimTime::from_nanos(5);
+        let a = q.schedule(t, "a");
+        q.schedule(t, "b");
+        assert!(q.reschedule(a, t));
+        assert_eq!(q.pop().map(|(_, e)| e), Some("b"));
+        assert_eq!(q.pop().map(|(_, e)| e), Some("a"));
+    }
+
+    #[test]
+    fn reschedule_of_a_dead_id_is_false_and_changes_nothing() {
+        let mut q = EventQueue::new();
+        let fired = q.schedule(SimTime::from_nanos(1), 1);
+        let cancelled = q.schedule(SimTime::from_nanos(2), 2);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(1), 1)));
+        assert!(q.cancel(cancelled));
+        // Both slots are recycled by the next two schedules; the dead ids
+        // must not reach the new occupants.
+        q.schedule(SimTime::from_nanos(3), 3);
+        q.schedule(SimTime::from_nanos(3), 4);
+        let before = q.next_seq;
+        for dead in [fired, cancelled, EventId::new(99, 0)] {
+            assert!(!q.reschedule(dead, SimTime::from_nanos(9)));
+        }
+        assert_eq!(q.next_seq, before, "no sequence number consumed");
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(3), 3)));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(3), 4)));
+    }
+
+    #[test]
+    #[should_panic(expected = "before the current time")]
+    fn rescheduling_into_the_past_panics() {
+        let mut q = EventQueue::new();
+        let a = q.schedule(SimTime::from_nanos(20), ());
+        q.schedule(SimTime::from_nanos(10), ());
+        q.pop();
+        q.reschedule(a, SimTime::from_nanos(5));
     }
 
     #[test]

@@ -8,6 +8,9 @@ use proptest::prelude::*;
 enum Op {
     Schedule(u64),
     CancelNth(usize),
+    /// Reschedule the n-th issued id to the clock plus a small offset (few
+    /// distinct values, so rescheduled events tie often).
+    RescheduleNth(usize, u64),
     Pop,
 }
 
@@ -15,17 +18,19 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0u64..1_000_000).prop_map(Op::Schedule),
         (0usize..64).prop_map(Op::CancelNth),
+        (0usize..64, 0u64..3).prop_map(|(n, dt)| Op::RescheduleNth(n, dt)),
         Just(Op::Pop),
     ]
 }
 
 proptest! {
     /// The queue delivers exactly the non-cancelled events in
-    /// (time, insertion) order, never travelling back in time.
+    /// (time, insertion) order, never travelling back in time. A reschedule
+    /// counts as a fresh insertion: cancel plus schedule of the same payload.
     #[test]
     fn matches_reference_model(ops in proptest::collection::vec(op_strategy(), 1..200)) {
         let mut q: EventQueue<usize> = EventQueue::new();
-        // Model: (time, seq, id, cancelled)
+        // Model, indexed by issue order (the payload): (time, seq, cancelled).
         let mut model: Vec<(u64, usize, bool)> = Vec::new();
         let mut ids = Vec::new();
         let mut clock = 0u64;
@@ -37,7 +42,7 @@ proptest! {
                     // Never schedule in the past (the queue would panic by
                     // design); shift the time up to the clock.
                     let t = t.max(clock);
-                    let id = q.schedule(SimTime::from_nanos(t), seq);
+                    let id = q.schedule(SimTime::from_nanos(t), ids.len());
                     ids.push(id);
                     model.push((t, seq, false));
                     seq += 1;
@@ -54,6 +59,20 @@ proptest! {
                         }
                     }
                 }
+                Op::RescheduleNth(n, dt) => {
+                    if !ids.is_empty() {
+                        let idx = n % ids.len();
+                        let was_live = !model[idx].2 && model[idx].0 != u64::MAX;
+                        let t = clock + dt;
+                        let moved = q.reschedule(ids[idx], SimTime::from_nanos(t));
+                        prop_assert_eq!(moved, was_live);
+                        if moved {
+                            model[idx].0 = t;
+                            model[idx].1 = seq;
+                            seq += 1;
+                        }
+                    }
+                }
                 Op::Pop => {
                     // Model pop: earliest (time, seq) among entries that are
                     // neither cancelled nor already delivered.
@@ -62,12 +81,12 @@ proptest! {
                         .enumerate()
                         .filter(|(_, &(t, _, cancelled))| !cancelled && t != u64::MAX)
                         .min_by_key(|(_, &(t, s, _))| (t, s))
-                        .map(|(i, &(t, s, _))| (i, t, s));
+                        .map(|(i, &(t, _, _))| (i, t));
                     match (q.pop(), expect) {
                         (None, None) => {}
-                        (Some((t, payload)), Some((i, mt, ms))) => {
+                        (Some((t, payload)), Some((i, mt))) => {
                             prop_assert_eq!(t.as_nanos(), mt);
-                            prop_assert_eq!(payload, ms);
+                            prop_assert_eq!(payload, i);
                             prop_assert!(t.as_nanos() >= clock, "clock must not go back");
                             clock = t.as_nanos();
                             model[i].0 = u64::MAX; // mark delivered

@@ -7,7 +7,8 @@
 //! the patterns the cluster produces (timer churn: schedule, cancel,
 //! reschedule), plus the adversarial ones: cancelling events that already
 //! fired, cancelling twice, and cancelling with stale ids after their
-//! slot was recycled.
+//! slot was recycled. An in-place `reschedule` is checked against its
+//! definition: cancel the event, then schedule the same payload again.
 
 use std::collections::BTreeMap;
 
@@ -42,6 +43,14 @@ impl Reference {
         }
     }
 
+    /// Cancel plus schedule of the same payload; the new sequence number,
+    /// or `None` (and no change) when `seq` is not pending.
+    fn reschedule(&mut self, seq: u64, time: SimTime) -> Option<u64> {
+        let key = self.pending.remove(&seq)?;
+        let payload = self.queue.remove(&key).expect("pending keys are queued");
+        Some(self.schedule(time, payload))
+    }
+
     fn pop(&mut self) -> Option<(SimTime, u64)> {
         let (&(time, seq), &payload) = self.queue.iter().next()?;
         self.queue.remove(&(time, seq));
@@ -66,7 +75,7 @@ fn run_differential(seed: u64, steps: usize) {
     let mut payload = 0u64;
 
     for _ in 0..steps {
-        match rng.next_below(10) {
+        match rng.next_below(12) {
             // Schedule dominates so queues grow enough to stress the heap.
             0..=4 => {
                 let dt = rng.next_below(1_000_000);
@@ -87,6 +96,24 @@ fn run_differential(seed: u64, steps: usize) {
             }
             7..=8 => {
                 assert_eq!(q.pop(), model.pop(), "pop diverged");
+            }
+            10..=11 => {
+                // Reschedule a random id to one of a few near instants, so
+                // rescheduled events often tie with each other and with
+                // the tie-break by sequence number decides their order.
+                let i = rng.next_below(ids.len().max(1) as u64) as usize;
+                if let Some(&(id, seq)) = ids.get(i) {
+                    let time = SimTime::from_nanos(model.now.as_nanos() + rng.next_below(3) * 500);
+                    let moved = model.reschedule(seq, time);
+                    assert_eq!(
+                        q.reschedule(id, time),
+                        moved.is_some(),
+                        "reschedule verdict diverged"
+                    );
+                    if let Some(seq) = moved {
+                        ids[i].1 = seq;
+                    }
+                }
             }
             _ => {
                 assert_eq!(q.peek_time(), model.peek_time(), "peek diverged");
