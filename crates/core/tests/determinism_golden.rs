@@ -13,8 +13,8 @@
 //! ```
 
 use faasflow_core::{
-    ClientConfig, Cluster, ClusterConfig, FaultPlan, GrayFault, GrayFaultKind, NetFault, NodeCrash,
-    PlacementConfig, RunReport, ScheduleMode, StorageFault, StorageFaultKind,
+    ClientConfig, Cluster, ClusterConfig, FaultPlan, GrayFault, GrayFaultKind, HealthConfig,
+    NetFault, NodeCrash, PlacementConfig, RunReport, ScheduleMode, StorageFault, StorageFaultKind,
 };
 use faasflow_sim::SimDuration;
 use faasflow_wdl::{FunctionProfile, Step, Workflow};
@@ -43,6 +43,19 @@ fn genome() -> Workflow {
             Step::foreach("sifting", FunctionProfile::with_millis(260, 12 << 20), 4),
             Step::task("mutual", FunctionProfile::with_millis(150, 6 << 20)),
             Step::task("visualize", FunctionProfile::with_millis(90, 0)),
+        ]),
+    )
+}
+
+/// Fan-out over 48 MB payloads: every instance spends a while reading its
+/// input, so a recovery sweep finds transfers in flight.
+fn heavy(i: usize) -> Workflow {
+    Workflow::steps(
+        format!("Heavy{i}"),
+        Step::sequence(vec![
+            Step::task("ingest", FunctionProfile::with_millis(150, 48 << 20)),
+            Step::foreach("crunch", FunctionProfile::with_millis(400, 48 << 20), 6),
+            Step::task("merge", FunctionProfile::with_millis(80, 0)),
         ]),
     )
 }
@@ -136,16 +149,49 @@ fn master_sp_evacuation_report() -> RunReport {
     };
     let mut cluster = Cluster::new(config).expect("valid config");
     for i in 0..2 {
-        let heavy = Workflow::steps(
-            format!("Heavy{i}"),
-            Step::sequence(vec![
-                Step::task("ingest", FunctionProfile::with_millis(150, 48 << 20)),
-                Step::foreach("crunch", FunctionProfile::with_millis(400, 48 << 20), 6),
-                Step::task("merge", FunctionProfile::with_millis(80, 0)),
-            ]),
-        );
         cluster
-            .register(&heavy, ClientConfig::ClosedLoop { invocations: 8 })
+            .register(&heavy(i), ClientConfig::ClosedLoop { invocations: 8 })
+            .expect("registers");
+    }
+    cluster.run_until_idle();
+    cluster.report()
+}
+
+/// Scenario 2c: MasterSP quarantine drain with data in flight. Worker 0
+/// slows down eightfold while heartbeating normally; the health detector
+/// quarantines it and, with `drain_on_quarantine`, the master evacuates
+/// every instance admitted there to a healthy worker. Some are still
+/// reading their 48 MB inputs, so the evacuation's flow sweep cancels
+/// those transfers and its container release frees their slots. No lease
+/// expires.
+fn master_sp_quarantine_drain_report() -> RunReport {
+    let fault = FaultPlan {
+        gray_faults: vec![GrayFault {
+            worker: 0,
+            at: SimDuration::from_secs(2),
+            duration: SimDuration::from_secs(20),
+            kind: GrayFaultKind::ExecSlowdown { factor: 8.0 },
+        }],
+        ..FaultPlan::default()
+    };
+    let config = ClusterConfig {
+        mode: ScheduleMode::MasterSp,
+        faastore: false,
+        workers: 4,
+        fault,
+        health: Some(HealthConfig {
+            drain_on_quarantine: true,
+            ..HealthConfig::default()
+        }),
+        // Load-aware placement spreads the workflows, so the detector has
+        // a fleet to score worker 0 against.
+        placement_config: PlacementConfig::default(),
+        ..ClusterConfig::default()
+    };
+    let mut cluster = Cluster::new(config).expect("valid config");
+    for i in 0..4 {
+        cluster
+            .register(&heavy(i), ClientConfig::ClosedLoop { invocations: 8 })
             .expect("registers");
     }
     cluster.run_until_idle();
@@ -262,6 +308,11 @@ fn golden_master_sp_evacuation() {
         "the zombie's late completions must be fenced ({:?})",
         report.health
     );
+    assert_conserved(&report);
+}
+
+/// Every invocation sent ended exactly once, and no engine state leaked.
+fn assert_conserved(report: &RunReport) {
     for (name, wf) in &report.workflows {
         assert_eq!(
             wf.sent,
@@ -270,6 +321,25 @@ fn golden_master_sp_evacuation() {
         );
     }
     assert_eq!(report.live_invocation_states, 0, "leaked engine state");
+}
+
+#[test]
+fn golden_master_sp_quarantine_drain() {
+    let report = master_sp_quarantine_drain_report();
+    check("master_sp_quarantine_drain", &report);
+    assert!(report.health.quarantines >= 1, "{:?}", report.health);
+    assert_eq!(report.faults.lease_expiries, 0, "no lease may expire");
+    assert!(
+        report.faults.crash_redispatches > 0,
+        "the drain must re-dispatch the evacuated instances ({:?})",
+        report.faults
+    );
+    assert!(
+        report.faults.flows_killed > 0,
+        "the drain must cancel transfers in flight ({:?})",
+        report.faults
+    );
+    assert_conserved(&report);
 }
 
 #[test]
