@@ -544,33 +544,19 @@ mod tests {
     #[test]
     fn zero_breaker_thresholds_are_rejected() {
         use crate::overload::{BreakerConfig, OverloadConfig};
-        for bad in [
-            BreakerConfig {
-                failure_threshold: 0,
-                ..BreakerConfig::default()
+        let c = ClusterConfig {
+            overload: OverloadConfig {
+                breaker: Some(BreakerConfig {
+                    failure_threshold: 0,
+                }),
+                ..OverloadConfig::default()
             },
-            BreakerConfig {
-                half_open_probes: 0,
-                ..BreakerConfig::default()
-            },
-            BreakerConfig {
-                open_duration: SimDuration::ZERO,
-                ..BreakerConfig::default()
-            },
-            BreakerConfig {
-                jitter: 1.5,
-                ..BreakerConfig::default()
-            },
-        ] {
-            let c = ClusterConfig {
-                overload: OverloadConfig {
-                    breaker: Some(bad),
-                    ..OverloadConfig::default()
-                },
-                ..ClusterConfig::default()
-            };
-            assert!(c.validate().is_err(), "{bad:?} should be rejected");
-        }
+            ..ClusterConfig::default()
+        };
+        assert!(
+            c.validate().is_err(),
+            "a zero failure threshold is rejected"
+        );
     }
 
     #[test]

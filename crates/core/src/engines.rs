@@ -595,10 +595,7 @@ mod tests {
                 ..JournalConfig::default()
             },
             fault: FaultPlan {
-                backoff: BackoffPolicy {
-                    max_attempts: 2,
-                    ..BackoffPolicy::default()
-                },
+                backoff: BackoffPolicy { max_attempts: 2 },
                 ..FaultPlan::default()
             },
             ..ClusterConfig::default()

@@ -191,72 +191,39 @@ pub struct GrayFault {
     pub kind: GrayFaultKind,
 }
 
-/// Exponential backoff with full-range jitter, used for storage retries and
-/// message retransmissions.
+/// First backoff delay.
+const BACKOFF_BASE: SimDuration = SimDuration::from_millis(100);
+/// Ceiling on any single backoff delay.
+const BACKOFF_CAP: SimDuration = SimDuration::from_secs(10);
+/// Geometric growth of the backoff delay per retry.
+const BACKOFF_FACTOR: f64 = 2.0;
+/// Each backoff delay is scaled by a uniform factor in
+/// `[1 - BACKOFF_JITTER, 1 + BACKOFF_JITTER]` drawn from the seeded RNG.
+const BACKOFF_JITTER: f64 = 0.1;
+
+/// Exponential backoff with jitter, used for storage retries, journal
+/// reads and message retransmissions: 100 ms doubling to a 10 s cap,
+/// each delay jittered by ±10%.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BackoffPolicy {
-    /// First retry delay.
-    pub base: SimDuration,
-    /// Ceiling on any single delay.
-    pub cap: SimDuration,
-    /// Geometric growth factor (>= 1.0).
-    pub factor: f64,
-    /// Jitter fraction in `[0, 1)`: each delay is scaled by a uniform
-    /// factor in `[1 - jitter, 1 + jitter]` drawn from the seeded RNG.
-    pub jitter: f64,
     /// Retries before the operation is abandoned.
     pub max_attempts: u32,
 }
 
 impl Default for BackoffPolicy {
     fn default() -> Self {
-        BackoffPolicy {
-            base: SimDuration::from_millis(100),
-            cap: SimDuration::from_secs(10),
-            factor: 2.0,
-            jitter: 0.1,
-            max_attempts: 16,
-        }
+        BackoffPolicy { max_attempts: 16 }
     }
 }
 
 impl BackoffPolicy {
     /// The jittered delay before retry number `attempt` (0-based).
     pub fn delay(&self, attempt: u32, rng: &mut SimRng) -> SimDuration {
-        let exp = self.factor.powi(attempt.min(63) as i32);
-        let raw = self.base.mul_f64(exp).min(self.cap);
-        if self.jitter > 0.0 {
-            raw.mul_f64(rng.range_f64(1.0 - self.jitter, 1.0 + self.jitter))
-        } else {
-            raw
-        }
-    }
-
-    fn validate(&self) -> Result<(), String> {
-        if !(self.factor.is_finite() && self.factor >= 1.0) {
-            return Err(format!("backoff factor must be >= 1, got {}", self.factor));
-        }
-        if !(0.0..1.0).contains(&self.jitter) {
-            return Err(format!(
-                "backoff jitter must be in [0,1), got {}",
-                self.jitter
-            ));
-        }
-        if self.max_attempts == 0 {
-            return Err("backoff max_attempts must be at least 1".into());
-        }
-        if self.base.is_zero() {
-            return Err("backoff base delay must be positive".into());
-        }
-        Ok(())
+        let exp = BACKOFF_FACTOR.powi(attempt.min(63) as i32);
+        let raw = BACKOFF_BASE.mul_f64(exp).min(BACKOFF_CAP);
+        raw.mul_f64(rng.range_f64(1.0 - BACKOFF_JITTER, 1.0 + BACKOFF_JITTER))
     }
 }
-
-/// Workers heartbeat the failure detector at this interval.
-const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_millis(500);
-/// Missed heartbeats before a worker's lease expires and recovery starts.
-/// Detection delay = `HEARTBEAT_INTERVAL * LEASE_MISSES`.
-const LEASE_MISSES: u64 = 3;
 
 /// The declarative fault schedule of one cluster run.
 ///
@@ -275,24 +242,21 @@ pub struct FaultPlan {
     /// Gray-failure windows: the worker stays "alive" while degrading.
     #[serde(default)]
     pub gray_faults: Vec<GrayFault>,
-    /// Backoff for storage retries and message retransmissions.
+    /// Retry budget for storage retries, journal reads and message
+    /// retransmissions.
     pub backoff: BackoffPolicy,
     /// When `true`, an instance that exhausts its transient-exec retry
     /// budget dead-letters the whole invocation (with accounting) instead
     /// of completing as if it had succeeded. Defaults to `false`, the
     /// legacy pass-through behaviour.
     pub dead_letter_on_exhaustion: bool,
-    /// When `true`, each worker's heartbeat phase is offset by a
-    /// deterministic per-worker fraction of the heartbeat interval (derived
-    /// from the worker index, not RNG), so simultaneous crashes don't
-    /// expire every lease at the same instant and synchronize a recovery
-    /// storm. Defaults to `false`: every lease expires exactly
-    /// [`FaultPlan::detection_delay`] after the crash, as before.
-    #[serde(default)]
-    pub stagger_heartbeats: bool,
 }
 
 impl FaultPlan {
+    /// Time from a crash (or suspicion) to the lease expiring and recovery
+    /// starting: three missed heartbeats at a 500 ms interval.
+    pub const DETECTION_DELAY: SimDuration = SimDuration::from_millis(1500);
+
     /// `true` when the plan schedules no faults at all.
     pub fn is_empty(&self) -> bool {
         self.node_crashes.is_empty()
@@ -302,28 +266,11 @@ impl FaultPlan {
             && self.gray_faults.is_empty()
     }
 
-    /// Time from a crash to its lease expiring (recovery kicking in).
-    pub fn detection_delay(&self) -> SimDuration {
-        HEARTBEAT_INTERVAL * LEASE_MISSES
-    }
-
-    /// Time from worker `worker`'s crash (or suspicion) to its lease
-    /// expiring. Without heartbeat staggering this is exactly
-    /// [`FaultPlan::detection_delay`]; with it, each worker adds a
-    /// deterministic phase offset of `(worker mod 8) / 8` heartbeat
-    /// intervals so simultaneous crashes expire at distinct instants.
-    pub fn lease_delay(&self, worker: u32) -> SimDuration {
-        let base = self.detection_delay();
-        if self.stagger_heartbeats {
-            base + HEARTBEAT_INTERVAL.mul_f64(f64::from(worker % 8) / 8.0)
-        } else {
-            base
-        }
-    }
-
     /// Validates the plan against a cluster with `workers` worker nodes.
     pub fn validate(&self, workers: u32) -> Result<(), String> {
-        self.backoff.validate()?;
+        if self.backoff.max_attempts == 0 {
+            return Err("backoff max_attempts must be at least 1".into());
+        }
         for c in &self.node_crashes {
             if c.worker >= workers {
                 return Err(format!(
@@ -615,7 +562,6 @@ mod tests {
         let plan = FaultPlan::default();
         assert!(plan.is_empty());
         plan.validate(7).expect("default plan valid");
-        assert_eq!(plan.detection_delay(), SimDuration::from_millis(1500));
     }
 
     #[test]
@@ -817,38 +763,18 @@ mod tests {
     }
 
     #[test]
-    fn staggered_lease_delay_offsets_by_worker_index() {
-        let mut plan = FaultPlan::default();
-        assert_eq!(plan.lease_delay(0), plan.detection_delay());
-        assert_eq!(plan.lease_delay(5), plan.detection_delay());
-
-        plan.stagger_heartbeats = true;
-        assert_eq!(plan.lease_delay(0), plan.detection_delay());
-        assert_eq!(
-            plan.lease_delay(1),
-            plan.detection_delay() + SimDuration::from_micros(62_500)
-        );
-        assert_ne!(plan.lease_delay(1), plan.lease_delay(2));
-        // Offsets wrap every 8 workers but stay below one full interval,
-        // so detection_delay semantics (lower bound) are preserved.
-        assert_eq!(plan.lease_delay(3), plan.lease_delay(11));
-        for w in 0..16 {
-            assert!(plan.lease_delay(w) < plan.detection_delay() + HEARTBEAT_INTERVAL);
-            assert!(plan.lease_delay(w) >= plan.detection_delay());
-        }
-    }
-
-    #[test]
     fn backoff_grows_and_caps() {
-        let mut rng = SimRng::seed_from(7);
-        let policy = BackoffPolicy {
-            jitter: 0.0,
-            ..BackoffPolicy::default()
-        };
-        assert_eq!(policy.delay(0, &mut rng), SimDuration::from_millis(100));
-        assert_eq!(policy.delay(1, &mut rng), SimDuration::from_millis(200));
-        assert_eq!(policy.delay(3, &mut rng), SimDuration::from_millis(800));
-        assert_eq!(policy.delay(20, &mut rng), SimDuration::from_secs(10));
+        let (mut rng, mut twin) = (SimRng::seed_from(7), SimRng::seed_from(7));
+        let policy = BackoffPolicy::default();
+        for (attempt, nominal) in [
+            (0, SimDuration::from_millis(100)),
+            (1, SimDuration::from_millis(200)),
+            (3, SimDuration::from_millis(800)),
+            (20, SimDuration::from_secs(10)),
+        ] {
+            let jitter = twin.range_f64(0.9, 1.1);
+            assert_eq!(policy.delay(attempt, &mut rng), nominal.mul_f64(jitter));
+        }
     }
 
     #[test]
@@ -857,10 +783,9 @@ mod tests {
         let policy = BackoffPolicy::default();
         for attempt in 0..8 {
             let d = policy.delay(attempt, &mut rng);
-            let nominal = policy
-                .base
-                .mul_f64(policy.factor.powi(attempt as i32))
-                .min(policy.cap);
+            let nominal = BACKOFF_BASE
+                .mul_f64(BACKOFF_FACTOR.powi(attempt as i32))
+                .min(BACKOFF_CAP);
             assert!(d >= nominal.mul_f64(0.89) && d <= nominal.mul_f64(1.11));
         }
     }

@@ -1,6 +1,6 @@
 //! Online gray-failure health detection and worker quarantine.
 //!
-//! The lease detector ([`crate::FaultPlan::detection_delay`]) only catches
+//! The lease detector ([`crate::FaultPlan::DETECTION_DELAY`]) only catches
 //! fail-stop faults: a worker that heartbeats on time while executing 10×
 //! slower, hanging mid-exec, or failing every other invocation looks
 //! perfectly healthy to it. This module closes that gap with *differential*

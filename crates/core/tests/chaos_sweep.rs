@@ -289,7 +289,6 @@ fn scenario(seed: u64) -> (ClusterConfig, Workflow, u32) {
     if rng.chance(0.5) {
         overload.breaker = Some(BreakerConfig {
             failure_threshold: 1 + rng.next_below(4) as u32,
-            ..BreakerConfig::default()
         });
     }
     if rng.chance(0.5) {

@@ -467,7 +467,7 @@ fn restart_purges_the_old_attempts_queued_admissions() {
         }],
         ..FaultPlan::default()
     };
-    let restart_at = SimTime::ZERO + (SimDuration::from_secs(2) + fault.lease_delay(1));
+    let restart_at = SimTime::ZERO + (SimDuration::from_secs(2) + FaultPlan::DETECTION_DELAY);
     let mut cluster = Cluster::new(ClusterConfig {
         workers: 3,
         node_caps: NodeCaps {
@@ -599,10 +599,7 @@ fn journal_blind_boot_dead_letters_unwitnessed_arrivals() {
             duration: SimDuration::from_secs(3),
             kind: StorageFaultKind::Blackout,
         }],
-        backoff: BackoffPolicy {
-            max_attempts: 1,
-            ..BackoffPolicy::default()
-        },
+        backoff: BackoffPolicy { max_attempts: 1 },
         ..FaultPlan::default()
     };
     let cfg = ClusterConfig {

@@ -377,36 +377,6 @@ fn gray_failures_are_deterministic() {
     assert_eq!(once(), once());
 }
 
-#[test]
-fn stagger_spreads_lease_expiry_without_changing_outcomes() {
-    // Heartbeat staggering shifts each worker's lease phase by a
-    // deterministic fraction of the interval: detection gets later,
-    // never earlier, and recovery still completes everything.
-    use faasflow_core::NodeCrash;
-    let run_with = |stagger: bool| {
-        let plan = FaultPlan {
-            node_crashes: vec![NodeCrash {
-                worker: 1,
-                at: SimDuration::from_secs(3),
-                restart_after: Some(SimDuration::from_secs(5)),
-            }],
-            stagger_heartbeats: stagger,
-            ..FaultPlan::default()
-        };
-        run(base_config(4, plan, None), 25)
-    };
-    let plain = run_with(false);
-    let staggered = run_with(true);
-    for (label, report) in [("plain", &plain), ("staggered", &staggered)] {
-        assert_conserved(report, label);
-        assert!(
-            report.faults.lease_expiries >= 1,
-            "{label}: the crash must expire the lease"
-        );
-    }
-    assert_eq!(plain.faults.worker_crashes, staggered.faults.worker_crashes);
-}
-
 /// A worker crashes while a gray partition holds data-plane payloads
 /// behind it. Under MasterSP its orphaned instances are re-admitted on the
 /// survivor under the same token, so when the window lifts the dead

@@ -178,7 +178,6 @@ fn breaker_trips_during_blackout_and_recovers() {
         overload: OverloadConfig {
             breaker: Some(BreakerConfig {
                 failure_threshold: 2,
-                ..BreakerConfig::default()
             }),
             ..OverloadConfig::default()
         },

@@ -112,7 +112,6 @@ fn fault_run() -> (SpanForest, Option<faasflow_core::ResourceSeriesReport>) {
         overload: OverloadConfig {
             breaker: Some(BreakerConfig {
                 failure_threshold: 2,
-                ..BreakerConfig::default()
             }),
             ..OverloadConfig::default()
         },

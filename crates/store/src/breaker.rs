@@ -6,9 +6,9 @@
 //! time and prolongs the outage. The breaker is the standard three-state
 //! machine — closed → open on consecutive failures or slow calls →
 //! half-open probe after a cool-down — adapted to the simulation's
-//! determinism contract: the only randomness is an optional jitter on
-//! the open-window length, drawn from the cluster's seeded RNG and only
-//! on the closed/half-open → open transition, so a disabled or
+//! determinism contract: the only randomness is a jitter on the
+//! open-window length, drawn from the cluster's seeded RNG and only on
+//! the closed/half-open → open transition, so a disabled or
 //! never-tripping breaker consumes zero RNG draws.
 
 use faasflow_sim::{SimDuration, SimRng, SimTime};
@@ -50,32 +50,29 @@ pub enum BreakerDecision {
     FastFail,
 }
 
+/// A call slower than this counts as a failure even if it succeeded
+/// (brownouts degrade latency without returning errors).
+const LATENCY_THRESHOLD: SimDuration = SimDuration::from_millis(250);
+/// How long the breaker stays open before probing.
+const OPEN_DURATION: SimDuration = SimDuration::from_secs(1);
+/// Successful probes required to close from half-open.
+const HALF_OPEN_PROBES: u32 = 3;
+/// Relative jitter on `OPEN_DURATION`: the window is scaled by a factor
+/// drawn uniformly from `[1 - JITTER, 1 + JITTER]`, so synchronized trips
+/// across workers don't re-probe in lockstep.
+const JITTER: f64 = 0.1;
+
 /// Breaker thresholds.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BreakerConfig {
     /// Consecutive failed (or slow) calls that trip the breaker.
     pub failure_threshold: u32,
-    /// A call slower than this counts as a failure even if it succeeded
-    /// (brownouts degrade latency without returning errors).
-    pub latency_threshold: SimDuration,
-    /// How long the breaker stays open before probing.
-    pub open_duration: SimDuration,
-    /// Successful probes required to close from half-open.
-    pub half_open_probes: u32,
-    /// Relative jitter on `open_duration` in `[0, 1)`; the window is
-    /// scaled by a factor drawn uniformly from `[1-jitter, 1+jitter]`
-    /// so synchronized trips across workers don't re-probe in lockstep.
-    pub jitter: f64,
 }
 
 impl Default for BreakerConfig {
     fn default() -> Self {
         BreakerConfig {
             failure_threshold: 5,
-            latency_threshold: SimDuration::from_millis(250),
-            open_duration: SimDuration::from_secs(1),
-            half_open_probes: 3,
-            jitter: 0.1,
         }
     }
 }
@@ -89,21 +86,6 @@ impl BreakerConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.failure_threshold == 0 {
             return Err("breaker failure_threshold must be at least 1".into());
-        }
-        if self.latency_threshold <= SimDuration::ZERO {
-            return Err("breaker latency_threshold must be positive".into());
-        }
-        if self.open_duration <= SimDuration::ZERO {
-            return Err("breaker open_duration must be positive".into());
-        }
-        if self.half_open_probes == 0 {
-            return Err("breaker half_open_probes must be at least 1".into());
-        }
-        if !(0.0..1.0).contains(&self.jitter) {
-            return Err(format!(
-                "breaker jitter must be in [0,1), got {}",
-                self.jitter
-            ));
         }
         Ok(())
     }
@@ -187,7 +169,7 @@ impl CircuitBreaker {
 
     /// Reports the outcome of an admitted call. A success slower than the
     /// latency threshold counts as a failure. Draws from `rng` only when
-    /// transitioning to open (and only if jitter is non-zero).
+    /// transitioning to open.
     pub fn on_result(
         &mut self,
         now: SimTime,
@@ -195,7 +177,7 @@ impl CircuitBreaker {
         latency: SimDuration,
         rng: &mut SimRng,
     ) -> Option<BreakerTransition> {
-        let ok = ok && latency < self.config.latency_threshold;
+        let ok = ok && latency < LATENCY_THRESHOLD;
         match self.state {
             BreakerState::Closed => {
                 if ok {
@@ -214,7 +196,7 @@ impl CircuitBreaker {
             BreakerState::HalfOpen => {
                 if ok {
                     self.probe_successes += 1;
-                    if self.probe_successes >= self.config.half_open_probes {
+                    if self.probe_successes >= HALF_OPEN_PROBES {
                         self.state = BreakerState::Closed;
                         self.consecutive_failures = 0;
                         self.transitions.closes += 1;
@@ -237,12 +219,8 @@ impl CircuitBreaker {
         self.state = BreakerState::Open;
         self.consecutive_failures = 0;
         self.transitions.opens += 1;
-        let scale = if self.config.jitter > 0.0 {
-            rng.range_f64(1.0 - self.config.jitter, 1.0 + self.config.jitter)
-        } else {
-            1.0
-        };
-        self.open_until = now + self.config.open_duration.mul_f64(scale);
+        let scale = rng.range_f64(1.0 - JITTER, 1.0 + JITTER);
+        self.open_until = now + OPEN_DURATION.mul_f64(scale);
     }
 }
 
@@ -253,16 +231,20 @@ mod tests {
     fn cfg() -> BreakerConfig {
         BreakerConfig {
             failure_threshold: 3,
-            latency_threshold: SimDuration::from_millis(100),
-            open_duration: SimDuration::from_secs(1),
-            half_open_probes: 2,
-            jitter: 0.0,
         }
     }
 
     fn t(secs: f64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs_f64(secs)
     }
+
+    /// The open window of one trip: `OPEN_DURATION` jittered by the draw
+    /// `twin` makes, seeded like the breaker's RNG.
+    fn open_window(twin: &mut SimRng) -> SimDuration {
+        OPEN_DURATION.mul_f64(twin.range_f64(1.0 - JITTER, 1.0 + JITTER))
+    }
+
+    const NANO: SimDuration = SimDuration::from_nanos(1);
 
     #[test]
     fn opens_after_consecutive_failures() {
@@ -294,7 +276,7 @@ mod tests {
     fn slow_success_counts_as_failure() {
         let mut rng = SimRng::seed_from(1);
         let mut b = CircuitBreaker::new(cfg());
-        let slow = SimDuration::from_millis(500);
+        let slow = LATENCY_THRESHOLD;
         b.on_result(t(0.0), true, slow, &mut rng);
         b.on_result(t(0.1), true, slow, &mut rng);
         assert_eq!(
@@ -305,17 +287,23 @@ mod tests {
 
     #[test]
     fn open_window_elapses_into_half_open_then_closes() {
-        let mut rng = SimRng::seed_from(1);
+        let (mut rng, mut twin) = (SimRng::seed_from(1), SimRng::seed_from(1));
         let mut b = CircuitBreaker::new(cfg());
         let fast = SimDuration::from_millis(1);
         for _ in 0..3 {
             b.on_result(t(0.0), false, fast, &mut rng);
         }
-        assert_eq!(b.admit(t(0.5)).0, BreakerDecision::FastFail);
-        let (d, tr) = b.admit(t(1.5));
+        let window = open_window(&mut twin);
+        assert_eq!(
+            b.admit(t(0.0) + (window - NANO)).0,
+            BreakerDecision::FastFail
+        );
+        let (d, tr) = b.admit(t(0.0) + window);
         assert_eq!(d, BreakerDecision::Probe);
         assert_eq!(tr, Some((BreakerState::Open, BreakerState::HalfOpen)));
-        assert_eq!(b.on_result(t(1.6), true, fast, &mut rng), None);
+        for _ in 1..HALF_OPEN_PROBES {
+            assert_eq!(b.on_result(t(1.6), true, fast, &mut rng), None);
+        }
         assert_eq!(
             b.on_result(t(1.7), true, fast, &mut rng),
             Some((BreakerState::HalfOpen, BreakerState::Closed))
@@ -333,23 +321,28 @@ mod tests {
 
     #[test]
     fn half_open_failure_reopens() {
-        let mut rng = SimRng::seed_from(1);
+        let (mut rng, mut twin) = (SimRng::seed_from(1), SimRng::seed_from(1));
         let mut b = CircuitBreaker::new(cfg());
         let fast = SimDuration::from_millis(1);
         for _ in 0..3 {
             b.on_result(t(0.0), false, fast, &mut rng);
         }
-        b.admit(t(1.5));
+        b.admit(t(0.0) + open_window(&mut twin));
         assert_eq!(
             b.on_result(t(1.6), false, fast, &mut rng),
             Some((BreakerState::HalfOpen, BreakerState::Open))
         );
-        assert_eq!(b.admit(t(1.7)).0, BreakerDecision::FastFail);
+        let window = open_window(&mut twin);
+        assert_eq!(
+            b.admit(t(1.6) + (window - NANO)).0,
+            BreakerDecision::FastFail
+        );
+        assert_eq!(b.admit(t(1.6) + window).0, BreakerDecision::Probe);
         assert_eq!(
             b.transitions(),
             BreakerTransitions {
                 opens: 2,
-                half_opens: 1,
+                half_opens: 2,
                 closes: 0
             }
         );
@@ -360,43 +353,21 @@ mod tests {
         let mut rng = SimRng::seed_from(7);
         let probe = rng.next_u64();
         let mut rng = SimRng::seed_from(7);
-        let mut b = CircuitBreaker::new(BreakerConfig {
-            jitter: 0.0,
-            ..cfg()
-        });
+        let mut b = CircuitBreaker::new(cfg());
         let fast = SimDuration::from_millis(1);
         b.on_result(t(0.0), true, fast, &mut rng);
         b.on_result(t(0.1), false, fast, &mut rng);
         b.admit(t(0.2));
-        // No trip, zero jitter → no draws consumed.
+        // No trip → no draws consumed.
         assert_eq!(rng.next_u64(), probe);
     }
 
     #[test]
     fn config_validation_rejects_bad_knobs() {
-        let ok = BreakerConfig::default();
-        assert!(ok.validate().is_ok());
-        for bad in [
-            BreakerConfig {
-                failure_threshold: 0,
-                ..ok
-            },
-            BreakerConfig {
-                latency_threshold: SimDuration::ZERO,
-                ..ok
-            },
-            BreakerConfig {
-                open_duration: SimDuration::ZERO,
-                ..ok
-            },
-            BreakerConfig {
-                half_open_probes: 0,
-                ..ok
-            },
-            BreakerConfig { jitter: 1.0, ..ok },
-            BreakerConfig { jitter: -0.1, ..ok },
-        ] {
-            assert!(bad.validate().is_err(), "{bad:?} should be rejected");
-        }
+        assert!(BreakerConfig::default().validate().is_ok());
+        let bad = BreakerConfig {
+            failure_threshold: 0,
+        };
+        assert!(bad.validate().is_err(), "{bad:?} should be rejected");
     }
 }
