@@ -17,7 +17,8 @@
 //!   its event trace (one `{:?}` line per `TraceEvent`) hash to the two
 //!   FNV-64 digests committed in `tests/golden/chaos_digests.txt`.
 //! * **Coverage** — the full sweep reaches every engine-slot and worker
-//!   fault path at least once (see [`Coverage`]).
+//!   fault path, and every lease-expiry case in both modes, at least once
+//!   (see [`Coverage`]).
 //!
 //! A failing seed prints its standalone repro command:
 //!
@@ -135,12 +136,14 @@ fn digest_mismatches(seed: u64, committed: Option<Digests>, got: Digests) -> Vec
 }
 
 /// Engine-slot and worker-fault paths the sweep must reach at least once,
-/// so a refactor of them is pinned by the digests. Three paths are not
-/// among them and are pinned in `fault_domains.rs` instead: the
-/// journal-unreadable boot (the default backoff outlasts every blackout
-/// the scenarios draw), a node crash while its worker engine is down (no
-/// seed lands one inside the other) and a WorkerSP restart of an
-/// invocation with admissions still queued.
+/// so a refactor of them is pinned by the digests. Four paths are not
+/// among them and are pinned elsewhere: the journal-unreadable boot (the
+/// default backoff outlasts every blackout the scenarios draw), a node
+/// crash while its worker engine is down (no seed lands one inside the
+/// other) and a WorkerSP restart of an invocation with admissions still
+/// queued, all in `fault_domains.rs`; and the MasterSP quarantine drain
+/// (no seed quarantines a worker with work admitted there under
+/// MasterSP), in `determinism_golden.rs`.
 #[derive(Debug, Default)]
 struct Coverage {
     master_engine_crash: bool,
@@ -150,10 +153,43 @@ struct Coverage {
     flaky_exec: bool,
     asymmetric_partition: bool,
     quarantine: bool,
+    /// Lease expiries per [`LeaseCase`] (row) and mode (column: MasterSP,
+    /// WorkerSP). Each case recovers differently (DESIGN §7).
+    lease_expiries: [[u32; 2]; 3],
+}
+
+/// What a worker was when its lease expired, by its last crash or restart
+/// before the expiry.
+#[derive(Debug, Clone, Copy)]
+enum LeaseCase {
+    /// Crashed and still down.
+    Dead,
+    /// Crashed and restarted before the detector declared it down.
+    Restarted,
+    /// Never crashed: a zombie behind a partition, or one that has lifted.
+    NeverCrashed,
 }
 
 impl Coverage {
-    fn observe(&mut self, config: &ClusterConfig, report: &RunReport) {
+    fn observe(&mut self, config: &ClusterConfig, report: &RunReport, trace: &[TraceEvent]) {
+        let mode = usize::from(config.mode == ScheduleMode::WorkerSp);
+        let mut last = HashMap::new();
+        for ev in trace {
+            match *ev {
+                TraceEvent::WorkerCrashed { worker, .. } => {
+                    last.insert(worker, LeaseCase::Dead);
+                }
+                TraceEvent::WorkerRestarted { worker, .. } => {
+                    last.insert(worker, LeaseCase::Restarted);
+                }
+                TraceEvent::LeaseExpired { worker, .. } => {
+                    let case = last.get(&worker).copied();
+                    let case = case.unwrap_or(LeaseCase::NeverCrashed);
+                    self.lease_expiries[case as usize][mode] += 1;
+                }
+                _ => {}
+            }
+        }
         let r = &report.recovery;
         self.master_engine_crash |= r.master_engine_crashes > 0;
         self.worker_engine_crash |= r.worker_engine_crashes > 0;
@@ -181,7 +217,14 @@ impl Coverage {
             flaky_exec,
             asymmetric_partition,
             quarantine,
+            lease_expiries,
         } = *self;
+        assert!(
+            lease_expiries.iter().flatten().all(|&n| n > 0),
+            "the sweep no longer reaches every lease-expiry case in both modes \
+             (rows dead, restarted, never crashed; columns MasterSP, WorkerSP): \
+             {lease_expiries:?}"
+        );
         assert!(
             master_engine_crash
                 && worker_engine_crash
@@ -793,7 +836,7 @@ fn sweep(seeds: impl Iterator<Item = u64>) {
     for seed in seeds {
         let (report, trace) = run_seed(seed);
         check_invariants(seed, &report, &trace);
-        coverage.observe(&scenario(seed).0, &report);
+        coverage.observe(&scenario(seed).0, &report, &trace);
         let d = digests(&report, &trace);
         digests_seen.push((seed, d));
         if !regen {
