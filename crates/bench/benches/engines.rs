@@ -122,21 +122,28 @@ fn bench_workersp_invocation(c: &mut Criterion) {
     });
 }
 
-/// One invocation cycle of a 50-node Genome DAG over a 128-worker fleet
-/// whose engines persist across invocations, as in the cluster: begin,
-/// syncs, instance completions, and the release on all 128 engines.
+/// One invocation cycle of a 50-node Genome DAG over a fleet of 8, then
+/// 128, workers whose engines persist across invocations, as in the
+/// cluster: begin, syncs, instance completions, and the release on every
+/// engine. Each worker holds 2 containers, or as few more as the DAG
+/// needs to fit the fleet (7 on 8 workers). The two rows side by side
+/// show how the per-invocation engine cost grows with the fleet.
 fn bench_workersp_genome_fleet(c: &mut Criterion) {
-    let (dag, assignment) = setup(&scientific::genome(50), 128, 2);
-    let wf = WorkflowId::new(0);
-    let mut engines = worker_engines(128, wf, &dag, &assignment);
-    c.bench_function("workersp/genome50_128w_invocation", |b| {
-        let mut next_inv = 0u32;
-        b.iter(|| {
-            let inv = InvocationId::new(next_inv);
-            next_inv += 1;
-            run_workersp_invocation(&mut engines, &dag, &assignment, wf, inv)
+    for workers in [8, 128] {
+        let capacity = 50u32.div_ceil(workers).max(2);
+        let (dag, assignment) = setup(&scientific::genome(50), workers, capacity);
+        let wf = WorkflowId::new(0);
+        let mut engines = worker_engines(workers, wf, &dag, &assignment);
+        let name = format!("workersp/genome50_{workers}w_invocation");
+        c.bench_function(&name, |b| {
+            let mut next_inv = 0u32;
+            b.iter(|| {
+                let inv = InvocationId::new(next_inv);
+                next_inv += 1;
+                run_workersp_invocation(&mut engines, &dag, &assignment, wf, inv)
+            });
         });
-    });
+    }
 }
 
 /// The same invocation through the central MasterSP engine.
