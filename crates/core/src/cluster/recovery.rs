@@ -101,9 +101,10 @@ impl Cluster {
             h.on_worker_crash(w as u32);
         }
         // Heartbeats stop now; the lease expires after the detection delay.
-        let expiry = Event::LeaseExpired { worker: w };
-        self.queue
-            .schedule(now + FaultPlan::DETECTION_DELAY, expiry);
+        self.queue.schedule(
+            now + FaultPlan::DETECTION_DELAY,
+            Event::LeaseExpired { worker: w },
+        );
         if let Some(after) = crash.restart_after {
             self.queue
                 .schedule(now + after, Event::WorkerRestart { worker: w });
@@ -576,9 +577,10 @@ impl Cluster {
                 // races the zombie; its late completions must be fenced.
                 if expire_lease && faults.alive {
                     faults.zombie = true;
-                    let expiry = Event::LeaseExpired { worker: w };
-                    self.queue
-                        .schedule(now + FaultPlan::DETECTION_DELAY, expiry);
+                    self.queue.schedule(
+                        now + FaultPlan::DETECTION_DELAY,
+                        Event::LeaseExpired { worker: w },
+                    );
                 }
             }
             GrayFaultKind::AsymmetricPartition { .. } => {

@@ -127,8 +127,8 @@ pub struct ClusterConfig {
     /// just converts scheduling into queueing.
     pub partition_capacity: u32,
     /// Declarative fault schedule: node crashes, storage outages and link
-    /// degradation windows, plus the recovery knobs (backoff,
-    /// dead-lettering, heartbeat staggering). Empty by default.
+    /// degradation windows, plus the recovery knobs (the backoff retry
+    /// budget, dead-lettering). Empty by default.
     pub fault: FaultPlan,
     /// Overload protection: admission control, the remote-store circuit
     /// breaker, hedged exec retries and pool backpressure. All off by
