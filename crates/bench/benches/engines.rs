@@ -5,15 +5,15 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use faasflow_core::{Journal, JournalConfig, JournalEvent, JournalRecord, TerminalOutcome};
-use faasflow_engine::{MasterAction, MasterEngine, WorkerAction, WorkerEngine};
-use faasflow_scheduler::{Assignment, ContentionSet, GraphScheduler, RuntimeMetrics, WorkerInfo};
+use faasflow_engine::{MasterAction, MasterEngine, WorkerAction, WorkerEngine, WorkflowCtx};
+use faasflow_scheduler::{ContentionSet, GraphScheduler, RuntimeMetrics, WorkerInfo};
 use faasflow_sim::{FunctionId, InvocationId, NodeId, SimDuration, SimRng, SimTime, WorkflowId};
-use faasflow_wdl::{DagParser, Workflow, WorkflowDag};
+use faasflow_wdl::{DagParser, Workflow};
 use faasflow_workloads::{scientific, Benchmark};
 
 /// Parses `workflow` and partitions it over `workers` workers of
 /// `capacity` containers each (nodes `1..=workers`).
-fn setup(workflow: &Workflow, workers: u32, capacity: u32) -> (Arc<WorkflowDag>, Arc<Assignment>) {
+fn setup(workflow: &Workflow, workers: u32, capacity: u32) -> WorkflowCtx {
     let dag = Arc::new(DagParser::default().parse(workflow).expect("parses"));
     let workers: Vec<WorkerInfo> = (0..workers)
         .map(|i| WorkerInfo::new(NodeId::new(i + 1), capacity))
@@ -32,36 +32,28 @@ fn setup(workflow: &Workflow, workers: u32, capacity: u32) -> (Arc<WorkflowDag>,
             )
             .expect("partition succeeds"),
     );
-    (dag, assignment)
+    WorkflowCtx::new(dag, assignment, 9)
 }
 
-/// One engine per worker node `1..=workers`, the workflow installed.
-fn worker_engines(
-    workers: u32,
-    wf: WorkflowId,
-    dag: &Arc<WorkflowDag>,
-    assignment: &Arc<Assignment>,
-) -> Vec<WorkerEngine> {
+/// One engine per worker node `1..=workers`.
+fn worker_engines(workers: u32) -> Vec<WorkerEngine> {
     (0..workers)
-        .map(|i| {
-            let mut e = WorkerEngine::new(NodeId::new(i + 1));
-            e.install(wf, dag.clone(), assignment.clone(), 9);
-            e
-        })
+        .map(|i| WorkerEngine::new(NodeId::new(i + 1)))
         .collect()
 }
 
 /// Runs one invocation through the worker engines the way the cluster
 /// does: begin on the workers hosting entry nodes, complete every
 /// instance as it triggers, deliver every sync, then release the
-/// invocation on every engine. Returns the exit nodes reported.
+/// invocation on every engine. Every `begin` and `sync` carries the
+/// invocation's pinned `ctx`. Returns the exit nodes reported.
 fn run_workersp_invocation(
     engines: &mut [WorkerEngine],
-    dag: &WorkflowDag,
-    assignment: &Assignment,
+    ctx: &WorkflowCtx,
     wf: WorkflowId,
     inv: InvocationId,
 ) -> usize {
+    let (dag, assignment) = (&ctx.dag, &ctx.assignment);
     let mut entry_workers: Vec<usize> = dag
         .entry_nodes()
         .iter()
@@ -71,7 +63,7 @@ fn run_workersp_invocation(
     entry_workers.dedup();
     let mut pending: Vec<WorkerAction> = Vec::new();
     for w in entry_workers {
-        pending.extend(engines[w].begin_invocation(wf, inv));
+        pending.extend(engines[w].begin_invocation(ctx, wf, inv));
     }
     let mut completed = 0usize;
     while let Some(action) = pending.pop() {
@@ -95,7 +87,8 @@ fn run_workersp_invocation(
                 invocation,
                 completed: f,
             } => {
-                pending.extend(engines[to.index() - 1].on_state_sync(workflow, invocation, f));
+                let engine = &mut engines[to.index() - 1];
+                pending.extend(engine.on_state_sync(ctx, workflow, invocation, f));
             }
             WorkerAction::ExitComplete { .. } => completed += 1,
         }
@@ -109,15 +102,15 @@ fn run_workersp_invocation(
 /// Drives one full Cycles invocation through 7 freshly built worker
 /// engines, completing instances as they trigger.
 fn bench_workersp_invocation(c: &mut Criterion) {
-    let (dag, assignment) = setup(&Benchmark::Cycles.workflow(), 7, 12);
+    let ctx = setup(&Benchmark::Cycles.workflow(), 7, 12);
     c.bench_function("workersp/full_cycles_invocation", |b| {
         let wf = WorkflowId::new(0);
         let mut next_inv = 0u32;
         b.iter(|| {
             let inv = InvocationId::new(next_inv);
             next_inv += 1;
-            let mut engines = worker_engines(7, wf, &dag, &assignment);
-            run_workersp_invocation(&mut engines, &dag, &assignment, wf, inv)
+            let mut engines = worker_engines(7);
+            run_workersp_invocation(&mut engines, &ctx, wf, inv)
         });
     });
 }
@@ -131,16 +124,16 @@ fn bench_workersp_invocation(c: &mut Criterion) {
 fn bench_workersp_genome_fleet(c: &mut Criterion) {
     for workers in [8, 128] {
         let capacity = 50u32.div_ceil(workers).max(2);
-        let (dag, assignment) = setup(&scientific::genome(50), workers, capacity);
+        let ctx = setup(&scientific::genome(50), workers, capacity);
         let wf = WorkflowId::new(0);
-        let mut engines = worker_engines(workers, wf, &dag, &assignment);
+        let mut engines = worker_engines(workers);
         let name = format!("workersp/genome50_{workers}w_invocation");
         c.bench_function(&name, |b| {
             let mut next_inv = 0u32;
             b.iter(|| {
                 let inv = InvocationId::new(next_inv);
                 next_inv += 1;
-                run_workersp_invocation(&mut engines, &dag, &assignment, wf, inv)
+                run_workersp_invocation(&mut engines, &ctx, wf, inv)
             });
         });
     }
@@ -148,7 +141,7 @@ fn bench_workersp_genome_fleet(c: &mut Criterion) {
 
 /// The same invocation through the central MasterSP engine.
 fn bench_mastersp_invocation(c: &mut Criterion) {
-    let (dag, assignment) = setup(&Benchmark::Cycles.workflow(), 7, 12);
+    let ctx = setup(&Benchmark::Cycles.workflow(), 7, 12);
     c.bench_function("mastersp/full_cycles_invocation", |b| {
         let wf = WorkflowId::new(0);
         let mut next_inv = 0u32;
@@ -156,8 +149,7 @@ fn bench_mastersp_invocation(c: &mut Criterion) {
             let inv = InvocationId::new(next_inv);
             next_inv += 1;
             let mut engine = MasterEngine::new();
-            engine.install(wf, dag.clone(), assignment.clone(), 9);
-            let mut pending = engine.begin_invocation(wf, inv);
+            let mut pending = engine.begin_invocation(&ctx, wf, inv);
             let mut completed = 0usize;
             while let Some(action) = pending.pop() {
                 match action {
@@ -167,9 +159,11 @@ fn bench_mastersp_invocation(c: &mut Criterion) {
                         function,
                         ..
                     } => {
-                        let par = dag.node(function).parallelism.max(1);
+                        let par = ctx.dag.node(function).parallelism.max(1);
                         for _ in 0..par {
-                            pending.extend(engine.on_state_return(workflow, invocation, function));
+                            let actions =
+                                engine.on_state_return(&ctx, workflow, invocation, function);
+                            pending.extend(actions);
                         }
                     }
                     MasterAction::ExitComplete { .. } => completed += 1,

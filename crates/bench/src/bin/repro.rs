@@ -601,7 +601,6 @@ fn fig16() {
     let workers: Vec<WorkerInfo> = (0..7)
         .map(|i| WorkerInfo::new(NodeId::new(i + 1), 40))
         .collect();
-    let mut base: Option<f64> = None;
     for nodes in [10usize, 25, 50, 100, 200] {
         let wf = scientific::genome(nodes);
         let dag = parser.parse(&wf).expect("genome parses");
@@ -633,10 +632,6 @@ fn fig16() {
             (a.approx_memory_bytes() + dag_footprint(&dag)) / 1024,
             a.groups.len()
         );
-        if nodes == 10 {
-            base = Some(ms / 100.0); // per n^2 unit
-        }
-        let _ = base;
     }
     rule(58);
     println!("paper shape: time grows ~O(n^2) with node count; memory stays modest");

@@ -22,11 +22,11 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use faasflow_container::StartKind;
-use faasflow_engine::{MasterAction, WorkerAction};
+use faasflow_engine::{MasterAction, WorkerAction, WorkflowCtx};
 use faasflow_net::{Flow, FlowId, FlowNet, MessageModel, NicSpec};
 use faasflow_scheduler::{
-    Assignment, ContentionSet, DeploymentManager, FeedbackCollector, GraphScheduler,
-    PartitionConfig, RuntimeMetrics, ScheduleError, Version, WorkerInfo, WorkerLoad,
+    Assignment, ContentionSet, FeedbackCollector, GraphScheduler, PartitionConfig, RuntimeMetrics,
+    ScheduleError, WorkerInfo, WorkerLoad,
 };
 use faasflow_sim::{
     ContainerId, EventId, EventQueue, FastMap, FunctionId, InvocationId, NodeId, SimDuration,
@@ -354,11 +354,14 @@ struct WorkflowState {
     /// Interned name, shared with the cluster's by-name index.
     name: Arc<str>,
     metrics: WorkflowMetrics,
-    /// The DAG engines and new invocations share. Feedback edits its edge
-    /// weights through `Arc::make_mut`, which clones only while a deployed
-    /// copy is still shared.
-    dag: Arc<WorkflowDag>,
-    deployment: DeploymentManager,
+    /// The current deployment: the DAG, the newest assignment and the
+    /// switch-arm seed. It is the only record of what the workflow is
+    /// deployed as. New invocations pin its `Arc`s; a replaced assignment
+    /// is freed when the last invocation pinned to it ends (red-black
+    /// deployment, §4.2.2). Feedback edits the DAG's edge weights through
+    /// `Arc::make_mut`, which clones only while a pinned copy is still
+    /// shared; the engines read none of them.
+    deployed: WorkflowCtx,
     client: ClientConfig,
     contention: ContentionSet,
     /// Runtime feedback for the next partition iteration; `None` when no
@@ -369,16 +372,12 @@ struct WorkflowState {
     critical_exec: SimDuration,
     sent: u32,
     completed_since_partition: u32,
-    arm_seed: u64,
 }
 
 impl WorkflowState {
     /// Pins a starting invocation attempt to the current deployment.
-    fn pin(&mut self) -> (Version, Arc<WorkflowDag>, Arc<Assignment>) {
-        let version = self.deployment.invocation_started();
-        let assignment = self.deployment.assignment_arc(version);
-        let assignment = assignment.expect("current version has an assignment");
-        (version, self.dag.clone(), assignment)
+    fn pin(&self) -> (Arc<WorkflowDag>, Arc<Assignment>) {
+        (self.deployed.dag.clone(), self.deployed.assignment.clone())
     }
 }
 
@@ -414,8 +413,7 @@ fn placed_groups<'a>(
 ) -> impl Iterator<Item = usize> + 'a {
     workflows
         .iter()
-        .filter_map(|ws| ws.deployment.current())
-        .flat_map(|(_, asg)| asg.groups.iter())
+        .flat_map(|ws| ws.deployed.assignment.groups.iter())
         .filter_map(|g| config.worker_index(g.worker))
 }
 
@@ -620,6 +618,10 @@ impl Cluster {
         let dag = parser.parse(workflow)?;
         let q = quota::workflow_quota(&dag, self.config.mu);
         let prev_metrics = RuntimeMetrics::initial(&dag);
+        // The arm seed is drawn before the first partition draws. A failed
+        // partition registers nothing and spends no id.
+        let seed = self.rng.next_u64();
+        let assignment = self.partition(&dag, &prev_metrics, &contention, q)?;
         // Intern the name once; every later use (lookups, reports) shares
         // this allocation.
         let name: Arc<str> = Arc::from(workflow.name.as_str());
@@ -629,23 +631,17 @@ impl Cluster {
             feedback: (self.config.repartition_every.is_some() || self.config.qos_target.is_some())
                 .then(|| FeedbackCollector::new(&dag)),
             critical_exec: dag.critical_path_exec(),
-            dag: Arc::new(dag),
-            deployment: DeploymentManager::new(),
+            deployed: WorkflowCtx::new(Arc::new(dag), assignment, seed),
             client,
             contention,
             prev_metrics,
             quota: q,
             sent: 0,
             completed_since_partition: 0,
-            arm_seed: self.rng.next_u64(),
         };
-        // A failed partition registers nothing and spends no id.
         let wf = WorkflowId::new(self.workflows.len() as u32);
         self.workflows.push(state);
-        if let Err(e) = self.partition_and_deploy(wf) {
-            self.workflows.pop();
-            return Err(e);
-        }
+        self.budget_memstores(wf);
         if let Some(slo) = &mut self.slo {
             slo.register(workflow.name.as_str(), wf);
         }
@@ -676,10 +672,10 @@ impl Cluster {
     ///
     /// Panics if `wf` is unknown.
     pub fn distribution(&self, wf: WorkflowId) -> Vec<DistributionRow> {
-        let ws = &self.workflows[wf.index()];
-        let (_, assignment) = ws.deployment.current().expect("workflow deployed");
-        assignment
-            .distribution(&ws.dag)
+        let deployed = &self.workflows[wf.index()].deployed;
+        deployed
+            .assignment
+            .distribution(&deployed.dag)
             .into_iter()
             .map(|(worker, groups, functions)| DistributionRow {
                 worker,
@@ -690,17 +686,25 @@ impl Cluster {
     }
 
     /// Live per-worker load exactly as the placement layer sees it,
-    /// alongside each worker engine's own load report — the surface behind
-    /// the per-worker load gauges in `faasflow-obs`.
+    /// alongside each worker engine's load: its live invocation states and,
+    /// under WorkerSP, the groups of the current deployments placed on its
+    /// worker — the surface behind the per-worker load gauges in
+    /// `faasflow-obs`.
     pub fn worker_load_snapshot(&self) -> Vec<(NodeId, WorkerLoad, faasflow_engine::EngineLoad)> {
         let loads = self.worker_loads();
+        let mut local_groups = vec![0; self.config.workers as usize];
+        if self.config.mode == ScheduleMode::WorkerSp {
+            for w in placed_groups(&self.workflows, &self.config) {
+                local_groups[w] += 1;
+            }
+        }
         (0..self.config.workers as usize)
             .map(|w| {
-                (
-                    self.config.worker_node(w as u32),
-                    loads[w],
-                    self.engines.workers[w].load(),
-                )
+                let engine = faasflow_engine::EngineLoad {
+                    live_invocations: self.engines.workers[w].live_invocations(),
+                    local_groups: local_groups[w],
+                };
+                (self.config.worker_node(w as u32), loads[w], engine)
             })
             .collect()
     }
@@ -1025,9 +1029,17 @@ impl Cluster {
             .collect()
     }
 
-    fn partition_and_deploy(&mut self, wf: WorkflowId) -> Result<(), ClusterError> {
-        // Only live workers take part: a crash shrinks the partition target
-        // set and recovery redeploys onto the survivors.
+    /// Algorithm 1 for one workflow over the partition target set (see
+    /// [`Cluster::placement_workers`]), again at nominal capacity when the
+    /// rebalancer falls back. Only live workers take part: a crash shrinks
+    /// the target set and recovery redeploys onto the survivors.
+    fn partition(
+        &mut self,
+        dag: &WorkflowDag,
+        metrics: &RuntimeMetrics,
+        contention: &ContentionSet,
+        quota: u64,
+    ) -> Result<Arc<Assignment>, ClusterError> {
         let enabled = self.config.placement_config.enabled;
         let loads = if enabled {
             self.worker_loads()
@@ -1035,10 +1047,9 @@ impl Cluster {
             Vec::new()
         };
         let workers = self.placement_workers(enabled, &loads);
-        let (scheduler, state) = (&self.scheduler, &self.workflows[wf.index()]);
-        let (dag, metrics, contention) = (&state.dag, &state.prev_metrics, &state.contention);
+        let scheduler = &self.scheduler;
         let partition = |workers: &[WorkerInfo], rng: &mut SimRng| {
-            scheduler.partition(dag, workers, metrics, contention, state.quota, rng)
+            scheduler.partition(dag, workers, metrics, contention, quota, rng)
         };
         let start = std::time::Instant::now();
         let mut result = partition(&workers, &mut self.rng);
@@ -1049,25 +1060,38 @@ impl Cluster {
         let assignment = result?;
         self.partition_wall_secs += start.elapsed().as_secs_f64();
         self.partition_runs += 1;
+        Ok(Arc::new(assignment))
+    }
 
-        let assignment = Arc::new(assignment);
-        let state = &mut self.workflows[wf.index()];
-        let (_version, _retired) = state.deployment.deploy(assignment.clone());
+    /// Re-partitions a registered workflow and makes the result its
+    /// current deployment. Invocations pinned to the previous assignment
+    /// keep it alive until they end.
+    fn partition_and_deploy(&mut self, wf: WorkflowId) -> Result<(), ClusterError> {
+        // Copied out: `partition` borrows the whole cluster mutably.
+        let ws = &self.workflows[wf.index()];
+        let dag = ws.deployed.dag.clone();
+        let (metrics, contention) = (ws.prev_metrics.clone(), ws.contention.clone());
+        let assignment = self.partition(&dag, &metrics, &contention, ws.quota)?;
+        self.workflows[wf.index()].deployed.assignment = assignment;
+        self.budget_memstores(wf);
+        Ok(())
+    }
 
-        // Install on the engines and budget the memstores.
-        self.engines
-            .install(wf, &state.dag, &assignment, state.arm_seed);
+    /// Budgets every worker's memstore for the groups of workflow `wf`'s
+    /// current deployment placed there.
+    fn budget_memstores(&mut self, wf: WorkflowId) {
+        let deployed = &self.workflows[wf.index()].deployed;
         for (i, worker) in self.workers.iter_mut().enumerate() {
             let node = self.config.worker_node(i as u32);
-            let members = assignment
+            let members = deployed
+                .assignment
                 .groups
                 .iter()
                 .filter(|g| g.worker == node)
                 .flat_map(|g| g.members.iter().copied());
-            let budget = quota::subset_quota(&state.dag, members, self.config.mu);
+            let budget = quota::subset_quota(&deployed.dag, members, self.config.mu);
             worker.store.memstore_mut().set_budget(wf, budget);
         }
-        Ok(())
     }
 
     fn maybe_repartition(&mut self, wf: WorkflowId, qos_violated: bool) {
@@ -1083,11 +1107,14 @@ impl Cluster {
         }
         let state = &mut self.workflows[wf.index()];
         state.completed_since_partition = 0;
-        let collector = state.feedback.replace(FeedbackCollector::new(&state.dag));
+        let collector = state
+            .feedback
+            .replace(FeedbackCollector::new(&state.deployed.dag));
         let collector = collector.expect("an iteration trigger keeps a collector");
-        state.prev_metrics = collector.finish(Arc::make_mut(&mut state.dag), &state.prev_metrics);
+        let dag = Arc::make_mut(&mut state.deployed.dag);
+        state.prev_metrics = collector.finish(dag, &state.prev_metrics);
         if let Err(e) = self.partition_and_deploy(wf) {
-            // A repartition that no longer fits keeps the previous version —
+            // A repartition that no longer fits keeps the previous assignment —
             // counted, not silently swallowed. Capacity misses are a
             // legitimate runtime condition (scale feedback can raise a
             // node's demand past what the cluster holds); anything else
@@ -1117,8 +1144,8 @@ impl Cluster {
                 epoch,
             } => {
                 if self.engine_accepts(worker, wf, inv, epoch) {
-                    self.pin_engine_invocation(worker, wf, inv);
-                    let actions = self.engines.workers[worker].begin_invocation(wf, inv);
+                    let ctx = self.engine_pin(worker, wf, inv);
+                    let actions = self.engines.workers[worker].begin_invocation(&ctx, wf, inv);
                     self.apply_worker_actions(now, worker, actions);
                 }
             }
@@ -1130,8 +1157,9 @@ impl Cluster {
                 epoch,
             } => {
                 if self.engine_accepts(worker, wf, inv, epoch) {
-                    self.pin_engine_invocation(worker, wf, inv);
-                    let actions = self.engines.workers[worker].on_state_sync(wf, inv, completed);
+                    let ctx = self.engine_pin(worker, wf, inv);
+                    let engine = &mut self.engines.workers[worker];
+                    let actions = engine.on_state_sync(&ctx, wf, inv, completed);
                     self.apply_worker_actions(now, worker, actions);
                 }
             }
@@ -1339,8 +1367,8 @@ impl Cluster {
             invocation: inv,
             at: now,
         });
-        let (version, dag, assignment) = state.pin();
-        let mut inv_state = InvState::new(version, dag, assignment, now);
+        let (dag, assignment) = state.pin();
+        let mut inv_state = InvState::new(dag, assignment, now);
         let timeout_at = now + self.config.timeout;
         inv_state.timeout_event = Some(self.queue.schedule(timeout_at, Event::Timeout { wf, inv }));
         state.metrics.sent += 1;
@@ -1396,28 +1424,20 @@ impl Cluster {
         workers
     }
 
-    /// WorkerSP: pins the invocation's engine-side context to its
-    /// cluster-side pinned deployment before the first `begin`/`sync`
-    /// event is processed there. Without this, an incremental rebalance
-    /// landing between an invocation's arrival and a delayed sync would
-    /// make the receiving engine route the live invocation by the *new*
-    /// assignment — stranding successors and breaking the data-placement
-    /// contract (a `LocalMem` put whose consumer moved elsewhere).
-    fn pin_engine_invocation(&mut self, worker: usize, wf: WorkflowId, inv: InvocationId) {
-        let Some(state) = self.invocations.get_mut((wf, inv)) else {
-            return;
-        };
-        let Some(ws) = self.workflows.get(wf.index()) else {
-            return;
-        };
+    /// WorkerSP: the invocation's pinned deployment, handed to `worker`'s
+    /// engine with a `begin` or `sync` it accepted; the worker becomes a
+    /// holder of the invocation's state. The engine routes by the first
+    /// context it gets, so an incremental rebalance landing between an
+    /// invocation's arrival and a delayed sync cannot make the receiving
+    /// engine route the live invocation by the *new* assignment —
+    /// stranding successors and breaking the data-placement contract (a
+    /// `LocalMem` put whose consumer moved elsewhere).
+    fn engine_pin(&mut self, worker: usize, wf: WorkflowId, inv: InvocationId) -> WorkflowCtx {
+        let state = self.invocations.get_mut((wf, inv));
+        let state = state.expect("an accepted invocation is live");
         state.holders.insert(worker);
-        self.engines.workers[worker].ensure_invocation(
-            wf,
-            inv,
-            state.dag.clone(),
-            state.assignment.clone(),
-            ws.arm_seed,
-        );
+        let seed = self.workflows[wf.index()].deployed.seed;
+        WorkflowCtx::new(state.dag.clone(), state.assignment.clone(), seed)
     }
 
     /// WorkerSP: notify each worker hosting an entry node of the
@@ -1575,7 +1595,7 @@ impl Cluster {
         }
         ws.completed_since_partition += 1;
         self.release_invocation_state(wf, inv, &state.holders);
-        self.retire_invocation(now, wf, state.version);
+        self.retire_invocation(now, wf);
         self.maybe_repartition(wf, qos_violated);
         self.maybe_rebalance_on_skew();
     }
@@ -1599,11 +1619,9 @@ impl Cluster {
         Some(state)
     }
 
-    /// Releases an ended invocation's pinned `version`; a closed-loop
-    /// client then sends its next invocation.
-    fn retire_invocation(&mut self, now: SimTime, wf: WorkflowId, version: Version) {
-        let ws = &mut self.workflows[wf.index()];
-        let _retired = ws.deployment.invocation_finished(version);
+    /// After an invocation ended, a closed-loop client sends its next one.
+    fn retire_invocation(&mut self, now: SimTime, wf: WorkflowId) {
+        let ws = &self.workflows[wf.index()];
         if matches!(ws.client, ClientConfig::ClosedLoop { .. })
             && ws.sent < ws.client.total_invocations()
         {
@@ -1642,11 +1660,7 @@ impl Cluster {
     /// `node`, via the ordinary epoch-fenced red-black redeploy path, on a
     /// skew or a `recovery` signal.
     fn rebalance_off(&mut self, now: SimTime, node: NodeId, recovery: bool) {
-        let moved = self.redeploy_where(|ws| {
-            ws.deployment
-                .current()
-                .is_some_and(|(_, asg)| asg.involves(node))
-        });
+        let moved = self.redeploy_where(|ws| ws.deployed.assignment.involves(node));
         let tracer = &mut self.tracer;
         self.rebalancer
             .note_rebalanced(node, moved, recovery, now, tracer);
@@ -1688,12 +1702,14 @@ impl Cluster {
         };
         let actions = match msg {
             MasterInbox::Begin { wf, inv } if self.invocations.alive((wf, inv)) => {
-                self.engines.master.begin_invocation(wf, inv)
+                let current = &self.workflows[wf.index()].deployed;
+                self.engines.master.begin_invocation(current, wf, inv)
             }
             MasterInbox::StateReturn { wf, inv, function } if self.invocations.alive((wf, inv)) => {
-                let key = (wf, inv);
+                let current = &self.workflows[wf.index()].deployed;
+                let (key, windows) = ((wf, inv), &self.windows);
                 self.engines
-                    .master_state_return(now, key, function, &self.windows)
+                    .master_state_return(now, current, key, function, windows)
             }
             MasterInbox::Begin { .. } | MasterInbox::StateReturn { .. } => Vec::new(),
             MasterInbox::Requeue(d) => {
@@ -2019,7 +2035,10 @@ impl Cluster {
         let rank = |t: InstanceToken| {
             let started = self.invocations.get(t.key())?.started;
             let demoted = self.slo.as_ref().is_some_and(|s| s.demotes(t.workflow));
-            let node = self.workflows[t.workflow.index()].dag.node(t.function);
+            let node = self.workflows[t.workflow.index()]
+                .deployed
+                .dag
+                .node(t.function);
             let priority = node.kind.profile().map_or(0, |p| p.priority);
             Some((demoted, priority, started + self.config.qos_target?))
         };
@@ -2803,7 +2822,7 @@ impl Cluster {
         }
         let attempt = state.take_attempt();
         self.tear_down_attempt(now, (wf, inv), attempt);
-        self.retire_invocation(now, wf, state.version);
+        self.retire_invocation(now, wf);
     }
 
     /// Cancels every bulk transfer whose tag `doomed` picks, including
@@ -3047,6 +3066,74 @@ mod tests {
             let wf = &report.workflows["journaled"];
             assert_eq!(wf.sent, 1000);
             assert_eq!(wf.sent, wf.completed + wf.dead_lettered + wf.shed);
+        }
+    }
+
+    /// Each mode's routing across a redeploy. The chain `a -> b` is
+    /// deployed with `b` on worker 1 and, while `a` runs on worker 0,
+    /// redeployed with `b` on worker 0. WorkerSP routes by the pin: the
+    /// sync about `a` is the first worker 1's engine hears of the
+    /// invocation, and handed the pin it still runs `b` there. MasterSP
+    /// assigns by the current deployment, so `b` runs on worker 0.
+    #[test]
+    fn a_redeploy_mid_invocation_routes_by_each_modes_context() {
+        use faasflow_scheduler::Group;
+        use faasflow_sim::GroupId;
+        let workflow = Workflow::steps(
+            "pinned",
+            Step::sequence(vec![
+                Step::task("a", FunctionProfile::with_millis(100, 1 << 10)),
+                Step::task("b", FunctionProfile::with_millis(10, 0)),
+            ]),
+        );
+        let (a, b) = (FunctionId::new(0), FunctionId::new(1));
+        for (mode, b_worker) in [(ScheduleMode::WorkerSp, 1), (ScheduleMode::MasterSp, 0)] {
+            let mut cluster = Cluster::new(ClusterConfig {
+                mode,
+                faastore: mode == ScheduleMode::WorkerSp,
+                workers: 2,
+                trace: true,
+                ..ClusterConfig::default()
+            })
+            .expect("valid config");
+            let wf = cluster
+                .register(&workflow, ClientConfig::Manual)
+                .expect("registers");
+            let node = [0, 1].map(|w| cluster.config.worker_node(w));
+            let b_on = |w: usize| {
+                let group = |id: u32, member, worker| Group {
+                    id: GroupId::new(id),
+                    members: vec![member],
+                    worker,
+                    capacity_needed: 1,
+                };
+                Arc::new(Assignment {
+                    groups: vec![group(0, a, node[0]), group(1, b, node[w])],
+                    node_of: vec![node[0], node[w]],
+                    group_of: vec![GroupId::new(0), GroupId::new(1)],
+                    storage_local: vec![false; 2],
+                    mem_consume: 0,
+                    quota: 0,
+                })
+            };
+            let (split, joined) = (b_on(1), b_on(0));
+            cluster.workflows[wf.index()].deployed.assignment = split;
+            cluster.invoke_now(wf);
+            cluster.run_until(SimTime::ZERO + SimDuration::from_millis(50));
+            cluster.workflows[wf.index()].deployed.assignment = joined;
+            cluster.run_until_idle();
+            assert_eq!(cluster.report().workflows["pinned"].completed, 1);
+            let ran_on = |f: FunctionId| {
+                let started = cluster.trace().iter().filter_map(|ev| match ev {
+                    TraceEvent::InstanceStarted {
+                        function, worker, ..
+                    } if *function == f => Some(*worker),
+                    _ => None,
+                });
+                started.collect::<Vec<_>>()
+            };
+            assert_eq!(ran_on(a), [node[0]], "{mode:?}");
+            assert_eq!(ran_on(b), [node[b_worker]], "{mode:?}");
         }
     }
 }

@@ -236,8 +236,8 @@ impl Cluster {
         }
     }
 
-    /// WorkerSP crash recovery: engines route by their installed
-    /// assignment, so failover is a real redeploy — re-partition every
+    /// WorkerSP crash recovery: engines route by the deployed assignment,
+    /// so failover is a real redeploy — re-partition every
     /// workflow over the surviving workers, then restart each invocation
     /// that had incomplete work pinned to state the dead node lost.
     fn recover_worker_partition(&mut self, now: SimTime, w: usize, force: bool) {
@@ -393,11 +393,10 @@ impl Cluster {
             let Some(state) = self.invocations.get((wf, inv)) else {
                 continue;
             };
-            let ws = self.workflows.get(wf.index());
-            let installed = ws.and_then(|ws| ws.deployment.current()).map(|(_, a)| a);
+            let current = &self.workflows[wf.index()].deployed.assignment;
             let decision = self
                 .engines
-                .reconcile(target, revived, (wf, inv), state, installed);
+                .reconcile(target, revived, (wf, inv), state, current);
             let (completed, already_propagated, inflight) = match &decision {
                 Reconcile::Skip => continue,
                 Reconcile::DeadLetter(reason) => {
@@ -413,6 +412,7 @@ impl Cluster {
             match target {
                 EngineTarget::Master => {
                     let actions = self.engines.master.replay_invocation(
+                        &self.workflows[wf.index()].deployed,
                         wf,
                         inv,
                         completed,
@@ -426,6 +426,7 @@ impl Cluster {
                         state.holders.insert(w as usize);
                     }
                     let actions = self.engines.workers[w as usize].replay_invocation(
+                        &self.workflows[wf.index()].deployed,
                         wf,
                         inv,
                         completed,
@@ -471,10 +472,8 @@ impl Cluster {
         });
         self.tear_down_attempt(now, (wf, inv), attempt);
         // Re-pin to the current (post-recovery) deployment.
-        let ws = &mut self.workflows[wf.index()];
         let state = self.invocations.get_mut((wf, inv)).expect("charged above");
-        let _ = ws.deployment.invocation_finished(state.version);
-        (state.version, state.dag, state.assignment) = ws.pin();
+        (state.dag, state.assignment) = self.workflows[wf.index()].pin();
         // If the redeploy failed and the pinned partition still routes work
         // to a dead worker, the invocation cannot make progress.
         let routes_dead = state.dag.nodes().iter().any(|n| {

@@ -10,14 +10,16 @@
 //! `EngineRecovered` events, runs the reconcile loop (dead-letters and
 //! replays), hands the engines' actions to the rest of the cluster and
 //! traces.
+//!
+//! Each engine call that routes takes the workflow context to route by:
+//! the current deployment for the master and for replay, the invocation's
+//! pin for a worker engine's `begin` and `sync` (see `Cluster::engine_pin`).
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-use faasflow_engine::{MasterAction, MasterEngine, WorkerAction, WorkerEngine};
+use faasflow_engine::{MasterAction, MasterEngine, WorkerAction, WorkerEngine, WorkflowCtx};
 use faasflow_scheduler::Assignment;
 use faasflow_sim::{FunctionId, InvocationId, SimDuration, SimRng, SimTime, WorkflowId};
-use faasflow_wdl::WorkflowDag;
 
 use crate::cluster::MasterInbox;
 use crate::config::{ClusterConfig, ScheduleMode};
@@ -234,32 +236,9 @@ impl Engines {
         Some(self.current.take().expect("a message was processing"))
     }
 
-    /// Registers a workflow's deployment on the engines that schedule it:
-    /// the master under MasterSP, every worker's under WorkerSP.
-    pub(crate) fn install(
-        &mut self,
-        wf: WorkflowId,
-        dag: &Arc<WorkflowDag>,
-        assignment: &Arc<Assignment>,
-        seed: u64,
-    ) {
-        match self.mode {
-            ScheduleMode::MasterSp => {
-                self.master
-                    .install(wf, dag.clone(), assignment.clone(), seed);
-            }
-            ScheduleMode::WorkerSp => {
-                for e in &mut self.workers {
-                    e.install(wf, dag.clone(), assignment.clone(), seed);
-                }
-            }
-        }
-    }
-
     /// An engine dies. Volatile state (the trigger trackers, and for the
-    /// master its inbox and in-service message) vanishes; the installed
-    /// workflows survive as control-plane config and the message counters
-    /// keep counting over the whole run.
+    /// master its inbox and in-service message) vanishes; the message
+    /// counters keep counting over the whole run.
     /// Journal appends that never became durable are torn. A crash that
     /// leaves the engine down bumps its era, fencing any restart chain
     /// already pending.
@@ -369,33 +348,33 @@ impl Engines {
     /// anything that already landed, so nothing runs or counts twice.
     ///
     /// The central engine schedules every invocation. A worker engine only
-    /// considers invocations whose `installed` deployment routes work to
-    /// its worker, and dead-letters only when its worker hosts an entry
-    /// node: a begun-elsewhere invocation with its `Begin` still in flight
-    /// to a healthy peer must not be killed by an uninvolved engine's
-    /// sweep. Routing follows the installed deployment, not the
-    /// invocation's pinned assignment: the replaying engine runs the
-    /// current version, and a sweep judging involvement by a stale pin
-    /// would skip (or kill) invocations the engine actually schedules.
+    /// considers invocations whose workflow's `current` deployment routes
+    /// work to its worker, and dead-letters only when its worker hosts an
+    /// entry node: a begun-elsewhere invocation with its `Begin` still in
+    /// flight to a healthy peer must not be killed by an uninvolved
+    /// engine's sweep. Routing follows the current deployment, not the
+    /// invocation's pinned assignment: replay re-pins the engine to the
+    /// current one, and a sweep judging involvement by a stale pin would
+    /// skip (or kill) invocations the engine actually schedules.
     pub(crate) fn reconcile(
         &self,
         target: EngineTarget,
         revived: Revived,
         (wf, inv): InvKey,
         state: &InvState,
-        installed: Option<&Assignment>,
+        current: &Assignment,
     ) -> Reconcile {
         let routing = match target {
             EngineTarget::Master => None,
             EngineTarget::Worker(w) => {
                 let node = self.workers[w as usize].node();
-                match installed {
-                    Some(assignment) if assignment.involves(node) => Some((node, assignment)),
-                    _ => return Reconcile::Skip,
+                if !current.involves(node) {
+                    return Reconcile::Skip;
                 }
+                Some(node)
             }
         };
-        let routed_here = |f: FunctionId| routing.is_none_or(|(node, a)| a.worker_of(f) == node);
+        let routed_here = |f: FunctionId| routing.is_none_or(|node| current.worker_of(f) == node);
         let progress = !state.instances.is_empty()
             || !state.completed_nodes.is_empty()
             || !state.instances_remaining.is_empty()
@@ -483,17 +462,19 @@ impl Engines {
         }
     }
 
-    /// The master hears that one instance of `function` completed. It
-    /// journals the node the moment it first sees it done.
+    /// The master hears that one instance of `function` completed; it
+    /// assigns what that triggers by `current`, the workflow's current
+    /// deployment. It journals the node the moment it first sees it done.
     pub(crate) fn master_state_return<T>(
         &mut self,
         now: SimTime,
+        current: &WorkflowCtx,
         (wf, inv): (WorkflowId, InvocationId),
         function: FunctionId,
         windows: &FaultWindows<T>,
     ) -> Vec<MasterAction> {
         let was_done = self.master.node_done(wf, inv, function);
-        let actions = self.master.on_state_return(wf, inv, function);
+        let actions = self.master.on_state_return(current, wf, inv, function);
         if !was_done && self.master.node_done(wf, inv, function) {
             let done = JournalEvent::NodeDone(function);
             self.append(now, EngineTarget::Master, (wf, inv), done, windows);
@@ -582,6 +563,7 @@ impl Engines {
 mod tests {
     use super::*;
     use crate::fault::{FaultPlan, StorageFaultKind};
+    use std::sync::Arc;
 
     const MASTER: EngineTarget = EngineTarget::Master;
     const W0: EngineTarget = EngineTarget::Worker(0);
@@ -742,7 +724,6 @@ mod tests {
     /// A chain `a -> b -> c` placed `a, b` on node 1 and `c` on node 2
     /// (the nodes of workers 0 and 1), and a fresh invocation of it.
     fn chain() -> (Assignment, InvState) {
-        use faasflow_scheduler::Version;
         use faasflow_sim::{GroupId, NodeId};
         use faasflow_wdl::{DagParser, FunctionProfile, Step, Workflow};
         let task = |name| Step::task(name, FunctionProfile::with_millis(1, 0));
@@ -759,19 +740,14 @@ mod tests {
             mem_consume: 0,
             quota: 0,
         };
-        let state = InvState::new(
-            Version::default(),
-            dag,
-            Arc::new(assignment.clone()),
-            SimTime::ZERO,
-        );
+        let state = InvState::new(dag, Arc::new(assignment.clone()), SimTime::ZERO);
         (assignment, state)
     }
 
     #[test]
     fn reconcile_skips_dead_letters_or_replays_one_invocation() {
         let mut e = engines(ScheduleMode::WorkerSp, true);
-        let (installed, mut state) = chain();
+        let (current, mut state) = chain();
         let (a, b, c) = (FunctionId::new(0), FunctionId::new(1), FunctionId::new(2));
         let w1 = EngineTarget::Worker(1);
         let blind = Revived {
@@ -787,26 +763,19 @@ mod tests {
             readable: true,
             ..blind
         };
-        let decide = |e: &Engines, target, revived, state: &InvState, installed| {
-            e.reconcile(target, revived, key(0), state, installed)
+        let decide = |e: &Engines, target, revived, state: &InvState, current: &Assignment| {
+            e.reconcile(target, revived, key(0), state, current)
         };
         // No progress and no journal record: the Begin died with the
         // engine, if this engine schedules an entry node.
         let orphan = Reconcile::DeadLetter(DeadLetterReason::CrashOrphan);
-        assert_eq!(decide(&e, MASTER, blind, &state, None), orphan);
-        assert_eq!(decide(&e, W0, blind, &state, Some(&installed)), orphan);
+        assert_eq!(decide(&e, MASTER, blind, &state, &current), orphan);
+        assert_eq!(decide(&e, W0, blind, &state, &current), orphan);
         let unrecoverable = Reconcile::DeadLetter(DeadLetterReason::JournalUnrecoverable);
-        assert_eq!(
-            decide(&e, W0, lost, &state, Some(&installed)),
-            unrecoverable
-        );
-        // Worker 1 hosts no entry node; an engine outside the installed
+        assert_eq!(decide(&e, W0, lost, &state, &current), unrecoverable);
+        // Worker 1 hosts no entry node; an engine outside the current
         // deployment schedules nothing.
-        assert_eq!(
-            decide(&e, w1, blind, &state, Some(&installed)),
-            Reconcile::Skip
-        );
-        assert_eq!(decide(&e, W0, blind, &state, None), Reconcile::Skip);
+        assert_eq!(decide(&e, w1, blind, &state, &current), Reconcile::Skip);
         // Durable records alone are a witness: replay from scratch.
         for event in [JournalEvent::Admitted, JournalEvent::NodeDone(a)] {
             e.append(at(0), W0, key(0), event, &windows(false));
@@ -817,10 +786,7 @@ mod tests {
             already_propagated: vec![],
             inflight: vec![],
         };
-        assert_eq!(
-            decide(&e, W0, read, &state, Some(&installed)),
-            replay_nothing
-        );
+        assert_eq!(decide(&e, W0, read, &state, &current), replay_nothing);
         // Cluster-side progress: `a` done (and journaled), `b` running,
         // and `c`, another engine's node, running too.
         state.completed_nodes.insert(a);
@@ -832,15 +798,15 @@ mod tests {
             inflight,
         };
         assert_eq!(
-            decide(&e, W0, read, &state, Some(&installed)),
+            decide(&e, W0, read, &state, &current),
             replay(vec![a], vec![(b, 0)])
         );
         assert_eq!(
-            decide(&e, W0, blind, &state, Some(&installed)),
+            decide(&e, W0, blind, &state, &current),
             replay(vec![], vec![(b, 0)])
         );
         assert_eq!(
-            decide(&e, MASTER, blind, &state, None),
+            decide(&e, MASTER, blind, &state, &current),
             replay(vec![], vec![(b, 0), (c, 0)])
         );
     }

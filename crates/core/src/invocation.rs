@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use faasflow_scheduler::{Assignment, Version, WorkerLoad};
+use faasflow_scheduler::{Assignment, WorkerLoad};
 use faasflow_sim::{
     ContainerId, EventId, FastMap, FunctionId, InvocationId, NodeId, SimTime, WorkflowId,
 };
@@ -170,11 +170,10 @@ impl WorkerSet {
 /// Cluster-side state of one in-flight invocation.
 #[derive(Debug)]
 pub(crate) struct InvState {
-    /// Partition version the invocation is pinned to (red-black).
-    pub version: Version,
     /// Pinned DAG snapshot.
     pub dag: Arc<WorkflowDag>,
-    /// Pinned placement.
+    /// Pinned placement (red-black: the deployment current at arrival,
+    /// or at the last crash restart).
     pub assignment: Arc<Assignment>,
     /// Arrival instant (latency measurement start).
     pub started: SimTime,
@@ -225,7 +224,6 @@ pub(crate) struct InvState {
 
 impl InvState {
     pub(crate) fn new(
-        version: Version,
         dag: Arc<WorkflowDag>,
         assignment: Arc<Assignment>,
         started: SimTime,
@@ -233,7 +231,6 @@ impl InvState {
         let exits_remaining = dag.exit_nodes().len();
         let nodes = dag.node_count();
         InvState {
-            version,
             dag,
             assignment,
             started,
@@ -629,7 +626,7 @@ mod tests {
             mem_consume: 0,
             quota: 0,
         });
-        InvState::new(Version::default(), dag, assignment, SimTime::ZERO)
+        InvState::new(dag, assignment, SimTime::ZERO)
     }
 
     fn token(inv: u32, function: u32, instance: u32) -> InstanceToken {

@@ -1,7 +1,8 @@
 //! The placement layer's incremental rebalancer: the per-worker tail
 //! estimators fed by completions, the skew test that picks a hot worker,
 //! and the [`PlacementReport`] counters. `Cluster` keeps the re-partition
-//! and redeploy, which install on the engines and budget the memstores.
+//! and redeploy, which replace a workflow's current deployment and budget
+//! the memstores.
 //! With the placement layer off nothing here is fed or decided.
 
 use faasflow_scheduler::{PlacementConfig, ScheduleError};

@@ -2,7 +2,8 @@
 //! determinism under live-load feedback, residual-capacity accounting with
 //! nominal fallback, crash/restart-triggered incremental rebalancing (no
 //! double placement, epoch fencing intact), skew-triggered rebalancing,
-//! and bit-identity of legacy mode with the placement layer switched off.
+//! the engine load's group counts, and bit-identity of legacy mode with
+//! the placement layer switched off.
 
 use std::collections::HashMap;
 
@@ -11,7 +12,7 @@ use faasflow_core::{
     ClientConfig, Cluster, ClusterConfig, FaultPlan, NodeCrash, PlacementConfig, PlacementReport,
     RunReport, ScheduleMode, TraceEvent,
 };
-use faasflow_sim::SimDuration;
+use faasflow_sim::{NodeId, SimDuration, WorkflowId};
 use faasflow_wdl::{FunctionProfile, Step, Workflow};
 
 /// A small pipeline that merges into one six-container group.
@@ -241,6 +242,60 @@ fn skew_triggers_incremental_rebalance() {
         p.skew_rebalances >= 1,
         "uneven group counts never fired the skew rebalancer: {p:?}"
     );
+}
+
+/// `worker_load_snapshot`'s `local_groups` per worker against the group
+/// counts of every workflow's `distribution()` summed, which WorkerSP's
+/// engines host; MasterSP's worker engines host none. Returns the total.
+fn assert_local_groups(cluster: &Cluster, mode: ScheduleMode, ids: &[WorkflowId]) -> usize {
+    let mut placed: HashMap<NodeId, usize> = HashMap::new();
+    for &id in ids {
+        for row in cluster.distribution(id) {
+            *placed.entry(row.worker).or_default() += row.groups;
+        }
+    }
+    let mut total = 0;
+    for (node, _, engine) in cluster.worker_load_snapshot() {
+        let expected = match mode {
+            ScheduleMode::WorkerSp => placed.get(&node).copied().unwrap_or(0),
+            ScheduleMode::MasterSp => 0,
+        };
+        assert_eq!(engine.local_groups, expected, "{mode:?} worker {node}");
+        total += engine.local_groups;
+    }
+    total
+}
+
+/// The engine load's `local_groups` follows the current deployments, at
+/// registration and after skew rebalances re-placed some of them.
+#[test]
+fn engine_local_groups_follow_the_current_deployments() {
+    for mode in [ScheduleMode::WorkerSp, ScheduleMode::MasterSp] {
+        let config = ClusterConfig {
+            mode,
+            faastore: mode == ScheduleMode::WorkerSp,
+            placement_config: PlacementConfig {
+                skew_threshold_pct: 100,
+                rebalance_cooldown: 1,
+                ..PlacementConfig::default()
+            },
+            ..aware_config(3)
+        };
+        let mut cluster = Cluster::new(config).expect("valid config");
+        let ids: Vec<WorkflowId> = (0..4)
+            .map(|i| {
+                let wf = pipeline(&format!("wf{i}"));
+                let client = ClientConfig::ClosedLoop { invocations: 6 };
+                cluster.register(&wf, client).expect("registers")
+            })
+            .collect();
+        let registered = assert_local_groups(&cluster, mode, &ids);
+        assert_eq!(registered > 0, mode == ScheduleMode::WorkerSp, "{mode:?}");
+        cluster.run_until_idle();
+        let p = cluster.report().placement;
+        assert!(p.skew_rebalances >= 1, "{mode:?}: no skew rebalance: {p:?}");
+        assert_local_groups(&cluster, mode, &ids);
+    }
 }
 
 /// With the placement layer off, runs are bit-identical to the

@@ -27,5 +27,5 @@ pub mod trigger;
 pub mod worker;
 
 pub use master::{MasterAction, MasterEngine};
-pub use trigger::TriggerTracker;
+pub use trigger::{TriggerTracker, WorkflowCtx};
 pub use worker::{EngineLoad, WorkerAction, WorkerEngine};

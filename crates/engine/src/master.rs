@@ -11,16 +11,15 @@
 //! simulation charges both plus the master's per-message CPU occupancy,
 //! which is where MasterSP's scheduling overhead comes from.
 //!
-//! Placement uses the same [`Assignment`] as FaaSFlow ("we also modify the
-//! routing policy in HyperFlow-serverless to the same way as in FaaSFlow,
-//! which satisfies the control variate method", §5.1).
+//! Placement uses the same [`Assignment`](faasflow_scheduler::Assignment)
+//! as FaaSFlow ("we also modify the routing policy in HyperFlow-serverless
+//! to the same way as in FaaSFlow, which satisfies the control variate
+//! method", §5.1). Every call that can assign a task takes the workflow's
+//! current deployment, so a task is always assigned by the newest
+//! partition.
 
-use std::sync::Arc;
-
-use faasflow_scheduler::Assignment;
 use faasflow_sim::stats::Counter;
 use faasflow_sim::{FastMap, FunctionId, InvocationId, NodeId, WorkflowId};
-use faasflow_wdl::WorkflowDag;
 
 use crate::trigger::{TriggerTracker, WorkflowCtx};
 
@@ -62,7 +61,6 @@ pub struct MasterEngineStats {
 /// The central engine of the MasterSP baseline.
 #[derive(Debug, Default)]
 pub struct MasterEngine {
-    workflows: FastMap<WorkflowId, WorkflowCtx>,
     invocations: FastMap<(WorkflowId, InvocationId), TriggerTracker>,
     stats: MasterEngineStats,
 }
@@ -84,50 +82,30 @@ impl MasterEngine {
     }
 
     /// The engine process dies and comes back: every invocation's trigger
-    /// state is lost. Installed workflows are control-plane config, read
-    /// again at boot, so they stay, and the message counters count over
-    /// the whole run.
+    /// state is lost. The message counters count over the whole run.
     pub fn crash(&mut self) {
         self.invocations.clear();
     }
 
-    /// Registers a workflow with its placement (the control-variate routing
-    /// of §5.1).
-    pub fn install(
-        &mut self,
-        workflow: WorkflowId,
-        dag: Arc<WorkflowDag>,
-        assignment: Arc<Assignment>,
-        seed: u64,
-    ) {
-        self.workflows
-            .insert(workflow, WorkflowCtx::new(dag, assignment, seed));
-    }
-
-    /// Starts an invocation: triggers the DAG's entry nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workflow was never installed.
+    /// Starts an invocation of the workflow deployed as `ctx`: triggers
+    /// the DAG's entry nodes.
     pub fn begin_invocation(
         &mut self,
+        ctx: &WorkflowCtx,
         workflow: WorkflowId,
         invocation: InvocationId,
     ) -> Vec<MasterAction> {
-        let ctx = self
-            .workflows
-            .get(&workflow)
-            .expect("begin_invocation on uninstalled workflow");
         self.invocations
             .entry((workflow, invocation))
             .or_insert_with(|| ctx.tracker(invocation));
-        self.trigger_entries(workflow, invocation)
+        self.trigger_entries(ctx, workflow, invocation)
     }
 
     /// Triggers the DAG's entry nodes that are not triggered yet and
     /// dispatches them (virtual entries cascade inline).
     fn trigger_entries(
         &mut self,
+        ctx: &WorkflowCtx,
         workflow: WorkflowId,
         invocation: InvocationId,
     ) -> Vec<MasterAction> {
@@ -140,11 +118,12 @@ impl MasterEngine {
             .into_iter()
             .filter(|&entry| tracker.force_trigger(entry))
             .collect();
-        self.dispatch(workflow, invocation, triggered)
+        self.dispatch(ctx, workflow, invocation, triggered)
     }
 
     /// Handles an execution-state return from a worker: one executor
-    /// instance of `function` completed there.
+    /// instance of `function` completed there. Successors it triggers are
+    /// assigned by `ctx`, the workflow's current deployment.
     ///
     /// An unknown invocation is ignored (returns no actions): after an
     /// engine crash this engine comes back blank, and a state return for a
@@ -152,6 +131,7 @@ impl MasterEngine {
     /// owns reconciling it.
     pub fn on_state_return(
         &mut self,
+        ctx: &WorkflowCtx,
         workflow: WorkflowId,
         invocation: InvocationId,
         function: FunctionId,
@@ -163,7 +143,7 @@ impl MasterEngine {
         if !tracker.instance_done(function) {
             return Vec::new();
         }
-        self.propagate(workflow, invocation, vec![function], &[])
+        self.propagate(ctx, workflow, invocation, vec![function], &[])
     }
 
     /// Drops the invocation's state.
@@ -184,8 +164,9 @@ impl MasterEngine {
             .is_some_and(|t| t.is_done(function))
     }
 
-    /// Crash recovery: rebuilds this invocation's tracker from durable
-    /// history and returns the actions needed to resume it.
+    /// Crash recovery: rebuilds this invocation's tracker over `ctx`, the
+    /// workflow's current deployment, from durable history and returns the
+    /// actions needed to resume it.
     ///
     /// * `completed` — function nodes known to have fully completed
     ///   (virtual nodes are re-derived inline, as in normal operation).
@@ -196,22 +177,15 @@ impl MasterEngine {
     ///
     /// Emitted `AssignTask`/`ExitComplete` actions may duplicate pre-crash
     /// ones; the runtime's dispatch and exit-report dedup drop those.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workflow was never installed.
     pub fn replay_invocation(
         &mut self,
+        ctx: &WorkflowCtx,
         workflow: WorkflowId,
         invocation: InvocationId,
         completed: &[FunctionId],
         already_propagated: &[FunctionId],
         inflight: &[(FunctionId, u32)],
     ) -> Vec<MasterAction> {
-        let ctx = self
-            .workflows
-            .get(&workflow)
-            .expect("replay on uninstalled workflow");
         let mut tracker = ctx.tracker(invocation);
         // Mark every known completion up front so the cascades below can
         // neither re-trigger nor re-complete them.
@@ -221,8 +195,9 @@ impl MasterEngine {
         self.invocations.insert((workflow, invocation), tracker);
         // Entry nodes that never completed re-trigger; then each completed
         // node's downstream effects re-run through the fresh tracker.
-        let mut actions = self.trigger_entries(workflow, invocation);
+        let mut actions = self.trigger_entries(ctx, workflow, invocation);
         actions.extend(self.propagate(
+            ctx,
             workflow,
             invocation,
             completed.to_vec(),
@@ -247,6 +222,7 @@ impl MasterEngine {
     /// before a crash and are not reported again.
     fn propagate(
         &mut self,
+        ctx: &WorkflowCtx,
         workflow: WorkflowId,
         invocation: InvocationId,
         mut worklist: Vec<FunctionId>,
@@ -278,7 +254,7 @@ impl MasterEngine {
                 }
             }
         }
-        actions.extend(self.dispatch(workflow, invocation, triggered));
+        actions.extend(self.dispatch(ctx, workflow, invocation, triggered));
         actions
     }
 
@@ -286,15 +262,11 @@ impl MasterEngine {
     /// entry nodes cascade inline.
     fn dispatch(
         &mut self,
+        ctx: &WorkflowCtx,
         workflow: WorkflowId,
         invocation: InvocationId,
         triggered: Vec<FunctionId>,
     ) -> Vec<MasterAction> {
-        let ctx = self
-            .workflows
-            .get(&workflow)
-            .expect("dispatch on uninstalled workflow")
-            .clone();
         let mut actions = Vec::new();
         for f in triggered {
             if ctx.dag.node(f).kind.is_function() {
@@ -312,7 +284,7 @@ impl MasterEngine {
                     .get_mut(&(workflow, invocation))
                     .expect("tracker alive in dispatch");
                 if tracker.instance_done(f) {
-                    actions.extend(self.propagate(workflow, invocation, vec![f], &[]));
+                    actions.extend(self.propagate(ctx, workflow, invocation, vec![f], &[]));
                 }
             }
         }
@@ -326,11 +298,12 @@ mod tests {
     use faasflow_scheduler::{ContentionSet, GraphScheduler, RuntimeMetrics, WorkerInfo};
     use faasflow_sim::SimRng;
     use faasflow_wdl::{DagParser, FunctionProfile, Step, Workflow};
+    use std::sync::Arc;
 
     const WF: WorkflowId = WorkflowId::new(0);
     const INV: InvocationId = InvocationId::new(0);
 
-    fn build(step: Step, workers: u32) -> (Arc<WorkflowDag>, MasterEngine) {
+    fn build(step: Step, workers: u32) -> (WorkflowCtx, MasterEngine) {
         let wf = Workflow::steps("m", step);
         let dag = Arc::new(DagParser::default().parse(&wf).unwrap());
         let metrics = RuntimeMetrics::initial(&dag);
@@ -350,9 +323,7 @@ mod tests {
                 )
                 .unwrap(),
         );
-        let mut eng = MasterEngine::new();
-        eng.install(WF, dag.clone(), asg, 11);
-        (dag, eng)
+        (WorkflowCtx::new(dag, asg, 11), MasterEngine::new())
     }
 
     fn p(out: u64) -> FunctionProfile {
@@ -361,7 +332,7 @@ mod tests {
 
     #[test]
     fn chain_assigns_one_task_at_a_time() {
-        let (_dag, mut eng) = build(
+        let (ctx, mut eng) = build(
             Step::sequence(vec![
                 Step::task("a", p(10)),
                 Step::task("b", p(10)),
@@ -369,13 +340,13 @@ mod tests {
             ]),
             2,
         );
-        let first = eng.begin_invocation(WF, INV);
+        let first = eng.begin_invocation(&ctx, WF, INV);
         assert_eq!(first.len(), 1);
         let MasterAction::AssignTask { function: a, .. } = first[0] else {
             panic!("expected an assignment");
         };
         assert_eq!(a, FunctionId::new(0));
-        let second = eng.on_state_return(WF, INV, a);
+        let second = eng.on_state_return(&ctx, WF, INV, a);
         assert_eq!(second.len(), 1);
         assert_eq!(eng.stats().tasks_assigned.get(), 2);
         assert_eq!(eng.stats().state_returns.get(), 1);
@@ -383,20 +354,20 @@ mod tests {
 
     #[test]
     fn parallel_assigns_both_branches_at_once() {
-        let (dag, mut eng) = build(
+        let (ctx, mut eng) = build(
             Step::sequence(vec![
                 Step::task("a", p(10)),
                 Step::parallel(vec![Step::task("x", p(1)), Step::task("y", p(1))]),
             ]),
             2,
         );
-        let first = eng.begin_invocation(WF, INV);
+        let first = eng.begin_invocation(&ctx, WF, INV);
         let MasterAction::AssignTask { function: a, .. } = first[0] else {
             panic!("expected an assignment");
         };
         // a completes; the parallel virtual start cascades inline and both
         // branches are assigned together.
-        let actions = eng.on_state_return(WF, INV, a);
+        let actions = eng.on_state_return(&ctx, WF, INV, a);
         let assigned: Vec<FunctionId> = actions
             .iter()
             .filter_map(|act| match act {
@@ -406,33 +377,33 @@ mod tests {
             .collect();
         assert_eq!(assigned.len(), 2);
         for f in &assigned {
-            assert!(dag.node(*f).kind.is_function());
+            assert!(ctx.dag.node(*f).kind.is_function());
         }
     }
 
     #[test]
     fn exit_complete_fires_at_the_sink() {
-        let (_dag, mut eng) = build(
+        let (ctx, mut eng) = build(
             Step::sequence(vec![Step::task("a", p(10)), Step::task("b", p(0))]),
             1,
         );
-        let first = eng.begin_invocation(WF, INV);
+        let first = eng.begin_invocation(&ctx, WF, INV);
         let MasterAction::AssignTask { function: a, .. } = first[0] else {
             panic!("expected an assignment");
         };
-        let second = eng.on_state_return(WF, INV, a);
+        let second = eng.on_state_return(&ctx, WF, INV, a);
         let MasterAction::AssignTask { function: b, .. } = second[0] else {
             panic!("expected an assignment");
         };
-        let last = eng.on_state_return(WF, INV, b);
+        let last = eng.on_state_return(&ctx, WF, INV, b);
         assert!(matches!(last[0], MasterAction::ExitComplete { function, .. } if function == b));
     }
 
     #[test]
     fn foreach_waits_for_all_state_returns() {
-        let (dag, mut eng) = build(Step::foreach("fe", p(0), 3), 2);
-        let fe = dag.nodes().iter().find(|n| n.name == "fe").unwrap().id;
-        let first = eng.begin_invocation(WF, INV);
+        let (ctx, mut eng) = build(Step::foreach("fe", p(0), 3), 2);
+        let fe = ctx.dag.nodes().iter().find(|n| n.name == "fe").unwrap().id;
+        let first = eng.begin_invocation(&ctx, WF, INV);
         // Entry is the virtual bracket, which cascades inline to assign fe.
         let assigned: Vec<FunctionId> = first
             .iter()
@@ -442,9 +413,9 @@ mod tests {
             })
             .collect();
         assert_eq!(assigned, vec![fe]);
-        assert!(eng.on_state_return(WF, INV, fe).is_empty());
-        assert!(eng.on_state_return(WF, INV, fe).is_empty());
-        let done = eng.on_state_return(WF, INV, fe);
+        assert!(eng.on_state_return(&ctx, WF, INV, fe).is_empty());
+        assert!(eng.on_state_return(&ctx, WF, INV, fe).is_empty());
+        let done = eng.on_state_return(&ctx, WF, INV, fe);
         assert!(
             done.iter()
                 .any(|a| matches!(a, MasterAction::ExitComplete { .. })),
@@ -455,9 +426,9 @@ mod tests {
     /// A crash drops the trigger state but not the run's message counts.
     #[test]
     fn crash_keeps_the_message_counters() {
-        let (_dag, mut eng) = build(Step::task("a", p(0)), 1);
-        eng.begin_invocation(WF, INV);
-        eng.on_state_return(WF, INV, FunctionId::new(0));
+        let (ctx, mut eng) = build(Step::task("a", p(0)), 1);
+        eng.begin_invocation(&ctx, WF, INV);
+        eng.on_state_return(&ctx, WF, INV, FunctionId::new(0));
         eng.crash();
         assert_eq!(eng.live_invocations(), 0);
         assert_eq!(eng.stats().tasks_assigned.get(), 1);
@@ -466,8 +437,8 @@ mod tests {
 
     #[test]
     fn release_frees_state() {
-        let (_dag, mut eng) = build(Step::task("a", p(0)), 1);
-        eng.begin_invocation(WF, INV);
+        let (ctx, mut eng) = build(Step::task("a", p(0)), 1);
+        eng.begin_invocation(&ctx, WF, INV);
         assert_eq!(eng.live_invocations(), 1);
         eng.release_invocation(WF, INV);
         assert_eq!(eng.live_invocations(), 0);
@@ -479,8 +450,8 @@ mod tests {
     fn replay_resumes_and_skips_recorded_exits() {
         let chain = || Step::sequence(vec![Step::task("a", p(10)), Step::task("b", p(0))]);
         let (a, b) = (FunctionId::new(0), FunctionId::new(1));
-        let (_dag, mut eng) = build(chain(), 1);
-        let resumed = eng.replay_invocation(WF, INV, &[a], &[], &[]);
+        let (ctx, mut eng) = build(chain(), 1);
+        let resumed = eng.replay_invocation(&ctx, WF, INV, &[a], &[], &[]);
         assert!(
             matches!(resumed[..], [MasterAction::AssignTask { function, .. }] if function == b)
         );
@@ -489,13 +460,19 @@ mod tests {
             invocation: INV,
             function: b,
         };
-        assert_eq!(eng.on_state_return(WF, INV, b), std::slice::from_ref(&exit));
+        assert_eq!(
+            eng.on_state_return(&ctx, WF, INV, b),
+            std::slice::from_ref(&exit)
+        );
 
-        let (_dag, mut eng) = build(chain(), 1);
-        assert_eq!(eng.replay_invocation(WF, INV, &[a, b], &[], &[]), [exit]);
-        let (_dag, mut eng) = build(chain(), 1);
+        let (ctx, mut eng) = build(chain(), 1);
+        assert_eq!(
+            eng.replay_invocation(&ctx, WF, INV, &[a, b], &[], &[]),
+            [exit]
+        );
+        let (ctx, mut eng) = build(chain(), 1);
         assert!(eng
-            .replay_invocation(WF, INV, &[a, b], &[b], &[])
+            .replay_invocation(&ctx, WF, INV, &[a, b], &[b], &[])
             .is_empty());
         assert_eq!(eng.stats().tasks_assigned.get(), 0);
     }

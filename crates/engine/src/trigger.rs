@@ -9,6 +9,11 @@
 //! chosen by a deterministic hash of `(seed, invocation, switch node)`, so
 //! every engine in the cluster independently picks the same arm without
 //! coordination.
+//!
+//! A [`WorkflowCtx`] is what a workflow is deployed as. The runtime hands
+//! each engine call the context it routes by: MasterSP routes by the
+//! current deployment; a worker engine pins the context of the first call
+//! that reaches it for an invocation.
 
 use std::sync::Arc;
 
@@ -16,17 +21,23 @@ use faasflow_scheduler::Assignment;
 use faasflow_sim::{FunctionId, InvocationId};
 use faasflow_wdl::{NodeKind, WorkflowDag};
 
-/// A workflow as an engine knows it: the DAG, its placement and the
-/// switch-arm seed. Both engines keep one per installed workflow.
+/// A workflow as it is deployed: the DAG, its placement and the
+/// switch-arm seed. Cloning it clones two `Arc`s, so pinning an
+/// invocation to a deployment never copies the partition; an old
+/// deployment is freed when its last clone drops.
 #[derive(Debug, Clone)]
-pub(crate) struct WorkflowCtx {
-    pub(crate) dag: Arc<WorkflowDag>,
-    pub(crate) assignment: Arc<Assignment>,
-    pub(crate) seed: u64,
+pub struct WorkflowCtx {
+    /// The workflow DAG.
+    pub dag: Arc<WorkflowDag>,
+    /// The placement of its nodes.
+    pub assignment: Arc<Assignment>,
+    /// The switch-arm seed, identical on every engine of the cluster.
+    pub seed: u64,
 }
 
 impl WorkflowCtx {
-    pub(crate) fn new(dag: Arc<WorkflowDag>, assignment: Arc<Assignment>, seed: u64) -> Self {
+    /// Bundles a deployment.
+    pub fn new(dag: Arc<WorkflowDag>, assignment: Arc<Assignment>, seed: u64) -> Self {
         WorkflowCtx {
             dag,
             assignment,

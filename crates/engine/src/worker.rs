@@ -9,13 +9,15 @@
 //!
 //! The engine is a pure state machine: it consumes completion/sync events
 //! and emits [`WorkerAction`]s for the cluster simulation to time.
+//!
+//! `begin` and `sync` carry the invocation's pinned [`WorkflowCtx`], and
+//! the engine routes the invocation by the first one it is given for as
+//! long as it holds the invocation's state (red-black deployment, §4.2.2):
+//! a later call carrying a newer assignment changes nothing. Replay
+//! re-pins to the context it is handed, the workflow's current deployment.
 
-use std::sync::Arc;
-
-use faasflow_scheduler::Assignment;
 use faasflow_sim::stats::Counter;
 use faasflow_sim::{FastMap, FunctionId, InvocationId, NodeId, WorkflowId};
-use faasflow_wdl::WorkflowDag;
 
 use crate::trigger::{TriggerTracker, WorkflowCtx};
 
@@ -66,24 +68,22 @@ pub struct WorkerEngineStats {
     pub triggers: Counter,
 }
 
-/// The engine's own view of its load, reported up to the cluster's
-/// placement layer and the observability exporters.
+/// A worker engine's load, reported up to the cluster's placement layer
+/// and the observability exporters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineLoad {
     /// Live per-invocation trigger trackers held by the engine.
     pub live_invocations: usize,
-    /// Workflows with a sub-graph context installed.
-    pub installed_workflows: usize,
-    /// Function groups of those contexts placed on this node (0 for the
-    /// central engine, which routes rather than hosts).
+    /// Function groups of the current deployments placed on this node
+    /// (0 under MasterSP, where worker engines schedule nothing).
     pub local_groups: usize,
 }
 
 /// One in-flight invocation: its trigger tracker plus the workflow context
 /// pinned when the invocation first touched this engine. Routing a live
-/// invocation through a *newer* installed assignment would strand it —
-/// the data-placement decisions and the other engines' sync targets all
-/// follow the pinned version (red-black deployment).
+/// invocation through a *newer* assignment would strand it — the
+/// data-placement decisions and the other engines' sync targets all
+/// follow the pinned one (red-black deployment).
 #[derive(Debug)]
 struct LiveInvocation {
     tracker: TriggerTracker,
@@ -103,7 +103,6 @@ impl LiveInvocation {
 #[derive(Debug)]
 pub struct WorkerEngine {
     node: NodeId,
-    workflows: FastMap<WorkflowId, WorkflowCtx>,
     invocations: FastMap<(WorkflowId, InvocationId), LiveInvocation>,
     stats: WorkerEngineStats,
 }
@@ -113,7 +112,6 @@ impl WorkerEngine {
     pub fn new(node: NodeId) -> Self {
         WorkerEngine {
             node,
-            workflows: FastMap::default(),
             invocations: FastMap::default(),
             stats: WorkerEngineStats::default(),
         }
@@ -134,95 +132,36 @@ impl WorkerEngine {
         self.invocations.len()
     }
 
-    /// The engine's load report: live invocation structures, installed
-    /// workflow contexts, and how many of their groups are placed here.
-    pub fn load(&self) -> EngineLoad {
-        EngineLoad {
-            live_invocations: self.invocations.len(),
-            installed_workflows: self.workflows.len(),
-            local_groups: self
-                .workflows
-                .values()
-                .map(|ctx| {
-                    ctx.assignment
-                        .groups
-                        .iter()
-                        .filter(|g| g.worker == self.node)
-                        .count()
-                })
-                .sum(),
-        }
-    }
-
-    /// Installs (or replaces) the sub-graph context of a workflow — called
-    /// at every partition iteration when the Graph Scheduler pushes new
-    /// versions. In-flight invocations keep their pinned context (red-black:
-    /// only invocations beginning after this call see the new assignment).
-    pub fn install(
-        &mut self,
-        workflow: WorkflowId,
-        dag: Arc<WorkflowDag>,
-        assignment: Arc<Assignment>,
-        seed: u64,
-    ) {
-        self.workflows
-            .insert(workflow, WorkflowCtx::new(dag, assignment, seed));
-    }
-
     /// The engine process dies and comes back: every invocation's trigger
-    /// state is lost. Installed workflows are control-plane config, read
-    /// again at boot, so they stay, and the message counters count over
-    /// the whole run.
+    /// state is lost. The message counters count over the whole run.
     pub fn crash(&mut self) {
         self.invocations.clear();
     }
 
-    /// Pins an invocation to an explicit deployment snapshot before the
-    /// first `begin`/`sync` event reaches this engine. The runtime calls
-    /// this with the invocation's cluster-side pinned version, so every
-    /// engine routes it identically even when a rebalance installed a
-    /// newer assignment in between. A no-op if the invocation already has
-    /// a pinned context here.
-    pub fn ensure_invocation(
-        &mut self,
-        workflow: WorkflowId,
-        invocation: InvocationId,
-        dag: Arc<WorkflowDag>,
-        assignment: Arc<Assignment>,
-        seed: u64,
-    ) {
-        self.invocations
-            .entry((workflow, invocation))
-            .or_insert_with(|| {
-                LiveInvocation::new(invocation, WorkflowCtx::new(dag, assignment, seed))
-            });
-    }
-
     /// Starts an invocation on this worker: triggers every *local* entry
-    /// node of the workflow DAG.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workflow was never installed.
+    /// node of the workflow DAG. `ctx` is the invocation's pinned
+    /// deployment; see [`WorkerEngine::on_state_sync`] for when it is read.
     pub fn begin_invocation(
         &mut self,
+        ctx: &WorkflowCtx,
         workflow: WorkflowId,
         invocation: InvocationId,
     ) -> Vec<WorkerAction> {
-        self.live(workflow, invocation);
+        self.live(ctx, workflow, invocation);
         self.trigger_local_entries(workflow, invocation)
     }
 
-    /// The invocation's live state, pinned to the installed context when
-    /// this is the first the engine hears of it.
-    fn live(&mut self, workflow: WorkflowId, invocation: InvocationId) -> &mut LiveInvocation {
-        let installed = &self.workflows;
+    /// The invocation's live state, pinned to `ctx` when this is the first
+    /// the engine hears of it.
+    fn live(
+        &mut self,
+        ctx: &WorkflowCtx,
+        workflow: WorkflowId,
+        invocation: InvocationId,
+    ) -> &mut LiveInvocation {
         self.invocations
             .entry((workflow, invocation))
-            .or_insert_with(|| {
-                let ctx = installed.get(&workflow).expect("uninstalled workflow");
-                LiveInvocation::new(invocation, ctx.clone())
-            })
+            .or_insert_with(|| LiveInvocation::new(invocation, ctx.clone()))
     }
 
     /// Triggers the invocation's entry nodes placed on this worker that
@@ -279,22 +218,24 @@ impl WorkerEngine {
     /// Handles a state-sync message from a remote engine: `completed` (a
     /// function hosted elsewhere) finished; update local successors.
     ///
+    /// `ctx` is the invocation's pinned deployment. The engine pins it
+    /// only when the invocation is new here (a sync can arrive before the
+    /// `begin`, or at a worker hosting no entry node); otherwise it keeps
+    /// routing by the context it pinned first.
+    ///
     /// A duplicate sync about a node whose completion this engine already
     /// processed is ignored — crash recovery re-sends syncs whose durable
     /// record was lost, and counting a predecessor twice would trigger
     /// successors prematurely.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workflow was never installed.
     pub fn on_state_sync(
         &mut self,
+        ctx: &WorkflowCtx,
         workflow: WorkflowId,
         invocation: InvocationId,
         completed: FunctionId,
     ) -> Vec<WorkerAction> {
         let node = self.node;
-        let live = self.live(workflow, invocation);
+        let live = self.live(ctx, workflow, invocation);
         if !live.tracker.mark_propagated(completed) {
             return Vec::new();
         }
@@ -334,8 +275,8 @@ impl WorkerEngine {
             .is_some_and(|li| li.tracker.is_done(function))
     }
 
-    /// Crash recovery: rebuilds this invocation's tracker from durable
-    /// history and returns the actions needed to resume it.
+    /// Crash recovery: rebuilds this invocation's tracker over `ctx` from
+    /// durable history and returns the actions needed to resume it.
     ///
     /// * `completed` — nodes known (cluster-wide) to have fully completed.
     /// * `already_propagated` — the subset whose downstream effects this
@@ -348,25 +289,18 @@ impl WorkerEngine {
     /// Emitted `TriggerFunction` actions may duplicate pre-crash
     /// dispatches; the runtime's dispatch dedup drops those.
     ///
-    /// # Panics
-    ///
-    /// Panics if the workflow was never installed.
+    /// Replay re-pins the invocation to `ctx` whatever it was pinned to
+    /// before: the runtime passes the workflow's current deployment, which
+    /// the recovery layer redeployed before replaying.
     pub fn replay_invocation(
         &mut self,
+        ctx: &WorkflowCtx,
         workflow: WorkflowId,
         invocation: InvocationId,
         completed: &[FunctionId],
         already_propagated: &[FunctionId],
         inflight: &[(FunctionId, u32)],
     ) -> Vec<WorkerAction> {
-        // Replay deliberately re-pins to the *installed* context: the
-        // recovery layer redeployed before replaying, and the restarted
-        // invocation follows the fresh version.
-        let ctx = self
-            .workflows
-            .get(&workflow)
-            .expect("replay on uninstalled workflow")
-            .clone();
         let mut tracker = ctx.tracker(invocation);
         // Mark every known completion up front so the cascade below can
         // neither re-trigger nor re-complete them.
@@ -374,8 +308,11 @@ impl WorkerEngine {
             tracker.force_done(f);
         }
         let key = (workflow, invocation);
-        self.invocations
-            .insert(key, LiveInvocation { tracker, ctx });
+        let live = LiveInvocation {
+            tracker,
+            ctx: ctx.clone(),
+        };
+        self.invocations.insert(key, live);
         // Local entry nodes that never completed need (re)triggering.
         let mut actions = self.trigger_local_entries(workflow, invocation);
         // Re-run each completed node's downstream effects through the
@@ -462,15 +399,11 @@ mod tests {
     use faasflow_scheduler::{ContentionSet, GraphScheduler, RuntimeMetrics, WorkerInfo};
     use faasflow_sim::SimRng;
     use faasflow_wdl::{DagParser, FunctionProfile, Step, Workflow};
+    use std::sync::Arc;
 
     /// Builds a 3-function chain partitioned across two workers:
     /// a, b on worker 1 and c on worker 2 (forced by zero quota + capacity).
-    fn setup() -> (
-        Arc<WorkflowDag>,
-        Arc<Assignment>,
-        WorkerEngine,
-        WorkerEngine,
-    ) {
+    fn setup() -> (WorkflowCtx, WorkerEngine, WorkerEngine) {
         let wf = Workflow::steps(
             "chain",
             Step::sequence(vec![
@@ -483,7 +416,7 @@ mod tests {
         // Hand-built placement: {a, b} on worker 1, {c} on worker 2, so the
         // b -> c edge is the one cross-worker hop.
         let (w_ab, w_c) = (NodeId::new(1), NodeId::new(2));
-        use faasflow_scheduler::Group;
+        use faasflow_scheduler::{Assignment, Group};
         use faasflow_sim::GroupId;
         let assignment = Arc::new(Assignment {
             groups: vec![
@@ -506,12 +439,11 @@ mod tests {
             mem_consume: 10 << 20,
             quota: 10 << 20,
         });
-        let mut e1 = WorkerEngine::new(w_ab);
-        let mut e2 = WorkerEngine::new(w_c);
-        let wid = WorkflowId::new(0);
-        e1.install(wid, dag.clone(), assignment.clone(), 7);
-        e2.install(wid, dag.clone(), assignment.clone(), 7);
-        (dag, assignment, e1, e2)
+        (
+            WorkflowCtx::new(dag, assignment, 7),
+            WorkerEngine::new(w_ab),
+            WorkerEngine::new(w_c),
+        )
     }
 
     const WF: WorkflowId = WorkflowId::new(0);
@@ -519,8 +451,8 @@ mod tests {
 
     #[test]
     fn begin_triggers_only_local_entries() {
-        let (_dag, _asg, mut e1, mut e2) = setup();
-        let a1 = e1.begin_invocation(WF, INV);
+        let (ctx, mut e1, mut e2) = setup();
+        let a1 = e1.begin_invocation(&ctx, WF, INV);
         assert_eq!(
             a1,
             vec![WorkerAction::TriggerFunction {
@@ -529,14 +461,14 @@ mod tests {
                 function: FunctionId::new(0)
             }]
         );
-        let a2 = e2.begin_invocation(WF, INV);
+        let a2 = e2.begin_invocation(&ctx, WF, INV);
         assert!(a2.is_empty(), "entry node is not on worker 2");
     }
 
     #[test]
     fn local_successor_triggers_without_network() {
-        let (_dag, _asg, mut e1, _e2) = setup();
-        e1.begin_invocation(WF, INV);
+        let (ctx, mut e1, _e2) = setup();
+        e1.begin_invocation(&ctx, WF, INV);
         let actions = e1.on_instance_complete(WF, INV, FunctionId::new(0));
         assert_eq!(
             actions,
@@ -552,11 +484,11 @@ mod tests {
 
     #[test]
     fn cross_worker_successor_produces_one_sync() {
-        let (_dag, asg, mut e1, mut e2) = setup();
-        e1.begin_invocation(WF, INV);
+        let (ctx, mut e1, mut e2) = setup();
+        e1.begin_invocation(&ctx, WF, INV);
         e1.on_instance_complete(WF, INV, FunctionId::new(0));
         let actions = e1.on_instance_complete(WF, INV, FunctionId::new(1));
-        let w_c = asg.worker_of(FunctionId::new(2));
+        let w_c = ctx.assignment.worker_of(FunctionId::new(2));
         assert_eq!(
             actions,
             vec![WorkerAction::SyncState {
@@ -568,7 +500,7 @@ mod tests {
         );
         assert_eq!(e1.stats().syncs_sent.get(), 1);
         // Worker 2 receives the sync and triggers c.
-        let actions = e2.on_state_sync(WF, INV, FunctionId::new(1));
+        let actions = e2.on_state_sync(&ctx, WF, INV, FunctionId::new(1));
         assert_eq!(
             actions,
             vec![WorkerAction::TriggerFunction {
@@ -582,8 +514,8 @@ mod tests {
     /// A crash drops the trigger state but not the run's message counts.
     #[test]
     fn crash_keeps_the_message_counters() {
-        let (_dag, _asg, mut e1, _e2) = setup();
-        e1.begin_invocation(WF, INV);
+        let (ctx, mut e1, _e2) = setup();
+        e1.begin_invocation(&ctx, WF, INV);
         e1.on_instance_complete(WF, INV, FunctionId::new(0));
         e1.on_instance_complete(WF, INV, FunctionId::new(1));
         e1.crash();
@@ -595,11 +527,11 @@ mod tests {
 
     #[test]
     fn exit_completion_is_reported() {
-        let (_dag, _asg, mut e1, mut e2) = setup();
-        e1.begin_invocation(WF, INV);
+        let (ctx, mut e1, mut e2) = setup();
+        e1.begin_invocation(&ctx, WF, INV);
         e1.on_instance_complete(WF, INV, FunctionId::new(0));
         e1.on_instance_complete(WF, INV, FunctionId::new(1));
-        e2.on_state_sync(WF, INV, FunctionId::new(1));
+        e2.on_state_sync(&ctx, WF, INV, FunctionId::new(1));
         let actions = e2.on_instance_complete(WF, INV, FunctionId::new(2));
         assert_eq!(
             actions,
@@ -613,8 +545,8 @@ mod tests {
 
     #[test]
     fn release_frees_state() {
-        let (_dag, _asg, mut e1, _e2) = setup();
-        e1.begin_invocation(WF, INV);
+        let (ctx, mut e1, _e2) = setup();
+        e1.begin_invocation(&ctx, WF, INV);
         assert_eq!(e1.live_invocations(), 1);
         e1.release_invocation(WF, INV);
         assert_eq!(e1.live_invocations(), 0);
@@ -642,9 +574,9 @@ mod tests {
                 )
                 .unwrap(),
         );
+        let ctx = WorkflowCtx::new(dag.clone(), asg, 7);
         let mut eng = WorkerEngine::new(NodeId::new(1));
-        eng.install(WF, dag.clone(), asg, 7);
-        let first = eng.begin_invocation(WF, INV);
+        let first = eng.begin_invocation(&ctx, WF, INV);
         // Entry is the virtual start; runtime completes it instantly:
         let vs = match &first[0] {
             WorkerAction::TriggerFunction { function, .. } => *function,
@@ -669,14 +601,17 @@ mod tests {
     #[test]
     fn replay_resends_only_unrecorded_effects() {
         let (a, b, c) = (FunctionId::new(0), FunctionId::new(1), FunctionId::new(2));
-        let (_dag, asg, mut e1, mut e2) = setup();
+        let (ctx, mut e1, mut e2) = setup();
         let sync_b = WorkerAction::SyncState {
-            to: asg.worker_of(c),
+            to: ctx.assignment.worker_of(c),
             workflow: WF,
             invocation: INV,
             completed: b,
         };
-        assert_eq!(e1.replay_invocation(WF, INV, &[a, b], &[], &[]), [sync_b]);
+        assert_eq!(
+            e1.replay_invocation(&ctx, WF, INV, &[a, b], &[], &[]),
+            [sync_b]
+        );
         let trigger_c = WorkerAction::TriggerFunction {
             workflow: WF,
             invocation: INV,
@@ -684,22 +619,27 @@ mod tests {
         };
         // Worker 2 hosts neither a nor b: it only re-counts c's predecessor.
         assert_eq!(
-            e2.replay_invocation(WF, INV, &[a, b], &[], &[]),
+            e2.replay_invocation(&ctx, WF, INV, &[a, b], &[], &[]),
             [trigger_c]
         );
         assert_eq!(e2.stats().syncs_sent.get(), 0);
 
-        let (_dag, _asg, mut e1, _e2) = setup();
-        assert!(e1.replay_invocation(WF, INV, &[a, b], &[b], &[]).is_empty());
+        let (ctx, mut e1, _e2) = setup();
+        assert!(e1
+            .replay_invocation(&ctx, WF, INV, &[a, b], &[b], &[])
+            .is_empty());
         assert_eq!(e1.stats().local_updates.get(), 1, "a -> b still counted");
         // A replayed tracker resumes like a live one.
-        let (_dag, _asg, mut e1, _e2) = setup();
+        let (ctx, mut e1, _e2) = setup();
         let trigger_b = WorkerAction::TriggerFunction {
             workflow: WF,
             invocation: INV,
             function: b,
         };
-        assert_eq!(e1.replay_invocation(WF, INV, &[a], &[], &[]), [trigger_b]);
+        assert_eq!(
+            e1.replay_invocation(&ctx, WF, INV, &[a], &[], &[]),
+            [trigger_b]
+        );
         assert_eq!(e1.on_instance_complete(WF, INV, b).len(), 1, "b's sync");
     }
 }

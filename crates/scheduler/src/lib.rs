@@ -2,8 +2,9 @@
 //!
 //! The Graph Scheduler of FaaSFlow (§4.1): workflow graph partitioning by
 //! function grouping (Algorithm 1), bin-packed group placement, runtime
-//! feedback metrics (`Scale(v)`, `Map(v)`, observed edge latencies), and
-//! red-black deployment of partition versions (§4.2.2).
+//! feedback metrics (`Scale(v)`, `Map(v)`, observed edge latencies). Each
+//! partition is an [`Assignment`]; the cluster deploys it behind an `Arc`
+//! (red-black deployment, §4.2.2).
 //!
 //! The partitioner is deliberately a faithful transcription of the paper's
 //! Algorithm 1: greedy merging along the heaviest edges of the (re-computed)
@@ -33,12 +34,10 @@
 //! assert_eq!(assignment.node_of[0], assignment.node_of[1]);
 //! ```
 
-pub mod deploy;
 pub mod error;
 pub mod feedback;
 pub mod partition;
 
-pub use deploy::{DeploymentManager, Version};
 pub use error::ScheduleError;
 pub use feedback::{FeedbackCollector, RuntimeMetrics, WorkerLoad};
 pub use partition::{
