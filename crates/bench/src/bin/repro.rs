@@ -46,7 +46,7 @@ use std::time::Instant;
 use faasflow_bench::{mb, parallel_map, rule, run_colocated_with_distribution, run_one, Drive};
 use faasflow_core::{
     ClientConfig, Cluster, ClusterConfig, EngineCrash, EngineTarget, FaultPlan, JournalConfig,
-    NetFault, NodeCrash, ScheduleMode, StorageFault, StorageFaultKind,
+    NetFault, NodeCrash, RunReport, ScheduleMode, StorageFault, StorageFaultKind,
 };
 use faasflow_scheduler::{
     ContentionSet, GraphScheduler, PlacementConfig, PlacementStrategy, RuntimeMetrics, WorkerInfo,
@@ -961,16 +961,7 @@ fn chaos(scale: &Scale) {
     );
     rule(60);
     for (label, report) in [("MasterSP", &master), ("WorkerSP", &worker)] {
-        let r = report.workflow("WC");
-        assert_eq!(
-            r.completed + r.dead_lettered,
-            r.sent,
-            "{label}: every invocation must complete or dead-letter"
-        );
-        assert_eq!(
-            report.live_invocation_states, 0,
-            "{label}: no leaked engine state"
-        );
+        assert_conserved(label, report);
     }
     println!("every invocation completed or dead-lettered; no state leaked.");
     println!("paper argument (§6): worker-side scheduling confines the blast radius —");
@@ -1049,8 +1040,7 @@ fn failover(scale: &Scale) {
     );
     rule(64);
     let mrow = |label: &str, m: u64, w: u64| println!("{label:<30} {m:>16} {w:>16}");
-    let total = |report: &faasflow_core::RunReport,
-                 pick: fn(&faasflow_core::WorkflowReport) -> u64| {
+    let total = |report: &RunReport, pick: fn(&faasflow_core::WorkflowReport) -> u64| {
         report.workflows.values().map(pick).sum::<u64>()
     };
     let ms_completed = total(&m_snap, |wf| wf.completed);
@@ -1118,23 +1108,7 @@ fn failover(scale: &Scale) {
     );
     rule(64);
     for (label, report) in [("MasterSP", &master), ("WorkerSP", &worker)] {
-        assert_eq!(
-            total(report, |wf| wf.completed + wf.dead_lettered + wf.shed),
-            total(report, |wf| wf.sent),
-            "{label}: every invocation must reach exactly one terminal outcome"
-        );
-        assert_eq!(
-            report.live_invocation_states, 0,
-            "{label}: no leaked engine state"
-        );
-        let f = &report.faults;
-        assert_eq!(
-            f.dead_letter_retries_exhausted
-                + f.dead_letter_crash_orphan
-                + f.dead_letter_journal_unrecoverable,
-            f.dead_letters,
-            "{label}: every dead letter carries exactly one attributed reason"
-        );
+        assert_conserved(label, report);
         assert_eq!(
             report.recovery.engine_crashes, 1,
             "{label}: the injected crash fired"
@@ -1283,18 +1257,8 @@ fn overload(scale: &Scale) {
     orow("hedges resolved", |o| o.hedge_wins + o.hedge_losses);
 
     for (label, cells) in [("MasterSP", master), ("WorkerSP", worker)] {
-        for (i, (wf, report)) in cells.iter().enumerate() {
-            assert_eq!(
-                wf.sent,
-                wf.completed + wf.dead_lettered + wf.shed,
-                "{label}@{} inv/min: invocation leak",
-                RATES[i]
-            );
-            assert_eq!(
-                report.live_invocation_states, 0,
-                "{label}@{} inv/min: leaked engine state",
-                RATES[i]
-            );
+        for (i, (_, report)) in cells.iter().enumerate() {
+            assert_conserved(&format!("{label}@{} inv/min", RATES[i]), report);
             assert_eq!(
                 report.overload.hedges_launched,
                 report.overload.hedge_wins + report.overload.hedge_losses,
@@ -1494,19 +1458,8 @@ fn degrade(scale: &Scale) {
     );
 
     for (label, report) in [("off", off_cell), ("on", on_cell)] {
-        let mut shed_total = 0;
-        for (name, wf) in &report.workflows {
-            assert_eq!(
-                wf.sent,
-                wf.completed + wf.dead_lettered + wf.shed,
-                "controller {label}/{name}: invocation leak"
-            );
-            shed_total += wf.shed;
-        }
-        assert_eq!(
-            report.live_invocation_states, 0,
-            "controller {label}: leaked engine state"
-        );
+        assert_conserved(&format!("controller {label}"), report);
+        let shed_total: u64 = report.workflows.values().map(|wf| wf.shed).sum();
         assert_eq!(
             shed_total,
             report.overload.shed + report.degrade.sheds,
@@ -1661,7 +1614,7 @@ fn placement(scale: &Scale) {
         let total: usize = groups.iter().sum();
         100.0 * groups[0] as f64 / total.max(1) as f64
     };
-    let mean_p99 = |r: &faasflow_core::RunReport| {
+    let mean_p99 = |r: &RunReport| {
         let p99s: Vec<f64> = r.workflows.values().map(|w| w.e2e.p99).collect();
         avg(&p99s)
     };
@@ -1704,17 +1657,7 @@ fn placement(scale: &Scale) {
     );
 
     for (label, report) in [("legacy", &legacy), ("load-aware", &aware)] {
-        for (name, wf) in &report.workflows {
-            assert_eq!(
-                wf.sent,
-                wf.completed + wf.dead_lettered + wf.shed,
-                "{label}/{name}: invocation leak"
-            );
-        }
-        assert_eq!(
-            report.live_invocation_states, 0,
-            "{label}: leaked engine state"
-        );
+        assert_conserved(label, report);
     }
     assert!(
         share0(&aware_groups) < share0(&legacy_groups),
@@ -1874,26 +1817,7 @@ fn grayfail(scale: &Scale) {
 
     for (i, (label, _)) in kinds.iter().enumerate() {
         for (tag, report) in [("off", &results[2 * i]), ("on", &results[2 * i + 1])] {
-            for (name, wf) in &report.workflows {
-                assert_eq!(
-                    wf.sent,
-                    wf.completed + wf.dead_lettered + wf.shed,
-                    "{label}/{tag}/{name}: invocation leak"
-                );
-            }
-            assert_eq!(
-                report.live_invocation_states, 0,
-                "{label}/{tag}: leaked engine state"
-            );
-            let f = &report.faults;
-            assert_eq!(
-                f.dead_letter_retries_exhausted
-                    + f.dead_letter_crash_orphan
-                    + f.dead_letter_journal_unrecoverable
-                    + f.dead_letter_quarantine_orphan,
-                f.dead_letters,
-                "{label}/{tag}: every dead letter carries exactly one reason"
-            );
+            assert_conserved(&format!("{label}/{tag}"), report);
         }
         let (off, on) = (&results[2 * i], &results[2 * i + 1]);
         assert_eq!(
@@ -2012,28 +1936,10 @@ fn grayfail(scale: &Scale) {
     );
     rule(62);
     for (label, report) in [("MasterSP", master), ("WorkerSP", worker)] {
-        let wf = report.workflow("Heavy");
-        assert_eq!(
-            wf.sent,
-            wf.completed + wf.dead_lettered + wf.shed,
-            "{label}: every invocation must reach exactly one terminal outcome"
-        );
-        assert_eq!(
-            report.live_invocation_states, 0,
-            "{label}: no leaked engine state"
-        );
+        assert_conserved(label, report);
         assert!(
             report.faults.lease_expiries >= 1,
             "{label}: the forced false suspicion must expire the lease"
-        );
-        let f = &report.faults;
-        assert_eq!(
-            f.dead_letter_retries_exhausted
-                + f.dead_letter_crash_orphan
-                + f.dead_letter_journal_unrecoverable
-                + f.dead_letter_quarantine_orphan,
-            f.dead_letters,
-            "{label}: every dead letter carries exactly one reason"
         );
     }
     let fenced = master.health.zombie_fenced + worker.health.zombie_fenced;
@@ -2263,6 +2169,32 @@ fn critpath_scenario(scale: &Scale) {
     );
     println!("observed >= exec-only >= static critical_path_exec() on every invocation.");
     println!("the gap between columns is the most any one optimization can recover.");
+}
+
+/// The end-of-scenario conservation checks: every invocation of every
+/// workflow reached exactly one terminal outcome, no engine state leaked,
+/// and every dead letter carries exactly one attributed reason.
+fn assert_conserved(label: &str, report: &RunReport) {
+    for (name, wf) in &report.workflows {
+        assert_eq!(
+            wf.sent,
+            wf.completed + wf.dead_lettered + wf.shed,
+            "{label}/{name}: every invocation must reach exactly one terminal outcome"
+        );
+    }
+    assert_eq!(
+        report.live_invocation_states, 0,
+        "{label}: leaked engine state"
+    );
+    let f = &report.faults;
+    assert_eq!(
+        f.dead_letter_retries_exhausted
+            + f.dead_letter_crash_orphan
+            + f.dead_letter_journal_unrecoverable
+            + f.dead_letter_quarantine_orphan,
+        f.dead_letters,
+        "{label}: every dead letter carries exactly one attributed reason"
+    );
 }
 
 fn avg(xs: &[f64]) -> f64 {

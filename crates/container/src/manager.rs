@@ -75,9 +75,6 @@ struct Container {
     /// Warm and reusable, on the idle list; otherwise executing (or booting
     /// toward) a request.
     idle: bool,
-    /// Marked when the workflow version was retired while this container
-    /// was busy (red-black deployment): recycle on release.
-    doomed: bool,
 }
 
 // The links fit in what was padding: one container per map slot stays at
@@ -279,8 +276,8 @@ impl<T> ContainerManager<T> {
     }
 
     /// Finishes a request: frees the container's core and returns it to the
-    /// warm pool (or recycles it if doomed). Queued requests that can now
-    /// run are admitted and returned, oldest first.
+    /// warm pool. Queued requests that can now run are admitted and
+    /// returned, oldest first.
     ///
     /// # Panics
     ///
@@ -299,20 +296,11 @@ impl<T> ContainerManager<T> {
         assert!(!ctr.idle, "released container must be busy");
         self.cores_busy -= CONTAINER_CORES;
         self.stats.cores_busy.sub(u64::from(CONTAINER_CORES));
-        if ctr.doomed {
-            let key = ctr.key;
-            let mem = ctr.mem_limit;
-            self.containers.remove(&container);
-            self.mem_resident -= mem;
-            self.stats.mem_resident.sub(mem);
-            *self.pool_sizes.get_mut(&key).expect("pool exists") -= 1;
-        } else {
-            ctr.idle = true;
-            ctr.expires_at = now + KEEP_ALIVE;
-            let key = ctr.key;
-            self.idle.entry(key).or_default().push(container);
-            self.link_idle(container);
-        }
+        ctr.idle = true;
+        ctr.expires_at = now + KEEP_ALIVE;
+        let key = ctr.key;
+        self.idle.entry(key).or_default().push(container);
+        self.link_idle(container);
         self.drain_queue(now, rng)
     }
 
@@ -327,34 +315,6 @@ impl<T> ContainerManager<T> {
         while self.next_expiry().is_some_and(|at| at <= now) {
             self.remove_idle(self.idle_head);
             self.stats.expired.inc();
-        }
-        self.drain_queue(now, rng)
-    }
-
-    /// Retires every container of a workflow version (red-black deployment,
-    /// §4.2.2): idle containers are recycled immediately, busy ones are
-    /// doomed and recycled when they release.
-    pub fn retire_workflow(
-        &mut self,
-        wf: WorkflowId,
-        now: SimTime,
-        rng: &mut SimRng,
-    ) -> Vec<Admission<T>> {
-        let ids: Vec<ContainerId> = self
-            .containers
-            .iter()
-            .filter(|(_, c)| c.key.0 == wf)
-            .map(|(&id, _)| id)
-            .collect();
-        let mut ids = ids;
-        ids.sort_unstable();
-        for id in ids {
-            let ctr = self.containers.get_mut(&id).expect("container exists");
-            if ctr.idle {
-                self.remove_idle(id);
-            } else {
-                ctr.doomed = true;
-            }
         }
         self.drain_queue(now, rng)
     }
@@ -514,7 +474,6 @@ impl<T> ContainerManager<T> {
                 prev: NIL,
                 next: NIL,
                 idle: false,
-                doomed: false,
             },
         );
         *self.pool_sizes.entry(key).or_insert(0) += 1;
@@ -742,23 +701,6 @@ mod tests {
         assert_eq!(m.stats().pressure_evictions.get(), 1);
         assert_eq!(m.pool_size(key(0)), 0, "a's pool was evicted");
         assert_eq!(m.pool_size(key(1)), 1, "b survives");
-    }
-
-    #[test]
-    fn retire_workflow_recycles_idle_and_dooms_busy() {
-        let mut m = mgr(8, 128);
-        let mut rng = SimRng::seed_from(1);
-        let idle = m.request(key(0), 1, t(0), &mut rng).expect("idle-to-be");
-        m.release(idle.container, t(1), &mut rng);
-        let busy = m.request(key(1), 2, t(2), &mut rng).expect("busy");
-        m.retire_workflow(WorkflowId::new(0), t(3), &mut rng);
-        assert_eq!(m.container_count(), 1, "idle recycled, busy doomed");
-        m.release(busy.container, t(4), &mut rng);
-        assert_eq!(
-            m.container_count(),
-            0,
-            "doomed container recycled on release"
-        );
     }
 
     #[test]

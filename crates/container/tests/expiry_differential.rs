@@ -5,9 +5,9 @@
 //! list: every idle container carries its `expires_at`, and the next expiry,
 //! the memory-pressure victim (the least `(expires_at, id)`) and the expired
 //! set are found by scanning every container. Random request, release,
-//! eviction, retirement, crash and memory-limit sequences on small nodes
-//! drive both, with times that are mostly monotone, often tied, and
-//! sometimes out of order for releases. After every operation the two must
+//! eviction, crash and memory-limit sequences on small nodes drive both,
+//! with times that are mostly monotone, often tied, and sometimes out of
+//! order for releases. After every operation the two must
 //! agree on the admissions, the next expiry, every pool's size, the queue
 //! length and the stats.
 
@@ -31,7 +31,6 @@ struct RefCtr {
     /// `Some(expires_at)` while idle.
     idle_until: Option<SimTime>,
     mem_limit: u64,
-    doomed: bool,
 }
 
 /// The pre-list manager, scans and all.
@@ -120,17 +119,8 @@ impl Reference {
         assert!(ctr.idle_until.is_none());
         self.cores_busy -= 1;
         self.stats.cores_busy.sub(1);
-        let key = ctr.key;
-        if ctr.doomed {
-            let mem = ctr.mem_limit;
-            self.containers.remove(&container);
-            self.mem_resident -= mem;
-            self.stats.mem_resident.sub(mem);
-            *self.pool_sizes.get_mut(&key).expect("pool") -= 1;
-        } else {
-            ctr.idle_until = Some(now + KEEP_ALIVE);
-            self.idle.entry(key).or_default().push(container);
-        }
+        ctr.idle_until = Some(now + KEEP_ALIVE);
+        self.idle.entry(ctr.key).or_default().push(container);
         self.drain_queue(now, rng)
     }
 
@@ -144,28 +134,6 @@ impl Reference {
         for id in expired {
             self.remove_idle(id);
             self.stats.expired.inc();
-        }
-        self.drain_queue(now, rng)
-    }
-
-    fn retire_workflow(
-        &mut self,
-        wf: WorkflowId,
-        now: SimTime,
-        rng: &mut SimRng,
-    ) -> Vec<Admission<u32>> {
-        let ids: Vec<ContainerId> = self
-            .containers
-            .iter()
-            .filter(|(_, c)| c.key.0 == wf)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in ids {
-            if self.containers[&id].idle_until.is_some() {
-                self.remove_idle(id);
-            } else {
-                self.containers.get_mut(&id).expect("container").doomed = true;
-            }
         }
         self.drain_queue(now, rng)
     }
@@ -235,7 +203,6 @@ impl Reference {
                 key,
                 idle_until: None,
                 mem_limit: CONTAINER_MEM,
-                doomed: false,
             },
         );
         *self.pool_sizes.entry(key).or_insert(0) += 1;
@@ -298,7 +265,6 @@ enum Op {
         back: u64,
     },
     Evict,
-    Retire(u32),
     Crash,
     SetLimit {
         nth: usize,
@@ -330,7 +296,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
                 .boxed(),
         ),
         (2, Just(Op::Evict).boxed()),
-        (1, (0u32..2).prop_map(Op::Retire).boxed()),
         (1, Just(Op::Crash).boxed()),
         (
             1,
@@ -395,11 +360,6 @@ proptest! {
                 Op::Evict => {
                     let got = m.evict_expired(now, &mut rng);
                     prop_assert_eq!(got, r.evict_expired(now, &mut ref_rng));
-                }
-                Op::Retire(wf) => {
-                    let wf = WorkflowId::new(wf);
-                    let got = m.retire_workflow(wf, now, &mut rng);
-                    prop_assert_eq!(got, r.retire_workflow(wf, now, &mut ref_rng));
                 }
                 Op::Crash => prop_assert_eq!(m.crash(), r.crash()),
                 Op::SetLimit { nth, mb } => {

@@ -1,6 +1,6 @@
 //! Container-runtime scenarios combining multiple mechanisms: keep-alive
-//! under load, memory pressure against multiple pools, red-black retirement
-//! racing the run queue, and reclamation interacting with eviction.
+//! under load, memory pressure against multiple pools, and reclamation
+//! interacting with eviction.
 
 use faasflow_container::{ContainerConfig, ContainerManager, NodeCaps, StartKind, CONTAINER_MEM};
 use faasflow_sim::{FunctionId, SimDuration, SimRng, SimTime, WorkflowId};
@@ -77,31 +77,6 @@ fn pressure_eviction_prefers_the_stalest_pool() {
     assert_eq!(m.pool_size(key(0, 1)), 0, "stalest pool evicted");
     assert_eq!(m.pool_size(key(0, 0)), 1);
     assert_eq!(m.pool_size(key(0, 2)), 1);
-}
-
-#[test]
-fn retirement_drains_through_the_queue() {
-    // One core: one busy container of wf0 plus queued work of wf1.
-    let cfg = quiet_config();
-    let mut m: ContainerManager<u32> = ContainerManager::new(
-        NodeCaps {
-            cores: 1,
-            mem: 32 << 30,
-        },
-        cfg,
-    );
-    let mut rng = SimRng::seed_from(1);
-    let busy = m.request(key(0, 0), 1, t(0), &mut rng).expect("runs");
-    assert!(m.request(key(1, 0), 2, t(0), &mut rng).is_none(), "queued");
-    // Retire workflow 0 mid-flight (red-black): the busy container is
-    // doomed but keeps its core until release.
-    let admitted = m.retire_workflow(WorkflowId::new(0), t(1), &mut rng);
-    assert!(admitted.is_empty(), "no core freed yet");
-    // Releasing recycles the doomed container AND admits the waiter.
-    let admitted = m.release(busy.container, t(2), &mut rng);
-    assert_eq!(admitted.len(), 1);
-    assert_eq!(admitted[0].token, 2);
-    assert_eq!(m.pool_size(key(0, 0)), 0, "retired pool fully recycled");
 }
 
 #[test]

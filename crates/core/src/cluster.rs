@@ -1203,7 +1203,7 @@ impl Cluster {
             } => {
                 if self.engine_accepts(worker, wf, inv, epoch) {
                     if let Some(state) = self.invocations.get_mut((wf, inv)) {
-                        if !state.completed_nodes.insert(function) {
+                        if !state.mark_done(function) {
                             // Replay already re-derived this virtual node's
                             // completion; the pre-crash event is a duplicate.
                             self.engines.recovery.duplicate_suppressions += 1;
@@ -1515,14 +1515,13 @@ impl Cluster {
         let Some(state) = self.invocations.get_mut((wf, inv)) else {
             return;
         };
-        if !state.reported_exits.insert(function) {
+        if !state.report_exit(function) {
             // Engine-crash replay re-emitted this exit's completion; the
-            // invocation's exit count must only move once per exit node.
+            // invocation completes once, at its last distinct exit.
             self.engines.recovery.duplicate_suppressions += 1;
             return;
         }
-        state.exits_remaining = state.exits_remaining.saturating_sub(1);
-        if state.exits_remaining == 0 {
+        if state.exits_reported() {
             self.complete_invocation(now, wf, inv);
         }
     }
@@ -1976,15 +1975,13 @@ impl Cluster {
         let Some(state) = self.invocations.get_mut((wf, inv)) else {
             return;
         };
-        if !state.dispatched.insert(function) {
+        let Some(parallelism) = state.dispatch(function) else {
             // Engine-crash replay re-issued a dispatch that already landed;
             // spawning twice would double-run (and double-count) the node.
             self.engines.recovery.duplicate_suppressions += 1;
             return;
-        }
+        };
         let epoch = state.epoch;
-        let parallelism = state.dag.node(function).parallelism.max(1);
-        state.instances_remaining.insert(function, parallelism);
         let worker_node = self.config.worker_node(worker as u32);
         self.tracer.record(|| TraceEvent::FunctionTriggered {
             workflow: wf,
@@ -2115,7 +2112,7 @@ impl Cluster {
             state
                 .dag
                 .data_inputs(token.function)
-                .filter(|d| state.completed_nodes.contains(d.producer))
+                .filter(|d| state.node(d.producer).done)
                 .map(|d| {
                     (
                         d.producer,
@@ -2352,8 +2349,8 @@ impl Cluster {
             return;
         }
         // Placement decided once per node output (total bytes).
-        let placement = match state.placements.get(token.function) {
-            Some(&p) => p,
+        let placement = match state.node(token.function).placement {
+            Some(p) => p,
             None => {
                 let storage_type = if state.assignment.storage_local[token.function.index()] {
                     StorageType::Mem
@@ -2380,7 +2377,7 @@ impl Cluster {
                 if p == Placement::Remote {
                     self.remote.put(key, total_out);
                 }
-                state.placements.insert(token.function, p);
+                state.nodes[token.function.index()].placement = Some(p);
                 p
             }
         };

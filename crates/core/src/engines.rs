@@ -340,12 +340,13 @@ impl Engines {
     /// one live invocation. If neither cluster-visible progress nor a
     /// durable journal record witnesses it, its `Begin` died with the
     /// engine: dead-letter it (exactly one terminal outcome). Otherwise
-    /// rebuild the trigger tracker from worker-reported ground truth
-    /// (`completed_nodes` / `instances_remaining` already reflect every
-    /// completion, including those whose report messages are still in
-    /// flight and will be generation-fenced) and re-issue dispatches; the
-    /// receiver-side `dispatched` / `reported_exits` sets suppress
-    /// anything that already landed, so nothing runs or counts twice.
+    /// rebuild the trigger tracker from worker-reported ground truth (each
+    /// node's `done` and `remaining` in [`InvState::nodes`] already reflect
+    /// every completion, including those whose report messages are still
+    /// in flight and will be generation-fenced) and re-issue dispatches;
+    /// the same records suppress, at the receiver, any dispatch
+    /// (`remaining` is set) or exit report (`exit_reported`) that already
+    /// landed, so nothing runs or counts twice.
     ///
     /// The central engine schedules every invocation. A worker engine only
     /// considers invocations whose workflow's `current` deployment routes
@@ -376,9 +377,7 @@ impl Engines {
         };
         let routed_here = |f: FunctionId| routing.is_none_or(|node| current.worker_of(f) == node);
         let progress = !state.instances.is_empty()
-            || !state.completed_nodes.is_empty()
-            || !state.instances_remaining.is_empty()
-            || !state.dispatched.is_empty();
+            || state.nodes.iter().any(|p| p.done || p.remaining.is_some());
         let journal = &self.slot(target).journal;
         let recorded = revived
             .readable
@@ -394,14 +393,12 @@ impl Engines {
                 DeadLetterReason::CrashOrphan
             });
         }
-        let completed: Vec<FunctionId> = state.completed_nodes.iter().collect();
-        let inflight = state
-            .instances_remaining
-            .iter()
-            .filter(|&(f, &remaining)| {
-                remaining > 0 && !state.completed_nodes.contains(f) && routed_here(f)
-            })
-            .map(|(f, &remaining)| (f, state.dag.node(f).parallelism.max(1) - remaining))
+        // Ascending node order. A node whose count reached 0 is done.
+        let nodes = || (0..state.nodes.len()).map(|i| (FunctionId::from(i), &state.nodes[i]));
+        let completed: Vec<FunctionId> = nodes().filter(|(_, p)| p.done).map(|(f, _)| f).collect();
+        let inflight = nodes()
+            .filter(|&(f, p)| !p.done && routed_here(f))
+            .filter_map(|(f, p)| Some((f, state.dag.node(f).parallelism.max(1) - p.remaining?)))
             .collect();
         let already_propagated = completed
             .iter()
@@ -789,9 +786,9 @@ mod tests {
         assert_eq!(decide(&e, W0, read, &state, &current), replay_nothing);
         // Cluster-side progress: `a` done (and journaled), `b` running,
         // and `c`, another engine's node, running too.
-        state.completed_nodes.insert(a);
-        state.instances_remaining.insert(b, 1);
-        state.instances_remaining.insert(c, 1);
+        state.nodes[a.index()].done = true;
+        state.nodes[b.index()].remaining = Some(1);
+        state.nodes[c.index()].remaining = Some(1);
         let replay = |propagated: Vec<FunctionId>, inflight| Reconcile::Replay {
             completed: vec![a],
             already_propagated: propagated,

@@ -59,86 +59,20 @@ pub(crate) struct InstanceState {
     pub exec_started: SimTime,
 }
 
-/// A value per DAG node, indexed by [`FunctionId::index`]: the dense
-/// stand-in for a `FunctionId`-keyed map over one invocation's DAG.
-#[derive(Debug, Clone)]
-pub(crate) struct NodeMap<T> {
-    slots: Vec<Option<T>>,
-}
-
-impl<T> NodeMap<T> {
-    /// An empty map over a DAG of `nodes` nodes.
-    pub(crate) fn new(nodes: usize) -> Self {
-        NodeMap {
-            slots: std::iter::repeat_with(|| None).take(nodes).collect(),
-        }
-    }
-
-    pub(crate) fn get(&self, node: FunctionId) -> Option<&T> {
-        self.slots[node.index()].as_ref()
-    }
-
-    pub(crate) fn get_mut(&mut self, node: FunctionId) -> Option<&mut T> {
-        self.slots[node.index()].as_mut()
-    }
-
-    /// Sets `node`'s value, returning the previous one.
-    pub(crate) fn insert(&mut self, node: FunctionId, value: T) -> Option<T> {
-        self.slots[node.index()].replace(value)
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.slots.iter().all(Option::is_none)
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.slots.iter_mut().for_each(|slot| *slot = None);
-    }
-
-    /// The present entries in ascending node order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (FunctionId, &T)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| slot.as_ref().map(|v| (FunctionId::from(i), v)))
-    }
-}
-
-/// A set of DAG nodes, one flag per node.
-#[derive(Debug, Clone)]
-pub(crate) struct NodeSet {
-    members: NodeMap<()>,
-}
-
-impl NodeSet {
-    /// An empty set over a DAG of `nodes` nodes.
-    pub(crate) fn new(nodes: usize) -> Self {
-        NodeSet {
-            members: NodeMap::new(nodes),
-        }
-    }
-
-    /// Adds `node`; `false` when it was already present.
-    pub(crate) fn insert(&mut self, node: FunctionId) -> bool {
-        self.members.insert(node, ()).is_none()
-    }
-
-    pub(crate) fn contains(&self, node: FunctionId) -> bool {
-        self.members.get(node).is_some()
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.members.clear();
-    }
-
-    /// The members in ascending node order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = FunctionId> + '_ {
-        self.members.iter().map(|(node, ())| node)
-    }
+/// One DAG node's progress in the current attempt of an invocation.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct NodeProgress {
+    /// Instances still to finish; `None` until the node is dispatched.
+    pub remaining: Option<u32>,
+    /// Every instance finished (a virtual node: its `VirtualDone` landed):
+    /// the cluster-side mirror of the engines' state, which tells which
+    /// producers actually ran.
+    pub done: bool,
+    /// The node's exit report was accepted (replay can re-emit
+    /// `ExitComplete`; exactly-once terminal accounting drops the copies).
+    pub exit_reported: bool,
+    /// Where the node's output went, decided once per node.
+    pub placement: Option<Placement>,
 }
 
 /// A set of worker indices, one bit per worker, grown on insert.
@@ -177,32 +111,18 @@ pub(crate) struct InvState {
     pub assignment: Arc<Assignment>,
     /// Arrival instant (latency measurement start).
     pub started: SimTime,
-    /// Exit nodes still to complete.
-    pub exits_remaining: usize,
     /// The scheduled timeout event.
     pub timeout_event: Option<EventId>,
     /// Whether the timeout fired before completion (latency already
     /// recorded at the cap).
     pub timed_out: bool,
-    /// Nodes whose every instance finished (core-side mirror of the
-    /// engines' state, used to know which producers actually ran).
-    pub completed_nodes: NodeSet,
-    /// Remaining instance completions per spawned node.
-    pub instances_remaining: NodeMap<u32>,
+    /// The current attempt's progress per DAG node, indexed by
+    /// [`FunctionId::index`].
+    pub nodes: Vec<NodeProgress>,
     /// Live instance lifecycle states.
     pub instances: FastMap<InstanceToken, InstanceState>,
-    /// Output placement decided per producer node.
-    pub placements: NodeMap<Placement>,
     /// Transfer accounting.
     pub ledger: TransferLedger,
-    /// Function nodes whose dispatch was already accepted (engine-crash
-    /// replay can re-issue `AssignTask`/`TriggerFunction`; the second copy
-    /// is a duplicate-suppression, not a second spawn).
-    pub dispatched: NodeSet,
-    /// Exit nodes whose completion report was already accepted (replay can
-    /// re-emit `ExitComplete`; exactly-once terminal accounting depends on
-    /// dropping the duplicates).
-    pub reported_exits: NodeSet,
     /// Current recovery epoch; bumped each time crash recovery restarts
     /// the invocation (stale-event fencing).
     pub epoch: u32,
@@ -228,22 +148,15 @@ impl InvState {
         assignment: Arc<Assignment>,
         started: SimTime,
     ) -> Self {
-        let exits_remaining = dag.exit_nodes().len();
-        let nodes = dag.node_count();
         InvState {
+            nodes: vec![NodeProgress::default(); dag.node_count()],
             dag,
             assignment,
             started,
-            exits_remaining,
             timeout_event: None,
             timed_out: false,
-            completed_nodes: NodeSet::new(nodes),
-            instances_remaining: NodeMap::new(nodes),
             instances: FastMap::default(),
-            placements: NodeMap::new(nodes),
             ledger: TransferLedger::default(),
-            dispatched: NodeSet::new(nodes),
-            reported_exits: NodeSet::new(nodes),
             epoch: 0,
             recovery_attempts: 0,
             degrade_probe: false,
@@ -268,18 +181,46 @@ impl InvState {
     }
 
     /// Starts the next attempt under a bumped epoch: every trace of the
-    /// current one (instances, node progress, placements, accepted
-    /// dispatches and exits) goes, and what it held is handed back for
-    /// release.
+    /// current one (instances and node progress) goes, and what it held is
+    /// handed back for release.
     pub(crate) fn restart(&mut self) -> Attempt {
         self.epoch += 1;
-        self.instances_remaining.clear();
-        self.completed_nodes.clear();
-        self.placements.clear();
-        self.dispatched.clear();
-        self.reported_exits.clear();
-        self.exits_remaining = self.dag.exit_nodes().len();
+        self.nodes.fill(NodeProgress::default());
         self.take_attempt()
+    }
+
+    pub(crate) fn node(&self, node: FunctionId) -> &NodeProgress {
+        &self.nodes[node.index()]
+    }
+
+    /// Accepts `node`'s dispatch in this attempt and returns its instance
+    /// count; `None` when it was already dispatched (engine-crash replay
+    /// can re-issue `AssignTask`/`TriggerFunction`: the copy is a
+    /// duplicate, not a second spawn).
+    pub(crate) fn dispatch(&mut self, node: FunctionId) -> Option<u32> {
+        let parallelism = self.dag.node(node).parallelism.max(1);
+        let progress = &mut self.nodes[node.index()];
+        if progress.remaining.is_some() {
+            return None;
+        }
+        progress.remaining = Some(parallelism);
+        Some(parallelism)
+    }
+
+    /// Marks `node` done; `false` when it already was.
+    pub(crate) fn mark_done(&mut self, node: FunctionId) -> bool {
+        !std::mem::replace(&mut self.nodes[node.index()].done, true)
+    }
+
+    /// Accepts `node`'s exit report; `false` when it already was.
+    pub(crate) fn report_exit(&mut self, node: FunctionId) -> bool {
+        !std::mem::replace(&mut self.nodes[node.index()].exit_reported, true)
+    }
+
+    /// Every exit node (one without successors) reported its completion.
+    pub(crate) fn exits_reported(&self) -> bool {
+        let mut nodes = self.nodes.iter().enumerate();
+        nodes.all(|(i, p)| p.exit_reported || !self.dag.successors(i.into()).is_empty())
     }
 
     /// `token`'s instance finished: drops it and counts its node down;
@@ -289,14 +230,12 @@ impl InvState {
             .instances
             .remove(&token)
             .expect("instance finishes once");
-        let remaining = self
-            .instances_remaining
-            .get_mut(token.function)
-            .expect("spawned node tracked");
+        let progress = &mut self.nodes[token.function.index()];
+        let remaining = progress.remaining.as_mut().expect("spawned node tracked");
         *remaining -= 1;
         let node_done = *remaining == 0;
         if node_done {
-            self.completed_nodes.insert(token.function);
+            progress.done = true;
         }
         (inst, node_done)
     }
@@ -546,7 +485,7 @@ impl Invocations {
     pub(crate) fn orphan_due(&self, token: InstanceToken) -> bool {
         self.live.get(&token.key()).is_some_and(|s| {
             s.epoch == token.epoch
-                && !s.completed_nodes.contains(token.function)
+                && !s.node(token.function).done
                 && !s.instances.contains_key(&token)
         })
     }
@@ -555,7 +494,7 @@ impl Invocations {
     /// epoch is current and its node incomplete.
     pub(crate) fn evacuate(&mut self, token: InstanceToken) -> Option<InstanceState> {
         let s = self.live.get_mut(&token.key())?;
-        if s.epoch != token.epoch || s.completed_nodes.contains(token.function) {
+        if s.epoch != token.epoch || s.node(token.function).done {
             return None;
         }
         s.instances.remove(&token)
@@ -573,7 +512,7 @@ impl Invocations {
             s.dag
                 .nodes()
                 .iter()
-                .any(|n| !s.completed_nodes.contains(n.id) && on_node(n.id))
+                .any(|n| !s.node(n.id).done && on_node(n.id))
         };
         let picked = self.live.iter().filter(|(_, s)| pick(s, pinned(s)));
         let mut keys: Vec<InvKey> = picked.map(|(&key, _)| key).collect();
@@ -604,18 +543,35 @@ impl Invocations {
 mod tests {
     use super::*;
     use faasflow_sim::GroupId;
-    use faasflow_wdl::{DagParser, FunctionProfile, Step, Workflow};
+    use faasflow_wdl::{DagParser, DagSpec, FunctionProfile, Step, Workflow};
 
     /// A fresh invocation of the chain `a -> b`, `b` a foreach of 3, with
     /// `a` placed on node 1 and everything else on node 2.
     fn chain() -> InvState {
-        let wf = Workflow::steps(
+        fresh(Workflow::steps(
             "chain",
             Step::sequence(vec![
                 Step::task("a", FunctionProfile::with_millis(1, 1 << 10)),
                 Step::foreach("b", FunctionProfile::with_millis(1, 0), 3),
             ]),
-        );
+        ))
+    }
+
+    /// A fresh invocation of `a -> b` and `a -> c`: two exit nodes.
+    fn fork() -> InvState {
+        let profile = FunctionProfile::with_millis(1, 0);
+        let mut spec = DagSpec::new();
+        spec.task("a", profile)
+            .task("b", profile)
+            .task("c", profile)
+            .edge("a", "b")
+            .edge("a", "c");
+        fresh(Workflow::dag("fork", spec))
+    }
+
+    /// A fresh invocation of `wf`, its first node placed on node 1 and
+    /// everything else on node 2.
+    fn fresh(wf: Workflow) -> InvState {
         let dag = Arc::new(DagParser::default().parse(&wf).expect("valid workflow"));
         let n = dag.node_count();
         let assignment = Arc::new(Assignment {
@@ -627,6 +583,15 @@ mod tests {
             quota: 0,
         });
         InvState::new(dag, assignment, SimTime::ZERO)
+    }
+
+    fn id(s: &InvState, name: &str) -> FunctionId {
+        s.dag
+            .nodes()
+            .iter()
+            .find(|n| n.name == name)
+            .expect("named")
+            .id
     }
 
     fn token(inv: u32, function: u32, instance: u32) -> InstanceToken {
@@ -698,6 +663,49 @@ mod tests {
         assert!(invs.end(key(0)).is_some());
         assert!(!invs.alive(key(0)) && !invs.epoch_alive(key(0), 1));
         assert_eq!(invs.epoch_of(key(0)), 0);
+    }
+
+    #[test]
+    fn a_node_is_dispatched_once_per_epoch() {
+        let mut s = chain();
+        let (a, b) = (id(&s, "a"), id(&s, "b"));
+        assert_eq!(s.dispatch(b), Some(3), "one instance per foreach branch");
+        assert_eq!(s.dispatch(b), None, "a second dispatch is a duplicate");
+        assert_eq!((s.node(a).remaining, s.node(b).remaining), (None, Some(3)));
+        s.restart();
+        assert_eq!(s.dispatch(b), Some(3), "a new epoch dispatches afresh");
+        assert_eq!(s.dispatch(a), Some(1));
+    }
+
+    #[test]
+    fn the_invocation_completes_at_its_last_distinct_exit_report() {
+        let mut s = fork();
+        let (b, c) = (id(&s, "b"), id(&s, "c"));
+        assert!(!s.exits_reported());
+        assert!(s.report_exit(b));
+        assert!(!s.exits_reported(), "one exit of two");
+        assert!(!s.report_exit(b), "a repeated report is a duplicate");
+        assert!(!s.exits_reported(), "and counts for nothing");
+        assert!(s.report_exit(c));
+        assert!(s.exits_reported());
+    }
+
+    #[test]
+    fn restart_clears_every_nodes_record_and_bumps_the_epoch() {
+        let mut s = fork();
+        s.nodes.fill(NodeProgress {
+            remaining: Some(1),
+            done: true,
+            exit_reported: true,
+            placement: Some(Placement::Remote),
+        });
+        s.restart();
+        assert_eq!(s.epoch, 1);
+        for p in &s.nodes {
+            let fields = (p.remaining, p.done, p.exit_reported, p.placement);
+            assert_eq!(fields, (None, false, false, None));
+        }
+        assert!(!s.exits_reported());
     }
 
     #[test]

@@ -97,10 +97,11 @@ pub struct WorkflowReport {
 
 /// Cluster-wide report produced by `Cluster::report`.
 ///
-/// `Serialize`/`Deserialize` are hand-written (the vendored derive has no
+/// `Serialize` is hand-written (the vendored derive has no
 /// `skip_serializing_if`): the `placement` block is omitted when all-zero
 /// so legacy-mode reports — and the committed goldens — stay bit-identical
-/// to builds that predate the placement layer.
+/// to builds that predate the placement layer. Nothing reads a report
+/// back, so it has no `Deserialize`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunReport {
     /// Per-workflow results keyed by workflow name.
@@ -213,61 +214,10 @@ impl Serialize for RunReport {
     }
 }
 
-impl Deserialize for RunReport {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let m = serde::expect_map(value, "RunReport")?;
-        macro_rules! get {
-            ($field:ident) => {
-                serde::field(m, stringify!($field), "RunReport")?
-            };
-        }
-        // A block omitted when all-zero reads back as its default.
-        macro_rules! get_or_default {
-            ($field:ident) => {
-                match m.iter().find(|(k, _)| k == stringify!($field)) {
-                    Some((_, v)) => Deserialize::from_value(v)?,
-                    None => Default::default(),
-                }
-            };
-        }
-        Ok(RunReport {
-            workflows: get!(workflows),
-            sim_time_secs: get!(sim_time_secs),
-            master_busy_fraction: get!(master_busy_fraction),
-            master_tasks_assigned: get!(master_tasks_assigned),
-            master_state_returns: get!(master_state_returns),
-            worker_syncs: get!(worker_syncs),
-            worker_local_updates: get!(worker_local_updates),
-            cold_starts: get!(cold_starts),
-            warm_starts: get!(warm_starts),
-            storage_node_bytes: get!(storage_node_bytes),
-            faastore_local_bytes: get!(faastore_local_bytes),
-            live_invocation_states: get!(live_invocation_states),
-            exec_retries: get!(exec_retries),
-            repartition_failures: get!(repartition_failures),
-            faults: get!(faults),
-            overload: get!(overload),
-            recovery: get!(recovery),
-            // Absent in legacy-era reports (and legacy-mode runs).
-            placement: get_or_default!(placement),
-            // Absent in pre-SLO reports (and runs without an SloConfig).
-            slo: get_or_default!(slo),
-            // Absent in pre-degradation reports (and runs without a
-            // DegradeConfig).
-            degrade: get_or_default!(degrade),
-            // Absent in pre-gray-failure reports (and runs without gray
-            // faults or a HealthConfig).
-            health: get_or_default!(health),
-            trace_dropped: get!(trace_dropped),
-            resources: get!(resources),
-        })
-    }
-}
-
 /// What the fault-injection subsystem did during a run — every recovery
 /// action is counted, distinguishing the recovery paths from one another.
 ///
-/// `Serialize`/`Deserialize` are hand-written:
+/// `Serialize` is hand-written (and there is no `Deserialize`):
 /// `dead_letter_quarantine_orphan` is omitted when zero so committed
 /// goldens from before the quarantine path keep their exact `faults`
 /// block.
@@ -328,38 +278,6 @@ impl Serialize for FaultReport {
             put!(dead_letter_quarantine_orphan);
         }
         serde::Value::Map(m)
-    }
-}
-
-impl Deserialize for FaultReport {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let m = serde::expect_map(value, "FaultReport")?;
-        macro_rules! get {
-            ($field:ident) => {
-                serde::field(m, stringify!($field), "FaultReport")?
-            };
-        }
-        Ok(FaultReport {
-            worker_crashes: get!(worker_crashes),
-            worker_restarts: get!(worker_restarts),
-            lease_expiries: get!(lease_expiries),
-            crash_redispatches: get!(crash_redispatches),
-            flows_killed: get!(flows_killed),
-            storage_backoff_waits: get!(storage_backoff_waits),
-            message_retransmits: get!(message_retransmits),
-            dead_letters: get!(dead_letters),
-            dead_letter_retries_exhausted: get!(dead_letter_retries_exhausted),
-            dead_letter_crash_orphan: get!(dead_letter_crash_orphan),
-            dead_letter_journal_unrecoverable: get!(dead_letter_journal_unrecoverable),
-            // Absent in pre-quarantine reports (and runs without one).
-            dead_letter_quarantine_orphan: match m
-                .iter()
-                .find(|(k, _)| k == "dead_letter_quarantine_orphan")
-            {
-                Some((_, v)) => u64::from_value(v)?,
-                None => 0,
-            },
-        })
     }
 }
 
@@ -569,8 +487,7 @@ mod tests {
     use super::*;
 
     /// An all-zero placement block must not appear in serialized reports
-    /// (legacy goldens predate the field), and reports without one must
-    /// still deserialize.
+    /// (legacy goldens predate the field); a nonzero one must.
     #[test]
     fn zero_placement_report_is_not_serialized() {
         let report = RunReport {
@@ -601,8 +518,6 @@ mod tests {
         let legacy = serde_json::to_string(&report).unwrap();
         assert!(!legacy.contains("placement"), "{legacy}");
         assert!(!legacy.contains("degrade"), "{legacy}");
-        let back: RunReport = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(back, report);
 
         let mut enabled = report.clone();
         enabled.placement.load_aware_partitions = 3;
@@ -610,8 +525,6 @@ mod tests {
         let rendered = serde_json::to_string(&enabled).unwrap();
         assert!(rendered.contains("placement"), "{rendered}");
         assert!(rendered.contains("degrade"), "{rendered}");
-        let back: RunReport = serde_json::from_str(&rendered).unwrap();
-        assert_eq!(back, enabled);
     }
 
     #[test]
