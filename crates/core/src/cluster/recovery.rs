@@ -517,7 +517,7 @@ impl Cluster {
         let n = self.config.workers as usize;
         let ring = || (avoid + 1..n).chain(0..=avoid.min(n - 1));
         let alive = |w: &usize| self.workers[*w].alive;
-        let preferred = |w: &usize| alive(w) && !(healthy && self.workers[*w].quarantined);
+        let preferred = |w: &usize| alive(w) && !(healthy && self.quarantined(*w));
         ring().find(preferred).or_else(|| ring().find(alive))
     }
 
@@ -621,19 +621,16 @@ impl Cluster {
 
     /// A quarantined worker's cooldown elapsed; the detector half-opens it
     /// (stale reopen events from before a relapse fence on `at`).
-    pub(super) fn on_health_reopen(&mut self, now: SimTime, w: usize, at: SimTime) {
-        let Some(h) = self.health.as_mut() else {
-            return;
-        };
-        if let Some(t) = h.on_reopen(w as u32, at) {
-            self.apply_health_transitions(now, vec![t]);
+    pub(super) fn on_health_reopen(&mut self, w: usize, at: SimTime) {
+        if let Some(h) = self.health.as_mut() {
+            h.on_reopen(w as u32, at);
         }
     }
 
-    /// Turns detector transitions into cluster actions: quarantine pulls
-    /// the worker out of the placement target set and hedge rings (and
-    /// optionally drains it), reinstating restores its capacity for the
-    /// half-open probes.
+    /// Turns detector transitions into cluster actions: a quarantine (the
+    /// detector already excludes the worker from placement, hedges and
+    /// healthy redispatch) is traced, arms the reopen event and optionally
+    /// drains the worker; a reinstatement is traced.
     pub(super) fn apply_health_transitions(
         &mut self,
         now: SimTime,
@@ -648,7 +645,6 @@ impl Cluster {
                     relapse,
                 } => {
                     let w = worker as usize;
-                    self.workers[w].quarantined = true;
                     let node = self.config.worker_node(worker);
                     self.tracer.record(|| TraceEvent::WorkerQuarantined {
                         worker: node,
@@ -666,9 +662,6 @@ impl Cluster {
                     if self.config.health.is_some_and(|h| h.drain_on_quarantine) {
                         self.drain_quarantined_worker(now, w);
                     }
-                }
-                HealthTransition::Reinstating { worker } => {
-                    self.workers[worker as usize].quarantined = false;
                 }
                 HealthTransition::Reinstated { worker } => {
                     let node = self.config.worker_node(worker);

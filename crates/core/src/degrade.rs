@@ -29,6 +29,12 @@
 //! restored; a bad probe or a re-fired alert relapses with a
 //! multiplicatively tightened cap.
 //!
+//! The controller is driven by one call per terminal outcome,
+//! `DegradeController::on_verdict`, which takes the SLO monitor's verdict
+//! for that outcome, steps the state machine in a fixed order (outcome,
+//! fire, full resolve, persisting alert) and traces each
+//! `WorkflowDegraded`/`WorkflowRestored` in the step that causes it.
+//!
 //! Everything here is deterministic and event-driven, and nothing draws
 //! from the RNG. With [`crate::ClusterConfig::degrade`] unset (the
 //! default) the controller does not exist: every arrival passes the gate
@@ -36,6 +42,9 @@
 
 use faasflow_sim::{SimDuration, SimTime, WorkflowId};
 use serde::{Deserialize, Serialize};
+
+use crate::slo::SloVerdict;
+use crate::trace::{TraceEvent, Tracer};
 
 /// Degradation controller configuration. Requires
 /// [`crate::ClusterConfig::slo`] to be set: the SLO monitor's alerts are
@@ -199,19 +208,6 @@ impl State {
             State::Recovering { .. } => DegradeLevel::Recovering,
         }
     }
-}
-
-/// A state-machine transition the cluster turns into a trace event.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum DegradeTransition {
-    /// The workflow entered (or moved within) a degraded state.
-    Degraded {
-        workflow: WorkflowId,
-        level: DegradeLevel,
-        cap: u32,
-    },
-    /// The workflow completed recovery and returned to Normal.
-    Restored { workflow: WorkflowId },
 }
 
 /// Outcome of an admission decision for one arrival.
@@ -404,74 +400,87 @@ impl DegradeController {
         decision
     }
 
-    /// Alert fired for this workflow: begin (or relapse into) degradation.
-    pub(crate) fn on_fired(
+    /// Drives the state machine off one terminal outcome's SLO verdict,
+    /// tracing each transition where it is made. The order is fixed: the
+    /// outcome itself first (it frees the inflight slot and — for probes —
+    /// decides restore vs relapse), then the fire edge, then the resolve
+    /// (only once *no* objective of the workflow is still alerting, not on
+    /// a partial resolve), then the persisting alert.
+    pub(crate) fn on_verdict(
         &mut self,
         now: SimTime,
         workflow: WorkflowId,
-    ) -> Option<DegradeTransition> {
+        probe: bool,
+        verdict: SloVerdict,
+        tracer: &mut Tracer,
+    ) {
+        if !verdict.evaluated {
+            return;
+        }
+        self.on_terminal(now, workflow, probe, verdict.bad, tracer);
+        // One fire edge suffices: a second one in the same completion finds
+        // the workflow already Throttled or Shedding.
+        if verdict.fired {
+            self.on_fired(now, workflow, tracer);
+        }
+        if verdict.resolved && !verdict.alert_active {
+            self.on_resolved(now, workflow, tracer);
+        }
+        if verdict.alert_active {
+            self.on_alert_active(now, workflow, tracer);
+        }
+    }
+
+    /// Alert fired for this workflow: begin (or relapse into) degradation.
+    fn on_fired(&mut self, now: SimTime, workflow: WorkflowId, tracer: &mut Tracer) {
         let config = self.config;
-        let entry = Self::find(&mut self.entries, workflow)?;
+        let Some(entry) = Self::find(&mut self.entries, workflow) else {
+            return;
+        };
         match entry.state {
             State::Normal => {
                 entry.state = State::Throttled;
                 entry.cap = config.initial_cap;
                 entry.last_transition = now;
                 self.report.throttles += 1;
-                Some(DegradeTransition::Degraded {
-                    workflow,
-                    level: DegradeLevel::Throttled,
-                    cap: config.initial_cap,
-                })
+                trace_degraded(tracer, now, entry);
             }
-            State::Recovering { from_shedding } => Some(Self::relapse(
-                &mut self.report,
-                &config,
-                entry,
-                now,
-                from_shedding,
-            )),
+            State::Recovering { from_shedding } => {
+                Self::relapse(&mut self.report, &config, entry, now, from_shedding, tracer);
+            }
             // Already degraded: the staircase advances via
             // `on_alert_active`, not via duplicate fire edges.
-            State::Throttled | State::Shedding => None,
+            State::Throttled | State::Shedding => {}
         }
     }
 
     /// Alert resolved for this workflow: begin half-open recovery.
-    pub(crate) fn on_resolved(
-        &mut self,
-        now: SimTime,
-        workflow: WorkflowId,
-    ) -> Option<DegradeTransition> {
-        let entry = Self::find(&mut self.entries, workflow)?;
+    fn on_resolved(&mut self, now: SimTime, workflow: WorkflowId, tracer: &mut Tracer) {
+        let Some(entry) = Self::find(&mut self.entries, workflow) else {
+            return;
+        };
         let from_shedding = match entry.state {
             State::Throttled => false,
             State::Shedding => true,
-            State::Normal | State::Recovering { .. } => return None,
+            State::Normal | State::Recovering { .. } => return,
         };
         entry.state = State::Recovering { from_shedding };
         entry.good_probes = 0;
         entry.probe_credit = 0.0;
         entry.last_transition = now;
         self.report.recoveries += 1;
-        Some(DegradeTransition::Degraded {
-            workflow,
-            level: DegradeLevel::Recovering,
-            cap: entry.cap,
-        })
+        trace_degraded(tracer, now, entry);
     }
 
     /// The alert is *still* active after an evaluation: advance the
     /// staircase, but only once per cooldown period.
-    pub(crate) fn on_alert_active(
-        &mut self,
-        now: SimTime,
-        workflow: WorkflowId,
-    ) -> Option<DegradeTransition> {
+    fn on_alert_active(&mut self, now: SimTime, workflow: WorkflowId, tracer: &mut Tracer) {
         let config = self.config;
-        let entry = Self::find(&mut self.entries, workflow)?;
+        let Some(entry) = Self::find(&mut self.entries, workflow) else {
+            return;
+        };
         if now - entry.last_transition < config.cooldown {
-            return None;
+            return;
         }
         match entry.state {
             State::Throttled => {
@@ -479,11 +488,7 @@ impl DegradeController {
                 entry.cap = config.tightened(entry.cap);
                 entry.last_transition = now;
                 self.report.escalations += 1;
-                Some(DegradeTransition::Degraded {
-                    workflow,
-                    level: DegradeLevel::Shedding,
-                    cap: entry.cap,
-                })
+                trace_degraded(tracer, now, entry);
             }
             State::Shedding => {
                 // Deep in the red: keep tightening toward min_cap.
@@ -493,51 +498,44 @@ impl DegradeController {
                     entry.cap = tightened;
                     self.report.tightenings += 1;
                 }
-                None
             }
             // A still-active *other* objective while recovering counts as
             // a relapse signal (the resolve that started recovery was only
             // partial).
-            State::Recovering { from_shedding } => Some(Self::relapse(
-                &mut self.report,
-                &config,
-                entry,
-                now,
-                from_shedding,
-            )),
-            State::Normal => None,
+            State::Recovering { from_shedding } => {
+                Self::relapse(&mut self.report, &config, entry, now, from_shedding, tracer);
+            }
+            State::Normal => {}
         }
     }
 
     /// One tracked invocation reached a terminal state. `probe` marks
     /// recovery probes; `bad` is the SLO verdict for this invocation.
-    pub(crate) fn on_terminal(
+    fn on_terminal(
         &mut self,
         now: SimTime,
         workflow: WorkflowId,
         probe: bool,
         bad: bool,
-    ) -> Option<DegradeTransition> {
+        tracer: &mut Tracer,
+    ) {
         let config = self.config;
-        let entry = Self::find(&mut self.entries, workflow)?;
+        let Some(entry) = Self::find(&mut self.entries, workflow) else {
+            return;
+        };
         entry.inflight = entry.inflight.saturating_sub(1);
         if !probe {
-            return None;
+            return;
         }
         let State::Recovering { from_shedding } = entry.state else {
             // A probe admitted during a previous recovery attempt that has
             // since relapsed or restored: its verdict is stale, ignore it.
-            return None;
+            return;
         };
         if bad {
             self.report.probe_failures += 1;
-            return Some(Self::relapse(
-                &mut self.report,
-                &config,
-                entry,
-                now,
-                from_shedding,
-            ));
+            Self::relapse(&mut self.report, &config, entry, now, from_shedding, tracer);
+            return;
         }
         entry.good_probes += 1;
         entry.cap += config.recover_step;
@@ -549,9 +547,8 @@ impl DegradeController {
             entry.good_probes = 0;
             entry.last_transition = now;
             self.report.restores += 1;
-            return Some(DegradeTransition::Restored { workflow });
+            tracer.record(|| TraceEvent::WorkflowRestored { workflow, at: now });
         }
-        None
     }
 
     fn relapse(
@@ -560,7 +557,8 @@ impl DegradeController {
         entry: &mut WorkflowEntry,
         now: SimTime,
         from_shedding: bool,
-    ) -> DegradeTransition {
+        tracer: &mut Tracer,
+    ) {
         entry.state = if from_shedding {
             State::Shedding
         } else {
@@ -571,11 +569,7 @@ impl DegradeController {
         entry.probe_credit = 0.0;
         entry.last_transition = now;
         report.relapses += 1;
-        DegradeTransition::Degraded {
-            workflow: entry.workflow,
-            level: entry.state.level(),
-            cap: entry.cap,
-        }
+        trace_degraded(tracer, now, entry);
     }
 
     /// Whether the workflow is throttled or shedding.
@@ -621,6 +615,16 @@ impl DegradeController {
     }
 }
 
+/// Traces the level and cap `entry` just moved to.
+fn trace_degraded(tracer: &mut Tracer, now: SimTime, entry: &WorkflowEntry) {
+    tracer.record(|| TraceEvent::WorkflowDegraded {
+        workflow: entry.workflow,
+        level: entry.state.level(),
+        cap: entry.cap,
+        at: now,
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -637,6 +641,20 @@ mod tests {
         let mut c = DegradeController::new(DegradeConfig::default());
         c.track("hot", wf(0));
         c
+    }
+
+    fn tracer() -> Tracer {
+        Tracer::new(true, 64)
+    }
+
+    /// The `WorkflowDegraded` event `wf(0)` moving to `level` with `cap`.
+    fn degraded(secs: u64, level: DegradeLevel, cap: u32) -> TraceEvent {
+        TraceEvent::WorkflowDegraded {
+            workflow: wf(0),
+            level,
+            cap,
+            at: at(secs),
+        }
     }
 
     #[test]
@@ -664,43 +682,69 @@ mod tests {
     #[test]
     fn untracked_workflows_pass_through() {
         let mut c = controller();
+        let mut t = tracer();
         for _ in 0..100 {
             assert_eq!(c.admit(wf(9)), AdmitDecision::ADMIT);
         }
-        assert!(c.on_fired(at(0), wf(9)).is_none());
-        assert!(c.on_terminal(at(0), wf(9), false, true).is_none());
+        c.on_fired(at(0), wf(9), &mut t);
+        c.on_terminal(at(0), wf(9), false, true, &mut t);
+        assert!(t.events().is_empty());
         assert_eq!(c.report().sheds, 0);
+    }
+
+    #[test]
+    fn verdict_runs_outcome_fire_resolve_then_persisting_alert() {
+        let mut c = controller();
+        let mut t = tracer();
+        let verdict = |fired, resolved, alert_active| SloVerdict {
+            evaluated: true,
+            bad: fired,
+            fired,
+            resolved,
+            alert_active,
+        };
+        // An unevaluated outcome does not even free an inflight slot.
+        assert!(c.admit(wf(0)).admitted);
+        c.on_verdict(at(0), wf(0), false, SloVerdict::default(), &mut t);
+        assert_eq!(c.entries[0].inflight, 1);
+        c.on_verdict(at(0), wf(0), false, verdict(true, false, true), &mut t);
+        assert_eq!(c.entries[0].inflight, 0);
+        // A partial resolve (another objective still alerting) is no
+        // recovery; a full one is.
+        c.on_verdict(at(1), wf(0), false, verdict(false, true, true), &mut t);
+        c.on_verdict(at(2), wf(0), false, verdict(false, true, false), &mut t);
+        // A persisting alert past the cooldown relapses the recovery.
+        c.on_verdict(at(7), wf(0), false, verdict(false, false, true), &mut t);
+        assert_eq!(
+            t.take(),
+            [
+                degraded(0, DegradeLevel::Throttled, 8),
+                degraded(2, DegradeLevel::Recovering, 8),
+                degraded(7, DegradeLevel::Throttled, 4),
+            ]
+        );
+        let r = c.report();
+        assert_eq!((r.throttles, r.recoveries, r.relapses), (1, 1, 1));
     }
 
     #[test]
     fn fire_throttles_then_escalates_after_cooldown() {
         let mut c = controller();
-        let t = c.on_fired(at(0), wf(0));
-        assert_eq!(
-            t,
-            Some(DegradeTransition::Degraded {
-                workflow: wf(0),
-                level: DegradeLevel::Throttled,
-                cap: 8,
-            })
-        );
+        let mut t = tracer();
+        c.on_fired(at(0), wf(0), &mut t);
+        assert_eq!(t.take(), [degraded(0, DegradeLevel::Throttled, 8)]);
         // Duplicate fire edges and within-cooldown activity do nothing.
-        assert!(c.on_fired(at(1), wf(0)).is_none());
-        assert!(c.on_alert_active(at(1), wf(0)).is_none());
+        c.on_fired(at(1), wf(0), &mut t);
+        c.on_alert_active(at(1), wf(0), &mut t);
+        assert!(t.events().is_empty());
         // Past the cooldown the persisting alert escalates, halving the cap.
-        let t = c.on_alert_active(at(5), wf(0));
-        assert_eq!(
-            t,
-            Some(DegradeTransition::Degraded {
-                workflow: wf(0),
-                level: DegradeLevel::Shedding,
-                cap: 4,
-            })
-        );
+        c.on_alert_active(at(5), wf(0), &mut t);
+        assert_eq!(t.take(), [degraded(5, DegradeLevel::Shedding, 4)]);
         // Further persistence keeps tightening down to min_cap, silently.
-        assert!(c.on_alert_active(at(10), wf(0)).is_none());
-        assert!(c.on_alert_active(at(15), wf(0)).is_none());
-        assert!(c.on_alert_active(at(20), wf(0)).is_none());
+        c.on_alert_active(at(10), wf(0), &mut t);
+        c.on_alert_active(at(15), wf(0), &mut t);
+        c.on_alert_active(at(20), wf(0), &mut t);
+        assert!(t.events().is_empty());
         let r = c.report();
         assert_eq!(r.throttles, 1);
         assert_eq!(r.escalations, 1);
@@ -716,12 +760,13 @@ mod tests {
             ..DegradeConfig::default()
         };
         let mut c = DegradeController::new(config);
+        let mut t = tracer();
         c.track("hot", wf(0));
-        c.on_fired(at(0), wf(0));
+        c.on_fired(at(0), wf(0), &mut t);
         assert!(c.admit(wf(0)).admitted);
         assert!(c.admit(wf(0)).admitted);
         assert!(!c.admit(wf(0)).admitted); // cap reached
-        c.on_terminal(at(1), wf(0), false, true);
+        c.on_terminal(at(1), wf(0), false, true, &mut t);
         assert!(c.admit(wf(0)).admitted); // slot freed
         let r = c.report();
         assert_eq!(r.sheds, 1);
@@ -736,9 +781,10 @@ mod tests {
             ..DegradeConfig::default()
         };
         let mut c = DegradeController::new(config);
+        let mut t = tracer();
         c.track("hot", wf(0));
-        c.on_fired(at(0), wf(0));
-        c.on_alert_active(at(1), wf(0)); // -> Shedding
+        c.on_fired(at(0), wf(0), &mut t);
+        c.on_alert_active(at(1), wf(0), &mut t); // -> Shedding
         let admitted: Vec<bool> = (0..12).map(|_| c.admit(wf(0)).admitted).collect();
         // credit 0.25/0.5/0.75/1.0 -> every 4th arrival admitted.
         assert_eq!(
@@ -754,8 +800,8 @@ mod tests {
         };
         let mut c = DegradeController::new(config);
         c.track("hot", wf(0));
-        c.on_fired(at(0), wf(0));
-        c.on_alert_active(at(1), wf(0));
+        c.on_fired(at(0), wf(0), &mut t);
+        c.on_alert_active(at(1), wf(0), &mut t);
         assert!((0..8).all(|_| !c.admit(wf(0)).admitted));
     }
 
@@ -767,26 +813,28 @@ mod tests {
             ..DegradeConfig::default()
         };
         let mut c = DegradeController::new(config);
+        let mut t = tracer();
         c.track("hot", wf(0));
-        c.on_fired(at(0), wf(0));
-        let t = c.on_resolved(at(1), wf(0));
-        assert_eq!(
-            t,
-            Some(DegradeTransition::Degraded {
-                workflow: wf(0),
-                level: DegradeLevel::Recovering,
-                cap: 8,
-            })
-        );
+        c.on_fired(at(0), wf(0), &mut t);
+        t.take();
+        c.on_resolved(at(1), wf(0), &mut t);
+        assert_eq!(t.take(), [degraded(1, DegradeLevel::Recovering, 8)]);
         for i in 0..2 {
             let d = c.admit(wf(0));
             assert!(d.admitted && d.probe);
-            assert!(c.on_terminal(at(2 + i), wf(0), true, false).is_none());
+            c.on_terminal(at(2 + i), wf(0), true, false, &mut t);
+            assert!(t.events().is_empty());
         }
         let d = c.admit(wf(0));
         assert!(d.probe);
-        let t = c.on_terminal(at(5), wf(0), true, false);
-        assert_eq!(t, Some(DegradeTransition::Restored { workflow: wf(0) }));
+        c.on_terminal(at(5), wf(0), true, false, &mut t);
+        assert_eq!(
+            t.take(),
+            [TraceEvent::WorkflowRestored {
+                workflow: wf(0),
+                at: at(5)
+            }]
+        );
         let r = c.report();
         assert_eq!(r.recoveries, 1);
         assert_eq!(r.restores, 1);
@@ -806,21 +854,17 @@ mod tests {
             ..DegradeConfig::default()
         };
         let mut c = DegradeController::new(config);
+        let mut t = tracer();
         c.track("hot", wf(0));
-        c.on_fired(at(0), wf(0));
-        c.on_alert_active(at(1), wf(0)); // -> Shedding, cap 4
-        c.on_resolved(at(2), wf(0)); // -> Recovering (from shedding)
+        c.on_fired(at(0), wf(0), &mut t);
+        c.on_alert_active(at(1), wf(0), &mut t); // -> Shedding, cap 4
+        c.on_resolved(at(2), wf(0), &mut t); // -> Recovering (from shedding)
+        t.take();
         let d = c.admit(wf(0));
         assert!(d.probe);
-        let t = c.on_terminal(at(3), wf(0), true, true);
-        assert_eq!(
-            t,
-            Some(DegradeTransition::Degraded {
-                workflow: wf(0),
-                level: DegradeLevel::Shedding, // relapses to where it came from
-                cap: 2,
-            })
-        );
+        c.on_terminal(at(3), wf(0), true, true, &mut t);
+        // Relapses to where it came from.
+        assert_eq!(t.take(), [degraded(3, DegradeLevel::Shedding, 2)]);
         let r = c.report();
         assert_eq!(r.probe_failures, 1);
         assert_eq!(r.relapses, 1);
@@ -829,17 +873,12 @@ mod tests {
     #[test]
     fn refire_during_recovery_relapses() {
         let mut c = controller();
-        c.on_fired(at(0), wf(0));
-        c.on_resolved(at(1), wf(0));
-        let t = c.on_fired(at(2), wf(0));
-        assert_eq!(
-            t,
-            Some(DegradeTransition::Degraded {
-                workflow: wf(0),
-                level: DegradeLevel::Throttled,
-                cap: 4,
-            })
-        );
+        let mut t = tracer();
+        c.on_fired(at(0), wf(0), &mut t);
+        c.on_resolved(at(1), wf(0), &mut t);
+        t.take();
+        c.on_fired(at(2), wf(0), &mut t);
+        assert_eq!(t.take(), [degraded(2, DegradeLevel::Throttled, 4)]);
         assert_eq!(c.report().relapses, 1);
     }
 
@@ -850,13 +889,16 @@ mod tests {
             ..DegradeConfig::default()
         };
         let mut c = DegradeController::new(config);
+        let mut t = tracer();
         c.track("hot", wf(0));
-        c.on_fired(at(0), wf(0));
-        c.on_resolved(at(1), wf(0));
+        c.on_fired(at(0), wf(0), &mut t);
+        c.on_resolved(at(1), wf(0), &mut t);
         assert!(c.admit(wf(0)).probe);
-        c.on_fired(at(2), wf(0)); // relapse before the probe lands
-                                  // The stale probe's bad outcome must not double-relapse.
-        assert!(c.on_terminal(at(3), wf(0), true, true).is_none());
+        c.on_fired(at(2), wf(0), &mut t); // relapse before the probe lands
+        t.take();
+        // The stale probe's bad outcome must not double-relapse.
+        c.on_terminal(at(3), wf(0), true, true, &mut t);
+        assert!(t.events().is_empty());
         assert_eq!(c.report().relapses, 1);
         assert_eq!(c.report().probe_failures, 0);
     }
@@ -864,14 +906,15 @@ mod tests {
     #[test]
     fn hedge_suppression_and_demotion_track_degraded_states() {
         let mut c = controller();
+        let mut t = tracer();
         assert!(!c.suppress_hedge(wf(0)));
         assert!(!c.demotes(wf(0)));
-        c.on_fired(at(0), wf(0));
+        c.on_fired(at(0), wf(0), &mut t);
         assert!(c.suppress_hedge(wf(0)));
         assert!(c.demotes(wf(0)));
         assert!(!c.demotes(wf(7))); // untracked workflows never demoted
         c.note_demoted_shed();
-        c.on_resolved(at(1), wf(0));
+        c.on_resolved(at(1), wf(0), &mut t);
         // Recovering traffic gets hedges and priority back.
         assert!(!c.suppress_hedge(wf(0)));
         assert!(!c.demotes(wf(0)));
@@ -886,7 +929,7 @@ mod tests {
         };
         let mut c = DegradeController::new(config);
         c.track("hot", wf(0));
-        c.on_fired(at(0), wf(0));
+        c.on_fired(at(0), wf(0), &mut t);
         assert!(!c.suppress_hedge(wf(0)));
         assert!(!c.demotes(wf(0)));
     }
