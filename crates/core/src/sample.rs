@@ -6,16 +6,18 @@
 //! (resident vs busy), queued admissions, FaaStore memstore usage vs its
 //! reserved quota, and NIC throughput derived from the live [`FlowNet`]
 //! rates — plus cluster-wide depths (pending simulator events, in-flight
-//! invocations). Samples land in bounded ring buffers (oldest evicted and
-//! counted once full) and are attached to [`crate::RunReport`] as a
+//! invocations). Each series is a bounded queue (oldest evicted and
+//! counted once full), attached to [`crate::RunReport`] as a
 //! [`ResourceSeriesReport`].
 //!
 //! Sampling reads state and draws no randomness, so enabling it cannot
 //! perturb the schedule of other same-time events (the event queue breaks
 //! ties by insertion order) — a sampled run and an unsampled run with the
 //! same seed execute identically apart from the sampling itself.
-//! `Sampler` owns the cadence, the rings and the report section;
+//! `Sampler` owns the cadence, the series and the report section;
 //! `Cluster` keeps only the `Sample` event that drives it.
+
+use std::collections::VecDeque;
 
 use faasflow_net::FlowNet;
 use faasflow_sim::{NodeId, SimDuration, SimTime};
@@ -70,7 +72,7 @@ pub struct NodeSeries {
 pub struct ResourceSeriesReport {
     /// The sampling cadence, seconds of sim time.
     pub sample_every_secs: f64,
-    /// Samples evicted from full rings across all series.
+    /// Samples evicted from full series, across all series.
     pub dropped_samples: u64,
     /// Per-node series, master first then workers in id order.
     pub nodes: Vec<NodeSeries>,
@@ -78,53 +80,8 @@ pub struct ResourceSeriesReport {
     pub cluster: Vec<ClusterSample>,
 }
 
-/// Fixed-capacity ring that evicts the oldest entry (and counts it) when
-/// full, so a sampler running for arbitrarily long sim time keeps the most
-/// recent `cap` samples.
-#[derive(Debug, Clone)]
-pub(crate) struct Ring<T> {
-    cap: usize,
-    start: usize,
-    items: Vec<T>,
-    evicted: u64,
-}
-
-impl<T: Clone> Ring<T> {
-    pub(crate) fn new(cap: usize) -> Self {
-        assert!(cap > 0, "ring capacity must be positive");
-        Ring {
-            cap,
-            start: 0,
-            items: Vec::new(),
-            evicted: 0,
-        }
-    }
-
-    pub(crate) fn push(&mut self, item: T) {
-        if self.items.len() < self.cap {
-            self.items.push(item);
-        } else {
-            self.items[self.start] = item;
-            self.start = (self.start + 1) % self.cap;
-            self.evicted += 1;
-        }
-    }
-
-    pub(crate) fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// The retained samples, oldest first.
-    pub(crate) fn snapshot(&self) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.items.len());
-        out.extend_from_slice(&self.items[self.start..]);
-        out.extend_from_slice(&self.items[..self.start]);
-        out
-    }
-}
-
-/// Ring-buffer capacity per sampled series of a cluster run; the oldest
-/// samples are evicted (and counted) once full.
+/// Capacity of each sampled series of a cluster run; the oldest samples
+/// are evicted (and counted) once full.
 pub(crate) const SAMPLE_CAPACITY: usize = 4096;
 
 /// The resource sampler: one bounded series per node (0 = master/storage)
@@ -133,8 +90,11 @@ pub(crate) const SAMPLE_CAPACITY: usize = 4096;
 pub(crate) struct Sampler {
     /// Sampling cadence on the sim clock.
     pub(crate) every: SimDuration,
-    node_rings: Vec<Ring<NodeSample>>,
-    cluster_ring: Ring<ClusterSample>,
+    capacity: usize,
+    nodes: Vec<VecDeque<NodeSample>>,
+    cluster: VecDeque<ClusterSample>,
+    /// Samples evicted from full series, across all series.
+    dropped: u64,
     /// Per-node flow rates (tx/rx bytes per second), reused each tick so
     /// sampling allocates nothing in steady state.
     tx: Vec<f64>,
@@ -143,16 +103,19 @@ pub(crate) struct Sampler {
 
 impl Sampler {
     pub(crate) fn new(every: SimDuration, nodes: usize, capacity: usize) -> Self {
+        assert!(capacity > 0, "series capacity must be positive");
         Sampler {
             every,
-            node_rings: (0..nodes).map(|_| Ring::new(capacity)).collect(),
-            cluster_ring: Ring::new(capacity),
+            capacity,
+            nodes: vec![VecDeque::new(); nodes],
+            cluster: VecDeque::new(),
+            dropped: 0,
             tx: vec![0.0; nodes],
             rx: vec![0.0; nodes],
         }
     }
 
-    /// Reads every per-node gauge into the rings: worker `w`'s pool and
+    /// Reads every per-node gauge into the series: worker `w`'s pool and
     /// memstore are node `w + 1`'s.
     pub(crate) fn take<T>(
         &mut self,
@@ -177,7 +140,7 @@ impl Sampler {
             self.tx[flow.src.index()] += rate;
             self.rx[flow.dst.index()] += rate;
         }
-        for (node, ring) in self.node_rings.iter_mut().enumerate() {
+        for node in 0..self.nodes.len() {
             let mut sample = NodeSample {
                 at_secs,
                 nic_tx_bytes_per_sec: self.tx[node],
@@ -194,37 +157,49 @@ impl Sampler {
                 sample.memstore_used_bytes = ms.used_total();
                 sample.memstore_budget_bytes = ms.budget_total();
             }
-            ring.push(sample);
+            push_bounded(
+                &mut self.nodes[node],
+                sample,
+                self.capacity,
+                &mut self.dropped,
+            );
         }
-        self.cluster_ring.push(ClusterSample {
+        let sample = ClusterSample {
             at_secs,
             pending_events: pending_events as u64,
             inflight_invocations: inflight_invocations as u64,
-        });
+        };
+        push_bounded(&mut self.cluster, sample, self.capacity, &mut self.dropped);
     }
 
     /// The sampled series for [`crate::RunReport::resources`].
     pub(crate) fn report(&self) -> ResourceSeriesReport {
-        let mut dropped = self.cluster_ring.evicted();
         let nodes = self
-            .node_rings
+            .nodes
             .iter()
             .enumerate()
-            .map(|(i, ring)| {
-                dropped += ring.evicted();
-                NodeSeries {
-                    node: NodeId::new(i as u32),
-                    samples: ring.snapshot(),
-                }
+            .map(|(i, series)| NodeSeries {
+                node: NodeId::new(i as u32),
+                samples: series.iter().copied().collect(),
             })
             .collect();
         ResourceSeriesReport {
             sample_every_secs: self.every.as_secs_f64(),
-            dropped_samples: dropped,
+            dropped_samples: self.dropped,
             nodes,
-            cluster: self.cluster_ring.snapshot(),
+            cluster: self.cluster.iter().copied().collect(),
         }
     }
+}
+
+/// Appends `item`, first evicting (and counting) the oldest sample when
+/// `series` holds `capacity` already.
+fn push_bounded<T>(series: &mut VecDeque<T>, item: T, capacity: usize, dropped: &mut u64) {
+    if series.len() == capacity {
+        series.pop_front();
+        *dropped += 1;
+    }
+    series.push_back(item);
 }
 
 #[cfg(test)]
@@ -270,21 +245,22 @@ mod tests {
     }
 
     #[test]
-    fn ring_keeps_newest_and_counts_evictions() {
-        let mut r = Ring::new(3);
-        for i in 0..5u32 {
-            r.push(i);
+    fn sampler_keeps_the_newest_samples_and_counts_every_eviction() {
+        let mut net: FlowNet<()> = FlowNet::new(vec![NicSpec::symmetric(100.0); 2]);
+        let workers = [Worker::new(&ClusterConfig::default())];
+        let mut sampler = Sampler::new(SimDuration::from_secs(1), 2, 3);
+        for tick in 0..5u64 {
+            let now = SimTime::ZERO + SimDuration::from_secs(tick);
+            sampler.take(now, &mut net, &workers, tick as usize, 0);
         }
-        assert_eq!(r.snapshot(), vec![2, 3, 4]);
-        assert_eq!(r.evicted(), 2);
-    }
-
-    #[test]
-    fn ring_below_capacity_keeps_order() {
-        let mut r = Ring::new(8);
-        r.push("a");
-        r.push("b");
-        assert_eq!(r.snapshot(), vec!["a", "b"]);
-        assert_eq!(r.evicted(), 0);
+        let report = sampler.report();
+        let at = |samples: &[NodeSample]| samples.iter().map(|s| s.at_secs).collect::<Vec<_>>();
+        for node in &report.nodes {
+            assert_eq!(at(&node.samples), [2.0, 3.0, 4.0]);
+        }
+        let pending: Vec<u64> = report.cluster.iter().map(|s| s.pending_events).collect();
+        assert_eq!(pending, [2, 3, 4]);
+        // Two evictions in each of the three series.
+        assert_eq!(report.dropped_samples, 6);
     }
 }
