@@ -15,9 +15,13 @@
 //! at runtime ("DAG Parser ... calculates the 99%-ile latency of data
 //! transmission between adjacent nodes as edge weight", §4.1.1).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use faasflow_sim::{FunctionId, SimDuration};
 use serde::{Deserialize, Serialize};
 
+use crate::error::WdlError;
 use crate::profile::FunctionProfile;
 
 /// Identifier of a control edge within one [`WorkflowDag`].
@@ -162,19 +166,23 @@ pub struct WorkflowDag {
 }
 
 impl WorkflowDag {
-    /// Assembles a DAG from parts. Used by the parser; panics on structural
-    /// inconsistencies because the parser validates first.
+    /// Assembles a DAG from parts and the [`topo_sort`] order of its
+    /// edges. Used by the parser; panics on structural inconsistencies
+    /// because the parser validates first.
     ///
     /// # Panics
     ///
-    /// Panics if edges reference out-of-range nodes or the graph is cyclic.
+    /// Panics if edges reference out-of-range nodes or `topo` does not
+    /// list every node.
     pub(crate) fn assemble(
         name: String,
         nodes: Vec<DagNode>,
         edges: Vec<DagEdge>,
         data_edges: Vec<DataEdge>,
+        topo: Vec<FunctionId>,
     ) -> Self {
         let n = nodes.len();
+        assert_eq!(topo.len(), n, "the topological order lists every node");
         let mut successors = vec![Vec::new(); n];
         let mut predecessors = vec![Vec::new(); n];
         for e in &edges {
@@ -182,19 +190,15 @@ impl WorkflowDag {
             successors[e.from.index()].push((e.id, e.to));
             predecessors[e.to.index()].push((e.id, e.from));
         }
-        let mut dag = WorkflowDag {
+        WorkflowDag {
             name,
             nodes,
             edges,
             data_edges,
             successors,
             predecessors,
-            topo: Vec::new(),
-        };
-        dag.topo = dag
-            .compute_topo()
-            .expect("parser guarantees acyclicity before assembly");
-        dag
+            topo,
+        }
     }
 
     /// The workflow's name.
@@ -380,27 +384,38 @@ impl WorkflowDag {
     pub fn total_data_bytes(&self) -> u64 {
         self.data_edges.iter().map(|d| d.bytes).sum()
     }
+}
 
-    /// Kahn's algorithm; `None` on a cycle.
-    fn compute_topo(&self) -> Option<Vec<FunctionId>> {
-        let n = self.nodes.len();
-        let mut indeg: Vec<usize> = (0..n).map(|i| self.predecessors[i].len()).collect();
-        // A queue ordered by node id keeps the order deterministic.
-        let mut ready: std::collections::BinaryHeap<std::cmp::Reverse<usize>> = (0..n)
-            .filter(|&i| indeg[i] == 0)
-            .map(std::cmp::Reverse)
-            .collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(std::cmp::Reverse(v)) = ready.pop() {
-            order.push(FunctionId::from(v));
-            for &(_, s) in &self.successors[v] {
-                indeg[s.index()] -= 1;
-                if indeg[s.index()] == 0 {
-                    ready.push(std::cmp::Reverse(s.index()));
-                }
+/// Kahn's algorithm over `node_count` nodes and `edges`, with the ready
+/// set ordered by node id so the order is deterministic. On a cycle the
+/// error names the lowest-id node left with positive in-degree; that set
+/// (every node a cycle blocks) does not depend on the visit order.
+pub(crate) fn topo_sort(node_count: usize, edges: &[DagEdge]) -> Result<Vec<FunctionId>, WdlError> {
+    let mut indeg = vec![0usize; node_count];
+    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); node_count];
+    for e in edges {
+        indeg[e.to.index()] += 1;
+        succ[e.from.index()].push(e.to.index());
+    }
+    let mut ready: BinaryHeap<Reverse<usize>> = (0..node_count)
+        .filter(|&i| indeg[i] == 0)
+        .map(Reverse)
+        .collect();
+    let mut order = Vec::with_capacity(node_count);
+    while let Some(Reverse(v)) = ready.pop() {
+        order.push(FunctionId::from(v));
+        for &s in &succ[v] {
+            indeg[s] -= 1;
+            if indeg[s] == 0 {
+                ready.push(Reverse(s));
             }
         }
-        (order.len() == n).then_some(order)
+    }
+    match indeg.iter().position(|&d| d > 0) {
+        None => Ok(order),
+        Some(witness) => Err(WdlError::Cycle {
+            witness: format!("#{witness}"),
+        }),
     }
 }
 
@@ -445,7 +460,8 @@ mod tests {
                 bytes: e.bytes,
             })
             .collect();
-        WorkflowDag::assemble("diamond".into(), nodes, edges, data_edges)
+        let topo = topo_sort(nodes.len(), &edges).expect("a diamond is acyclic");
+        WorkflowDag::assemble("diamond".into(), nodes, edges, data_edges, topo)
     }
 
     #[test]
@@ -517,15 +533,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "acyclicity")]
-    fn cycle_detection_panics_on_assembly() {
-        let mk = |i: u32| DagNode {
-            id: FunctionId::new(i),
-            name: format!("n{i}"),
-            kind: NodeKind::Function(FunctionProfile::default()),
-            join: JoinKind::All,
-            parallelism: 1,
-        };
+    fn topo_sort_names_the_first_node_a_cycle_blocks() {
         let e = |i: u32, f: u32, t: u32| DagEdge {
             id: EdgeId(i),
             from: FunctionId::new(f),
@@ -534,11 +542,21 @@ mod tests {
             weight: SimDuration::ZERO,
             switch_arm: None,
         };
-        let _ = WorkflowDag::assemble(
-            "cyclic".into(),
-            vec![mk(0), mk(1)],
-            vec![e(0, 0, 1), e(1, 1, 0)],
-            vec![],
+        // 0 is a free source; 1 <-> 2 is the cycle and blocks 3.
+        let edges = [e(0, 0, 1), e(1, 1, 2), e(2, 2, 1), e(3, 2, 3)];
+        assert_eq!(
+            topo_sort(4, &edges),
+            Err(WdlError::Cycle {
+                witness: "#1".to_string()
+            })
         );
+        // Ready nodes leave in id order, whatever order the edges came in.
+        let edges = [e(0, 2, 0), e(1, 3, 1), e(2, 1, 0)];
+        let order: Vec<u32> = topo_sort(4, &edges)
+            .expect("acyclic")
+            .iter()
+            .map(|v| v.index() as u32)
+            .collect();
+        assert_eq!(order, [2, 3, 1, 0]);
     }
 }
