@@ -196,7 +196,7 @@ impl DagParser {
             });
         }
 
-        let topo = topo_sort(nodes.len(), &edges)?;
+        let topo = topo_sort(&nodes, &edges)?;
         Ok(WorkflowDag::assemble(
             name.to_string(),
             nodes,
@@ -440,7 +440,7 @@ impl Builder {
         // relays), as producer -> bytes. Computed in the parse's one
         // topological order, which `assemble` keeps; any topological order
         // gives the same fold, a union over predecessors.
-        let topo = topo_sort(self.nodes.len(), &self.edges)?;
+        let topo = topo_sort(&self.nodes, &self.edges)?;
         let n = self.nodes.len();
         let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
         for e in &self.edges {
@@ -671,12 +671,17 @@ mod tests {
         let mut spec = DagSpec::new();
         spec.task("a", p(1, 1))
             .task("b", p(1, 1))
-            .edge("a", "b")
-            .edge("b", "a");
-        assert!(matches!(
-            DagParser::default().parse(&Workflow::dag("cyc", spec)),
-            Err(WdlError::Cycle { .. })
-        ));
+            .task("c", p(1, 1))
+            .edge("b", "c")
+            .edge("c", "b")
+            .edge("c", "a");
+        let err = DagParser::default()
+            .parse(&Workflow::dag("cyc", spec))
+            .expect_err("b <-> c is a cycle");
+        assert_eq!(
+            err.to_string(),
+            "workflow graph contains a cycle through `c`"
+        );
     }
 
     #[test]
