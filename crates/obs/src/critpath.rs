@@ -38,7 +38,6 @@
 //! no float residue) — [`CriticalPath::validate`] checks all three and is
 //! exercised on every chaos-sweep seed.
 
-use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
 use faasflow_core::TraceEvent;
@@ -278,7 +277,8 @@ pub fn critical_path(tree: &SpanTree, downtime: &[(SimTime, SimTime)]) -> Critic
         return path;
     }
 
-    // Work intervals clipped to the root window.
+    // Work intervals clipped to the root window, ordered by start, then by
+    // span index.
     struct Work {
         start: SimTime,
         end: SimTime,
@@ -301,49 +301,66 @@ pub fn critical_path(tree: &SpanTree, downtime: &[(SimTime, SimTime)]) -> Critic
             });
         }
     }
+    work.sort_unstable_by_key(|w| (w.start, w.span));
+    assert!(
+        u32::try_from(work.len()).is_ok(),
+        "a claim key holds a work index below 2^32"
+    );
 
     // Elementary intervals: between two consecutive boundaries the set of
-    // covering work spans (and downtime windows) is constant.
+    // covering work spans (and downtime windows) is constant. The sorted
+    // starts merge into the sorted ends; every start precedes its own end,
+    // so the last end takes the last start. An outage boundary inside the
+    // window is rare enough to be sorted in.
+    let mut ends: Vec<SimTime> = work.iter().map(|w| w.end).collect();
+    ends.sort_unstable();
     let mut bounds: Vec<SimTime> = Vec::with_capacity(2 * work.len() + 2);
     bounds.push(rs);
+    let mut starts = work.iter().map(|w| w.start).peekable();
+    for end in ends {
+        while let Some(start) = starts.next_if(|&start| start <= end) {
+            bounds.push(start);
+        }
+        bounds.push(end);
+    }
     bounds.push(re);
-    for w in &work {
-        bounds.push(w.start);
-        bounds.push(w.end);
+    let inside = |t: SimTime| t > rs && t < re;
+    if downtime.iter().any(|&(ds, de)| inside(ds) || inside(de)) {
+        let points = downtime.iter().flat_map(|&(ds, de)| [ds, de]);
+        bounds.extend(points.filter(|&t| inside(t)));
+        bounds.sort_unstable();
     }
-    for &(ds, de) in downtime {
-        if ds > rs && ds < re {
-            bounds.push(ds);
-        }
-        if de > rs && de < re {
-            bounds.push(de);
-        }
-    }
-    bounds.sort_unstable();
     bounds.dedup();
 
     // Sweep the elementary intervals left to right. Every work span that
     // has opened sits in a max-heap on its claim key: highest priority
     // wins, ties go to the latest-starting span (the most recent
-    // dependency), then the lowest index. The index makes each key unique,
-    // so the top is exactly the one best span. A span that closed before
-    // `b` can never cover a later interval either, so it is dropped only
-    // when it surfaces at the top.
-    work.sort_unstable_by_key(|w| w.start);
+    // dependency), then the lowest span index. The key packs the three in
+    // one integer: priority, start, and the complement of the work index,
+    // which among equal starts orders as the span index does. It is
+    // unique, so the top is exactly the one best span. A span that closed
+    // before `b` can never cover a later interval either, so it is dropped
+    // only when it surfaces at the top.
+    let claim = |i: usize| {
+        let w = &work[i];
+        u128::from(w.phase.priority()) << 96
+            | u128::from(w.start.as_nanos()) << 32
+            | u128::from(!(i as u32))
+    };
+    let work_of = |key: u128| &work[!(key as u32) as usize];
     let mut next = 0;
-    let mut open: BinaryHeap<(u8, SimTime, Reverse<usize>, usize)> =
-        BinaryHeap::with_capacity(work.len());
+    let mut open: BinaryHeap<u128> = BinaryHeap::with_capacity(work.len());
     for pair in bounds.windows(2) {
         let (a, b) = (pair[0], pair[1]);
-        while let Some(w) = work.get(next).filter(|w| w.start <= a) {
-            open.push((w.phase.priority(), w.start, Reverse(w.span), next));
+        while work.get(next).is_some_and(|w| w.start <= a) {
+            open.push(claim(next));
             next += 1;
         }
-        while open.peek().is_some_and(|&(.., i)| work[i].end < b) {
+        while open.peek().is_some_and(|&key| work_of(key).end < b) {
             open.pop();
         }
         let (phase, span) = match open.peek() {
-            Some(&(.., i)) => (work[i].phase, Some(work[i].span)),
+            Some(&key) => (work_of(key).phase, Some(work_of(key).span)),
             None => {
                 let down = downtime.iter().any(|&(ds, de)| ds <= a && de >= b);
                 (
