@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use faasflow_container::StartKind;
 use faasflow_engine::{MasterAction, WorkerAction, WorkflowCtx};
-use faasflow_net::{Flow, FlowId, FlowNet, MessageModel, NicSpec};
+use faasflow_net::MessageModel;
 use faasflow_scheduler::{
     Assignment, ContentionSet, FeedbackCollector, GraphScheduler, PartitionConfig, RuntimeMetrics,
     ScheduleError, WorkerInfo, WorkerLoad,
@@ -32,10 +32,7 @@ use faasflow_sim::{
     ContainerId, EventId, EventQueue, FastMap, FunctionId, InvocationId, NodeId, SimDuration,
     SimRng, SimTime, WorkflowId,
 };
-use faasflow_store::{
-    quota, BreakerDecision, BreakerTransition, CircuitBreaker, DataKey, FaaStore, Placement,
-    RemoteStore, StorageType,
-};
+use faasflow_store::{quota, DataKey, FaaStore, Placement, RemoteStore, StorageType};
 use faasflow_wdl::{DagParser, NodeKind, ParserConfig, Workflow, WorkflowDag};
 
 use crate::config::{ClientConfig, ClusterConfig, ReclamationMode, ScheduleMode};
@@ -58,10 +55,10 @@ use crate::trace::{TraceEvent, Tracer, TRACE_CAPACITY};
 use crate::worker::Worker;
 
 mod recovery;
+mod transfers;
 
-/// Worker NIC bandwidth, bytes/s: 10 Gbit/s, unthrottled in the paper
-/// (the bottleneck is the storage node).
-const WORKER_BANDWIDTH: f64 = 1.25e9;
+use transfers::{FlowTag, RemoteCall, Transfer, Transfers};
+
 /// Master engine CPU occupancy per processed message (task trigger check /
 /// assignment / state bookkeeping). The master is a single queueing
 /// station, so under load this serializes — the §2.3 overhead.
@@ -80,62 +77,6 @@ enum AbandonKind {
     /// Refused at the degradation gate before dispatch (degrade
     /// accounting; deliberately *not* fed back into the SLO monitor).
     DegradeShed { worker: usize },
-}
-
-/// Tag attached to every network flow: an instance attempt moving
-/// `producer`'s output, either read into the instance or, with `read`
-/// false, written out as the instance's own output share (then
-/// `producer` is the instance's own function).
-#[derive(Debug, Clone, Copy)]
-struct FlowTag {
-    token: InstanceToken,
-    producer: FunctionId,
-    started: SimTime,
-    /// Through the storage node rather than between FaaStores.
-    remote: bool,
-    read: bool,
-}
-
-impl FlowTag {
-    /// A transfer between an instance and its own worker's FaaStore.
-    fn local(token: InstanceToken, producer: FunctionId, started: SimTime, read: bool) -> Self {
-        FlowTag {
-            token,
-            producer,
-            started,
-            remote: false,
-            read,
-        }
-    }
-}
-
-/// One instance's remote-store call: a read of `producer`'s output into
-/// the instance, or a write of the instance's own output share (then
-/// `producer` is the instance's own function).
-#[derive(Debug, Clone, Copy)]
-struct RemoteIo {
-    /// The instance's worker (`u32` keeps `Event` within its size bound).
-    worker: u32,
-    token: InstanceToken,
-    producer: FunctionId,
-    bytes: u64,
-    /// When the call was first issued (transfer-latency accounting).
-    started: SimTime,
-    read: bool,
-}
-
-impl RemoteIo {
-    /// The tag of the call's transfer; `remote` is false for a read
-    /// served from a worker's FaaStore copy instead of the store.
-    fn tag(&self, remote: bool) -> FlowTag {
-        FlowTag {
-            token: self.token,
-            producer: self.producer,
-            started: self.started,
-            remote,
-            read: self.read,
-        }
-    }
 }
 
 /// Messages the master CPU processes one at a time.
@@ -228,7 +169,7 @@ enum Event {
     },
     /// A remote-store call's transfer begins after the server-side
     /// overhead.
-    StartRemote(RemoteIo),
+    StartRemote(Transfer),
     /// An instance's compute finished; write the output.
     ExecDone {
         worker: usize,
@@ -262,7 +203,7 @@ enum Event {
     NetFault { idx: usize, open: bool },
     /// A remote-store call backed off (storage blackout or open breaker);
     /// try again.
-    RetryRemote { io: RemoteIo, attempt: u32 },
+    RetryRemote { io: Transfer, attempt: u32 },
     /// An invocation hit unrecoverable-in-place state (e.g. a producer
     /// output vanished with a crashed node); restart it under a new epoch.
     RecoverInvocation {
@@ -383,17 +324,12 @@ impl WorkflowState {
 
 /// Reusable buffers for the hot-path sweeps. Each user takes the buffer
 /// with `mem::take`, fills it, and puts it back cleared, so the steady
-/// state of the event loop performs no heap allocation. Distinct fields
-/// exist for sweeps that nest (gathering an instance's inputs can
-/// dead-letter its invocation, which tears down flows).
+/// state of the event loop performs no heap allocation. The data path
+/// keeps its own (see [`Transfers`]).
 #[derive(Debug, Default)]
 struct ClusterScratch {
-    /// Completed flows drained out of the network on each `FlowTick`.
-    flows_done: Vec<(FlowId, Flow<FlowTag>)>,
     /// Input transfers gathered when an instance becomes ready.
     inputs: Vec<(FunctionId, u64)>,
-    /// Flow ids doomed by a crash or an invocation teardown.
-    flow_ids: Vec<FlowId>,
 }
 
 /// One compute-time draw for `function` (zero for non-function nodes,
@@ -417,13 +353,6 @@ fn placed_groups<'a>(
         .filter_map(|g| config.worker_index(g.worker))
 }
 
-/// Traces a breaker transition, if the call made one.
-fn trace_breaker(tracer: &mut Tracer, now: SimTime, transition: Option<BreakerTransition>) {
-    if let Some((from, to)) = transition {
-        tracer.record(|| TraceEvent::BreakerTransition { from, to, at: now });
-    }
-}
-
 /// The FaaSFlow cluster simulation.
 ///
 /// ```
@@ -445,9 +374,9 @@ pub struct Cluster {
     config: ClusterConfig,
     queue: EventQueue<Event>,
     rng: SimRng,
-    net: FlowNet<FlowTag>,
-    flow_timer: Option<EventId>,
-    remote: RemoteStore,
+    /// The data path: the flow network and its timer, the remote store,
+    /// its breaker and fault window, and the stalled payloads.
+    transfers: Transfers,
     /// The scheduling engines, the master's CPU queue and every engine's
     /// liveness, fences and journal.
     engines: Engines,
@@ -475,11 +404,8 @@ pub struct Cluster {
     /// One record per worker: pool, FaaStore, gauges, recovery queues
     /// and fault state.
     workers: Vec<Worker>,
-    /// Storage and link fault windows, stalled partition payloads and the
-    /// gray-failure counters.
-    windows: FaultWindows<FlowTag>,
-    /// Circuit breaker guarding the remote store (None when disabled).
-    breaker: Option<CircuitBreaker>,
+    /// Link fault windows and the gray-failure counters.
+    windows: FaultWindows,
     /// The hedged-execution control loop.
     hedging: Hedging,
     /// Admission shedding, backpressure and the overload counters.
@@ -518,15 +444,11 @@ impl Cluster {
     pub fn new(config: ClusterConfig) -> Result<Self, ClusterError> {
         config.validate().map_err(ClusterError::InvalidConfig)?;
         let mut rng = SimRng::seed_from(config.seed);
-        let mut nics = vec![NicSpec::symmetric(WORKER_BANDWIDTH); config.node_count()];
-        nics[0] = NicSpec::symmetric(config.storage_bandwidth); // master/storage
         let _ = rng.next_u64(); // decorrelate from the seed value itself
         let mut cluster = Cluster {
             queue: EventQueue::new(),
             rng,
-            net: FlowNet::new(nics),
-            flow_timer: None,
-            remote: RemoteStore::default(),
+            transfers: Transfers::new(&config),
             engines: Engines::new(&config),
             workflows: Vec::new(),
             names: FastMap::default(),
@@ -544,7 +466,6 @@ impl Cluster {
             faults: FaultReport::default(),
             workers: (0..config.workers).map(|_| Worker::new(&config)).collect(),
             windows: FaultWindows::new(config.node_count()),
-            breaker: config.overload.breaker.map(CircuitBreaker::new),
             hedging: Hedging::new(config.overload.hedge),
             admission: Admission::new(&config.overload),
             rebalancer: Rebalancer::new(config.placement_config, config.workers),
@@ -864,7 +785,7 @@ impl Cluster {
     /// The storage node's object catalog (leak checks: every invocation
     /// releases its objects when it ends, however it ends).
     pub fn remote_store(&self) -> &RemoteStore {
-        &self.remote
+        self.transfers.remote_store()
     }
 
     /// Each worker's FaaStore, indexed by worker.
@@ -942,9 +863,6 @@ impl Cluster {
         }
         let now = self.queue.now();
         let sim_secs = now.as_secs_f64();
-        let master_node = ClusterConfig::MASTER_NODE;
-        let storage_node_bytes =
-            self.net.bytes_delivered_to(master_node) + self.net.bytes_sent_from(master_node);
         let (mut cold, mut warm) = (0u64, 0u64);
         for w in &self.workers {
             cold += w.pool.stats().cold_starts.get();
@@ -964,23 +882,24 @@ impl Cluster {
             sim_time_secs: sim_secs,
             cold_starts: cold,
             warm_starts: warm,
-            storage_node_bytes,
             faastore_local_bytes,
             exec_retries: self.exec_retries,
             repartition_failures: self.repartition_failures,
             faults: self.faults,
-            overload: self.admission.report(&self.hedging, self.breaker.as_ref()),
+            overload: self.admission.report(&self.hedging),
             placement: self.rebalancer.report,
             slo,
             degrade,
             health: self.windows.health_report(
                 self.health.as_ref(),
                 self.faults.dead_letter_quarantine_orphan,
+                self.transfers.stalled_flows(),
             ),
             trace_dropped: self.tracer.dropped(),
             resources: self.sampler.as_ref().map(Sampler::report),
             ..RunReport::default()
         };
+        self.transfers.report_into(&mut report);
         self.engines.report_into(now, &mut report);
         report
     }
@@ -1226,14 +1145,7 @@ impl Cluster {
             } => self.on_instance_ready(now, worker, token, container, cold),
             Event::StartRemote(io) => {
                 if self.invocations.instance_on(io.worker as usize, io.token) {
-                    let node = self.config.worker_node(io.worker);
-                    let (src, dst) = if io.read {
-                        (ClusterConfig::MASTER_NODE, node)
-                    } else {
-                        (node, ClusterConfig::MASTER_NODE)
-                    };
-                    self.net.start_flow(src, dst, io.bytes, io.tag(true), now);
-                    self.reschedule_flow_timer(now);
+                    self.transfers.start_remote(now, io, &mut self.queue);
                 }
             }
             Event::ExecDone { worker, token, seq } => self.on_exec_done(now, worker, token, seq),
@@ -1252,14 +1164,11 @@ impl Cluster {
                 }
             }
             Event::FlowTick => {
-                self.flow_timer = None;
-                let mut done = std::mem::take(&mut self.scratch.flows_done);
-                self.net.take_completed_into(now, &mut done);
+                let mut done = self.transfers.completed(now);
                 for (_, flow) in done.drain(..) {
                     self.on_flow_done(now, flow.tag);
                 }
-                self.scratch.flows_done = done;
-                self.reschedule_flow_timer(now);
+                self.transfers.end_tick(now, done, &mut self.queue);
             }
             Event::ContainerExpiry { worker } => {
                 self.workers[worker].expiry_timer = None;
@@ -1273,7 +1182,7 @@ impl Cluster {
             Event::LeaseExpired { worker } => self.on_lease_expired(now, worker),
             Event::StorageFault { idx, open } => {
                 let kind = self.config.fault.storage_faults[idx].kind;
-                self.windows.on_storage_fault(kind, open);
+                self.transfers.storage.on_fault(kind, open);
             }
             Event::NetFault { idx, open } => self.on_net_fault(now, idx, open),
             Event::RetryRemote { io, attempt } => self.remote_io(now, io, attempt),
@@ -1300,7 +1209,8 @@ impl Cluster {
                 // (`work_pending`).
                 if let Some(sampler) = self.sampler.as_mut() {
                     let (pending, inflight) = (self.queue.len(), self.invocations.len());
-                    sampler.take(now, &mut self.net, &self.workers, pending, inflight);
+                    let flows = self.transfers.flows();
+                    sampler.take(now, flows, &self.workers, pending, inflight);
                     self.queue.schedule(now + sampler.every, Event::Sample);
                 }
             }
@@ -1397,8 +1307,8 @@ impl Cluster {
             // recoverable journal record (and a gate shed below replays as
             // the pair Admitted → Terminal(Shed)).
             let (master, event) = (EngineTarget::Master, JournalEvent::Admitted);
-            self.engines
-                .append(now, master, (wf, inv), event, &self.windows);
+            let storage = self.transfers.storage;
+            self.engines.append(now, master, (wf, inv), event, storage);
         }
         if !decision.admitted {
             // Attributed to the first entry node's worker, where dispatch
@@ -1452,8 +1362,8 @@ impl Cluster {
         let epoch = self.invocations.epoch_of((wf, inv));
         for worker in self.entry_workers(wf, inv) {
             let (target, event) = (EngineTarget::Worker(worker as u32), JournalEvent::Admitted);
-            self.engines
-                .append(now, target, (wf, inv), event, &self.windows);
+            let storage = self.transfers.storage;
+            self.engines.append(now, target, (wf, inv), event, storage);
             let node = self.config.worker_node(worker as u32);
             let delay = self.control_delay(256, ClusterConfig::MASTER_NODE, node);
             self.queue.schedule(
@@ -1618,8 +1528,8 @@ impl Cluster {
         if let Some(ev) = state.timeout_event.take() {
             self.queue.cancel(ev);
         }
-        self.engines
-            .journal_end(now, (wf, inv), outcome, &self.windows);
+        let storage = self.transfers.storage;
+        self.engines.journal_end(now, (wf, inv), outcome, storage);
         Some(state)
     }
 
@@ -1640,7 +1550,7 @@ impl Cluster {
         for w in holders.iter() {
             let _ = self.workers[w].store.release_invocation(wf, inv);
         }
-        let _ = self.remote.release_invocation(inv);
+        self.transfers.release_invocation(inv);
     }
 
     // ==================================================================
@@ -1711,9 +1621,9 @@ impl Cluster {
             }
             MasterInbox::StateReturn { wf, inv, function } if self.invocations.alive((wf, inv)) => {
                 let current = &self.workflows[wf.index()].deployed;
-                let (key, windows) = ((wf, inv), &self.windows);
+                let (key, storage) = ((wf, inv), self.transfers.storage);
                 self.engines
-                    .master_state_return(now, current, key, function, windows)
+                    .master_state_return(now, current, key, function, storage)
             }
             MasterInbox::Begin { .. } | MasterInbox::StateReturn { .. } => Vec::new(),
             MasterInbox::Requeue(d) => {
@@ -1747,7 +1657,8 @@ impl Cluster {
                         .expect("assignments target workers");
                     let (master, key) = (EngineTarget::Master, (workflow, invocation));
                     let event = JournalEvent::Dispatched(function);
-                    self.engines.append(now, master, key, event, &self.windows);
+                    self.engines
+                        .append(now, master, key, event, self.transfers.storage);
                     let delay = self.control_delay(512, ClusterConfig::MASTER_NODE, worker);
                     self.queue.schedule(
                         now + delay,
@@ -1785,10 +1696,10 @@ impl Cluster {
         inv: InvocationId,
         function: FunctionId,
     ) {
-        let (key, windows) = ((wf, inv), &self.windows);
+        let (key, storage) = ((wf, inv), self.transfers.storage);
         let actions = self
             .engines
-            .worker_node_complete(now, worker, key, function, windows);
+            .worker_node_complete(now, worker, key, function, storage);
         self.apply_worker_actions(now, worker, actions);
     }
 
@@ -1821,7 +1732,8 @@ impl Cluster {
                         let target = EngineTarget::Worker(worker as u32);
                         let (key, event) =
                             ((workflow, invocation), JournalEvent::Dispatched(function));
-                        self.engines.append(now, target, key, event, &self.windows);
+                        self.engines
+                            .append(now, target, key, event, self.transfers.storage);
                         self.spawn_instances(now, worker, workflow, invocation, function);
                     }
                 }
@@ -1834,7 +1746,8 @@ impl Cluster {
                     let target = EngineTarget::Worker(worker as u32);
                     let (key, event) =
                         ((workflow, invocation), JournalEvent::StateSynced(completed));
-                    self.engines.append(now, target, key, event, &self.windows);
+                    self.engines
+                        .append(now, target, key, event, self.transfers.storage);
                     let from = self.config.worker_node(worker as u32);
                     self.tracer.record(|| TraceEvent::StateSyncSent {
                         from,
@@ -2157,27 +2070,25 @@ impl Cluster {
             return;
         }
 
-        let node = self.config.worker_node(worker as u32);
         let mut started_local = false;
-        for &(producer, share) in &inputs {
+        for &(producer, bytes) in &inputs {
+            let io = Transfer {
+                worker: worker as u32,
+                token,
+                producer,
+                bytes,
+                started: now,
+                read: true,
+            };
             let key = DataKey::new(token.workflow, token.invocation, producer);
             if self.workers[worker].store.read_local(key).is_some() {
                 // Local memory read: loopback flow, no NIC consumption.
-                let tag = FlowTag::local(token, producer, now, true);
-                self.net.start_flow(node, node, share, tag, now);
+                self.transfers.start_local(io, now);
                 started_local = true;
             } else {
                 // Remote read: server-side overhead, then a flow from the
                 // storage node (with blackout backoff when the store is
                 // down).
-                let io = RemoteIo {
-                    worker: worker as u32,
-                    token,
-                    producer,
-                    bytes: share,
-                    started: now,
-                    read: true,
-                };
                 self.remote_io(now, io, 0);
             }
         }
@@ -2185,7 +2096,7 @@ impl Cluster {
         self.scratch.inputs = inputs;
         if started_local {
             // One timer update covers every flow started above.
-            self.reschedule_flow_timer(now);
+            self.transfers.rearm(now, &mut self.queue);
         }
     }
 
@@ -2381,30 +2292,26 @@ impl Cluster {
                     &consumers,
                 );
                 if p == Placement::Remote {
-                    self.remote.put(key, total_out);
+                    self.transfers.put(key, total_out);
                 }
                 state.nodes[token.function.index()].placement = Some(p);
                 p
             }
         };
-        let node_id = self.config.worker_node(worker as u32);
+        let io = Transfer {
+            worker: worker as u32,
+            token,
+            producer: token.function,
+            bytes: share,
+            started: now,
+            read: false,
+        };
         match placement {
             Placement::LocalMem => {
-                let tag = FlowTag::local(token, token.function, now, false);
-                self.net.start_flow(node_id, node_id, share, tag, now);
-                self.reschedule_flow_timer(now);
+                self.transfers.start_local(io, now);
+                self.transfers.rearm(now, &mut self.queue);
             }
-            Placement::Remote => {
-                let io = RemoteIo {
-                    worker: worker as u32,
-                    token,
-                    producer: token.function,
-                    bytes: share,
-                    started: now,
-                    read: false,
-                };
-                self.remote_io(now, io, 0);
-            }
+            Placement::Remote => self.remote_io(now, io, 0),
         }
     }
 
@@ -2605,7 +2512,7 @@ impl Cluster {
             let blocked =
                 |i: &&InstanceState| remote && self.workers[i.worker].partition == Some(read);
             if let Some(inst) = state.instances.get(&token).filter(blocked) {
-                self.windows.stall(inst.worker, tag);
+                self.transfers.stall(inst.worker, tag);
                 return;
             }
             let share = state.share_of(token, producer);
@@ -2730,7 +2637,8 @@ impl Cluster {
         attempt: Attempt,
     ) {
         let ours = |t: &InstanceToken| t.key() == (wf, inv);
-        self.cancel_flows(now, |tag| ours(&tag.token));
+        let queue = &mut self.queue;
+        self.transfers.cancel_flows(now, |t| ours(&t.token), queue);
         for w in attempt.queued_on.iter() {
             while self.workers[w].pool.remove_queued(ours).is_some() {}
         }
@@ -2828,134 +2736,44 @@ impl Cluster {
         self.retire_invocation(now, wf);
     }
 
-    /// Cancels every bulk transfer whose tag `doomed` picks, including
-    /// payloads stalled behind an asymmetric partition.
-    fn cancel_flows(&mut self, now: SimTime, doomed: impl Fn(&FlowTag) -> bool) {
-        self.windows.cancel_stalled(&doomed);
-        self.kill_flows(now, |f| doomed(&f.tag));
-    }
-
-    /// Issues (or re-issues) a remote-store call. While the store is
-    /// blacked out, or the breaker holds it off, the call backs off
-    /// exponentially and retries. An open breaker first tries to serve a
-    /// read from any live worker's FaaStore copy, shipping it worker to
-    /// worker instead of through the storage node; writes have no such
-    /// fallback (the placement decision already chose the remote store).
-    /// A brownout stretches the server-side overhead, and a read whose key
-    /// is gone (its producer's output died with a crashed node) escalates
-    /// to invocation recovery.
-    fn remote_io(&mut self, now: SimTime, io: RemoteIo, attempt: u32) {
-        let worker = io.worker as usize;
-        if !self.invocations.instance_on(worker, io.token) {
+    /// Issues (or re-issues) an instance's remote-store call through the
+    /// data path (see [`Transfers::remote_io`]) and acts on the outcome.
+    fn remote_io(&mut self, now: SimTime, io: Transfer, attempt: u32) {
+        if !self.invocations.instance_on(io.worker as usize, io.token) {
             return;
         }
-        let token = io.token;
-        let key = DataKey::new(token.workflow, token.invocation, io.producer);
-        // Open: fail fast. Closed and half-open both proceed — probes are
-        // how the breaker learns the store recovered.
-        let mut fast_fail = false;
-        if let Some(b) = &mut self.breaker {
-            let (decision, transition) = b.admit(now);
-            fast_fail = decision == BreakerDecision::FastFail;
-            trace_breaker(&mut self.tracer, now, transition);
-        }
-        if fast_fail {
-            let local = if io.read {
-                self.find_local_copy(worker, key)
-            } else {
-                None
-            };
-            if let Some(src) = local {
-                self.admission.counts.breaker_local_serves += 1;
-                let src = self.config.worker_node(src as u32);
-                let dst = self.config.worker_node(io.worker);
-                self.net.start_flow(src, dst, io.bytes, io.tag(false), now);
-                self.reschedule_flow_timer(now);
-                return;
+        let (rng, tracer) = (&mut self.rng, &mut self.tracer);
+        let call = self
+            .transfers
+            .remote_io(now, io, attempt, &self.workers, rng, tracer);
+        let (wf, inv, epoch) = (io.token.workflow, io.token.invocation, io.token.epoch);
+        match call {
+            RemoteCall::Served(overhead) => {
+                self.queue.schedule(now + overhead, Event::StartRemote(io));
             }
-            self.admission.counts.breaker_fast_fails += 1;
-        }
-        // The server-side overhead of a call the store serves; `None` while
-        // it is unreachable.
-        let served = if self.windows.storage_down || fast_fail {
-            None
-        } else if io.read {
-            let Some((_, overhead)) = self.remote.read(key) else {
-                if self.config.fault.is_empty() {
-                    panic!("producer output must be in the remote store");
-                }
-                self.queue.schedule(
-                    now,
-                    Event::RecoverInvocation {
-                        wf: token.workflow,
-                        inv: token.invocation,
-                        epoch: token.epoch,
-                    },
+            RemoteCall::Retry(delay) => {
+                let attempt = attempt + 1;
+                self.queue
+                    .schedule(now + delay, Event::RetryRemote { io, attempt });
+            }
+            RemoteCall::LocalServe => self.transfers.rearm(now, &mut self.queue),
+            RemoteCall::MissingKey => {
+                assert!(
+                    !self.config.fault.is_empty(),
+                    "producer output must be in the remote store"
                 );
-                return;
-            };
-            Some(overhead)
-        } else {
-            Some(RemoteStore::PUT_OVERHEAD)
-        };
-        let served = served.map(|o| self.windows.storage_overhead(o));
-        // The breaker judges every call that reached the store: one hitting
-        // the blackout fails, one served is judged on its overhead.
-        if !fast_fail {
-            if let Some(b) = &mut self.breaker {
-                let latency = served.unwrap_or(SimDuration::ZERO);
-                let transition = b.on_result(now, served.is_some(), latency, &mut self.rng);
-                trace_breaker(&mut self.tracer, now, transition);
+                let recover = Event::RecoverInvocation { wf, inv, epoch };
+                self.queue.schedule(now, recover);
+            }
+            RemoteCall::Exhausted => {
+                self.dead_letter_invocation(now, wf, inv, DeadLetterReason::RetriesExhausted)
             }
         }
-        let Some(overhead) = served else {
-            if self.windows.storage_down {
-                self.faults.storage_backoff_waits += 1;
-            }
-            if attempt >= self.config.fault.backoff.max_attempts {
-                self.dead_letter_invocation(
-                    now,
-                    token.workflow,
-                    token.invocation,
-                    DeadLetterReason::RetriesExhausted,
-                );
-                return;
-            }
-            let delay = self.config.fault.backoff.delay(attempt, &mut self.rng);
-            self.tracer.record(|| TraceEvent::StorageRetry {
-                workflow: token.workflow,
-                invocation: token.invocation,
-                function: token.function,
-                read: io.read,
-                attempt,
-                delay,
-                at: now,
-            });
-            let attempt = attempt + 1;
-            self.queue
-                .schedule(now + delay, Event::RetryRemote { io, attempt });
-            return;
-        };
-        self.queue.schedule(now + overhead, Event::StartRemote(io));
-    }
-
-    /// The first live worker (the reader first, then ring order) whose
-    /// FaaStore holds a local copy of `key`.
-    fn find_local_copy(&mut self, reader: usize, key: DataKey) -> Option<usize> {
-        let n = self.config.workers as usize;
-        std::iter::once(reader)
-            .chain((reader + 1..n).chain(0..reader))
-            .find(|&w| self.workers[w].alive && self.workers[w].store.read_local(key).is_some())
     }
 
     // ==================================================================
     // Timers
     // ==================================================================
-
-    fn reschedule_flow_timer(&mut self, now: SimTime) {
-        let at = self.net.next_completion().map(|t| t.max(now));
-        self.flow_timer = rearm(&mut self.queue, self.flow_timer, at, Event::FlowTick);
-    }
 
     /// After any change to `worker`'s pool: refreshes its gauges and
     /// re-arms the keep-alive expiry timer in place.

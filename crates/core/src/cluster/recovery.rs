@@ -2,9 +2,10 @@
 //! handlers. A worker crash, a lease expiry, an engine crash and its
 //! journaled restart, a link or gray fault, and the health detector's
 //! quarantine each land here, and each recovers through the sweeps of
-//! `Invocations` and the state of `Worker` and `Engines`. The teardown
-//! that the data path shares with shedding (`tear_down_attempt`,
-//! `abandon_invocation`, `cancel_flows`) stays in the parent module.
+//! `Invocations` and the state of `Worker`, `Engines` and `Transfers`.
+//! The teardown that a crash shares with shedding (`tear_down_attempt`,
+//! `abandon_invocation`) stays in the parent module, and the transfers it
+//! cancels are the data path's (`Transfers::{kill_flows, cancel_flows}`).
 
 use faasflow_net::LinkQuality;
 
@@ -71,8 +72,10 @@ impl Cluster {
         // Kill every bulk transfer touching the node, and the payloads held
         // behind its partition: MasterSP re-admits the orphans below under
         // the same token, which a late payload would otherwise reach.
-        self.kill_flows(now, |f| f.src == node || f.dst == node);
-        self.windows.drop_stalled_on(w);
+        let queue = &mut self.queue;
+        self.transfers
+            .kill_flows(now, |f| f.src == node || f.dst == node, queue);
+        self.transfers.drop_stalled_on(w);
         // Warm pool, queued admissions, store contents and resource gauges
         // vanish, and any gray suspicion with them.
         if let Some(ev) = self.workers[w].crash(now) {
@@ -341,7 +344,7 @@ impl Cluster {
         }
         match self
             .engines
-            .restart(target, attempt, &self.windows, &mut self.rng)
+            .restart(target, attempt, self.transfers.storage, &mut self.rng)
         {
             Restart::Backoff(delay) => {
                 let attempt = attempt + 1;
@@ -490,26 +493,6 @@ impl Cluster {
         self.begin_invocation_dispatch(now, wf, inv);
     }
 
-    /// Cancels every bulk transfer `doomed` picks, in flow-id order, and
-    /// counts each as killed. The completion timer is re-armed only when
-    /// a flow went.
-    pub(super) fn kill_flows(&mut self, now: SimTime, doomed: impl Fn(&Flow<FlowTag>) -> bool) {
-        let mut ids = std::mem::take(&mut self.scratch.flow_ids);
-        ids.extend(self.net.iter().filter(|(_, f)| doomed(f)).map(|(id, _)| id));
-        ids.sort_unstable();
-        for &id in &ids {
-            if self.net.cancel_flow(id, now).is_some() {
-                self.faults.flows_killed += 1;
-            }
-        }
-        let killed = !ids.is_empty();
-        ids.clear();
-        self.scratch.flow_ids = ids;
-        if killed {
-            self.reschedule_flow_timer(now);
-        }
-    }
-
     /// The first live worker after `avoid` in ring order (falling back to
     /// `avoid` itself if it restarted), preferring when `healthy` workers
     /// out of quarantine; `None` with no worker alive.
@@ -534,9 +517,7 @@ impl Cluster {
             self.windows.links.clear(node);
         }
         let factor = if open { fault.bandwidth_factor } else { 1.0 };
-        let nic = NicSpec::symmetric(WORKER_BANDWIDTH * factor);
-        self.net.set_nic(node, nic, now);
-        self.reschedule_flow_timer(now);
+        self.transfers.scale_nic(node, factor, now, &mut self.queue);
     }
 
     // ==================================================================
@@ -585,11 +566,11 @@ impl Cluster {
             GrayFaultKind::AsymmetricPartition { .. } => {
                 faults.partition = None;
                 faults.zombie = false;
-                for (sw, tag) in self.windows.lift_partition() {
+                for (sw, tag) in self.transfers.lift_partition() {
                     if sw == w {
                         self.on_flow_done(now, tag);
                     } else {
-                        self.windows.hold(sw, tag);
+                        self.transfers.hold(sw, tag);
                     }
                 }
             }
@@ -705,7 +686,9 @@ impl Cluster {
         // Transfers in flight for the evacuated attempts (including
         // payloads stalled behind the partition) belong to the superseded
         // copies; one sweep cancels them all.
-        self.cancel_flows(now, |t| tokens.binary_search(&t.token).is_ok());
+        let queue = &mut self.queue;
+        let evacuated = |t: &FlowTag| tokens.binary_search(&t.token).is_ok();
+        self.transfers.cancel_flows(now, evacuated, queue);
         for &token in &tokens {
             self.cancel_hedge(now, token);
             let Some(inst) = self.invocations.evacuate(token) else {

@@ -23,7 +23,7 @@ use faasflow_sim::{FunctionId, InvocationId, SimDuration, SimRng, SimTime, Workf
 
 use crate::cluster::MasterInbox;
 use crate::config::{ClusterConfig, ScheduleMode};
-use crate::fault::{BackoffPolicy, DeadLetterReason, EngineTarget, FaultWindows};
+use crate::fault::{BackoffPolicy, DeadLetterReason, EngineTarget, StorageWindow};
 use crate::invocation::{InvKey, InvState, WorkerSet};
 use crate::journal::{Journal, JournalConfig, JournalEvent, JournalRecord, TerminalOutcome};
 use crate::metrics::{RecoveryReport, RunReport};
@@ -285,16 +285,16 @@ impl Engines {
     /// store pushes the read into backoff (drawn from `rng`), until the
     /// retry budget runs out and the engine boots journal-blind;
     /// otherwise replay costs time in proportion to the kept records.
-    pub(crate) fn restart<T>(
+    pub(crate) fn restart(
         &mut self,
         target: EngineTarget,
         attempt: u32,
-        windows: &FaultWindows<T>,
+        storage: StorageWindow,
         rng: &mut SimRng,
     ) -> Restart {
         let backoff = self.backoff;
         let slot = &mut self.slots[slot_index(target)];
-        if slot.journal.enabled() && windows.storage_down {
+        if slot.journal.enabled() && storage.down {
             if attempt >= backoff.max_attempts {
                 slot.journal_unreadable = true;
             } else {
@@ -303,7 +303,7 @@ impl Engines {
             }
         }
         Restart::Replay(if slot.readable() {
-            slot.journal.begin_replay(windows.storage_slowdown)
+            slot.journal.begin_replay(storage.slowdown)
         } else {
             SimDuration::ZERO
         })
@@ -415,19 +415,19 @@ impl Engines {
     /// Write-ahead append to an engine's journal, exposed to the remote
     /// store's fault state: a blackout loses the append outright, a
     /// brownout stretches its time-to-durable.
-    pub(crate) fn append<T>(
+    pub(crate) fn append(
         &mut self,
         now: SimTime,
         target: EngineTarget,
         (workflow, invocation): (WorkflowId, InvocationId),
         event: JournalEvent,
-        windows: &FaultWindows<T>,
+        storage: StorageWindow,
     ) {
         let journal = &mut self.slot_mut(target).journal;
         if !journal.enabled() {
             return;
         }
-        if windows.storage_down {
+        if storage.down {
             journal.append_lost();
         } else {
             let record = JournalRecord {
@@ -435,25 +435,25 @@ impl Engines {
                 invocation,
                 event,
             };
-            journal.append(now, windows.storage_slowdown, record);
+            journal.append(now, storage.slowdown, record);
         }
     }
 
     /// An invocation ended: the master's journal witnesses its terminal
     /// `outcome`, and every journal drops it. Recovery asks only about
     /// live invocations, and invocation ids are never reused.
-    pub(crate) fn journal_end<T>(
+    pub(crate) fn journal_end(
         &mut self,
         now: SimTime,
         (wf, inv): (WorkflowId, InvocationId),
         outcome: TerminalOutcome,
-        windows: &FaultWindows<T>,
+        storage: StorageWindow,
     ) {
         if !self.slots[0].journal.enabled() {
             return;
         }
         let event = JournalEvent::Terminal(outcome);
-        self.append(now, EngineTarget::Master, (wf, inv), event, windows);
+        self.append(now, EngineTarget::Master, (wf, inv), event, storage);
         for slot in &mut self.slots {
             slot.journal.release_invocation(wf, inv);
         }
@@ -462,19 +462,19 @@ impl Engines {
     /// The master hears that one instance of `function` completed; it
     /// assigns what that triggers by `current`, the workflow's current
     /// deployment. It journals the node the moment it first sees it done.
-    pub(crate) fn master_state_return<T>(
+    pub(crate) fn master_state_return(
         &mut self,
         now: SimTime,
         current: &WorkflowCtx,
         (wf, inv): (WorkflowId, InvocationId),
         function: FunctionId,
-        windows: &FaultWindows<T>,
+        storage: StorageWindow,
     ) -> Vec<MasterAction> {
         let was_done = self.master.node_done(wf, inv, function);
         let actions = self.master.on_state_return(current, wf, inv, function);
         if !was_done && self.master.node_done(wf, inv, function) {
             let done = JournalEvent::NodeDone(function);
-            self.append(now, EngineTarget::Master, (wf, inv), done, windows);
+            self.append(now, EngineTarget::Master, (wf, inv), done, storage);
         }
         actions
     }
@@ -482,13 +482,13 @@ impl Engines {
     /// A node's completion reaches worker `w`'s engine (a virtual node, or
     /// the last instance of a function). The engine journals the node the
     /// moment it first sees it done.
-    pub(crate) fn worker_node_complete<T>(
+    pub(crate) fn worker_node_complete(
         &mut self,
         now: SimTime,
         w: usize,
         (wf, inv): (WorkflowId, InvocationId),
         function: FunctionId,
-        windows: &FaultWindows<T>,
+        storage: StorageWindow,
     ) -> Vec<WorkerAction> {
         let engine = &mut self.workers[w];
         let was_done = engine.node_done(wf, inv, function);
@@ -500,7 +500,7 @@ impl Engines {
                 EngineTarget::Worker(w as u32),
                 (wf, inv),
                 done,
-                windows,
+                storage,
             );
         }
         actions
@@ -559,7 +559,7 @@ impl Engines {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultPlan, StorageFaultKind};
+    use crate::fault::FaultPlan;
     use std::sync::Arc;
 
     const MASTER: EngineTarget = EngineTarget::Master;
@@ -581,10 +581,11 @@ mod tests {
         })
     }
 
-    fn windows(blackout: bool) -> FaultWindows<()> {
-        let mut windows = FaultWindows::new(3);
-        windows.on_storage_fault(StorageFaultKind::Blackout, blackout);
-        windows
+    fn windows(blackout: bool) -> StorageWindow {
+        StorageWindow {
+            down: blackout,
+            ..StorageWindow::CLEAR
+        }
     }
 
     fn at(ms: u64) -> SimTime {
@@ -653,28 +654,16 @@ mod tests {
             MASTER,
             key(0),
             JournalEvent::Admitted,
-            &windows(false),
+            windows(false),
         );
-        e.append(
-            at(1),
-            MASTER,
-            key(1),
-            JournalEvent::Admitted,
-            &windows(true),
-        );
+        e.append(at(1), MASTER, key(1), JournalEvent::Admitted, windows(true));
         let mut report = RunReport::default();
         e.report_into(at(10), &mut report);
         assert_eq!(report.recovery.journal_appends, 1);
         assert_eq!(report.recovery.journal_lost_appends, 1);
         // A disabled journal records nothing, lost or not.
         let mut off = engines(ScheduleMode::MasterSp, false);
-        off.append(
-            at(1),
-            MASTER,
-            key(1),
-            JournalEvent::Admitted,
-            &windows(true),
-        );
+        off.append(at(1), MASTER, key(1), JournalEvent::Admitted, windows(true));
         let mut report = RunReport::default();
         off.report_into(at(10), &mut report);
         assert_eq!(report.recovery.journal_appends, 0);
@@ -689,16 +678,16 @@ mod tests {
             MASTER,
             key(0),
             JournalEvent::Admitted,
-            &windows(false),
+            windows(false),
         );
         e.crash(at(50), MASTER, Crash::Process);
         let (dark, mut rng) = (windows(true), SimRng::seed_from(7));
         for attempt in 0..2 {
-            let step = e.restart(MASTER, attempt, &dark, &mut rng);
+            let step = e.restart(MASTER, attempt, dark, &mut rng);
             assert!(matches!(step, Restart::Backoff(d) if d > SimDuration::ZERO));
         }
         assert_eq!(e.recovery.replay_backoffs, 2);
-        let step = e.restart(MASTER, 2, &dark, &mut rng);
+        let step = e.restart(MASTER, 2, dark, &mut rng);
         assert_eq!(step, Restart::Replay(SimDuration::ZERO));
         let revived = e.revive(at(60), MASTER).expect("down engine revives");
         assert_eq!(
@@ -711,7 +700,7 @@ mod tests {
         );
         // Revival clears the mark: the next outage reads the journal back.
         e.crash(at(70), MASTER, Crash::Process);
-        let step = e.restart(MASTER, 0, &windows(false), &mut rng);
+        let step = e.restart(MASTER, 0, windows(false), &mut rng);
         assert!(matches!(step, Restart::Replay(d) if d > SimDuration::ZERO));
         let revived = e.revive(at(80), MASTER).expect("down engine revives");
         assert_eq!(revived.replayed, 1);
@@ -775,7 +764,7 @@ mod tests {
         assert_eq!(decide(&e, w1, blind, &state, &current), Reconcile::Skip);
         // Durable records alone are a witness: replay from scratch.
         for event in [JournalEvent::Admitted, JournalEvent::NodeDone(a)] {
-            e.append(at(0), W0, key(0), event, &windows(false));
+            e.append(at(0), W0, key(0), event, windows(false));
         }
         e.crash(at(10), W0, Crash::Process);
         let replay_nothing = Reconcile::Replay {

@@ -8,8 +8,9 @@
 //! pure configuration — every fault fires at a pre-declared simulated
 //! instant and all recovery jitter comes from the cluster's seeded RNG — so
 //! the same seed and plan always reproduce the same run, byte for byte.
-//! The cluster-wide run-time fault state lives here too (`FaultWindows`);
-//! each worker's own fault state is in its `Worker` record.
+//! The cluster-wide run-time fault state lives here too (`FaultWindows`
+//! and the remote store's `StorageWindow`); each worker's own fault state
+//! is in its `Worker` record.
 //!
 //! Three fault classes are modelled:
 //!
@@ -409,95 +410,73 @@ pub(crate) fn stretched(d: SimDuration, factor: f64) -> SimDuration {
     }
 }
 
-/// The cluster-wide state of the open fault windows: the remote store's
-/// blackout and brownout, each node's control-link quality, and the
-/// data-plane payloads (`T`, a flow tag) stalled behind asymmetric
-/// partitions, plus the counts of what gray failures did whether or not a
-/// health detector watches. Per-worker gray state is in
-/// [`crate::worker::Worker`].
-#[derive(Debug)]
-pub(crate) struct FaultWindows<T> {
-    /// Remote store blackout in progress.
-    pub(crate) storage_down: bool,
-    /// Remote store overhead multiplier (1.0 nominally).
-    pub(crate) storage_slowdown: f64,
-    /// Per-node control-link quality.
-    pub(crate) links: LinkFaultTable,
-    /// Payloads stalled by a partition, with the partitioned worker, in
-    /// stall order.
-    stalled: Vec<(usize, T)>,
-    stalled_flows: u64,
-    pub(crate) zombie_fenced: u64,
-    pub(crate) stuck_deferrals: u64,
+/// The remote store's open fault window, read by value: a blackout fails
+/// every call, a brownout multiplies each call's overhead.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StorageWindow {
+    /// Blackout in progress.
+    pub(crate) down: bool,
+    /// Overhead multiplier (1.0 nominally).
+    pub(crate) slowdown: f64,
 }
 
-impl<T> FaultWindows<T> {
-    pub(crate) fn new(nodes: usize) -> Self {
-        FaultWindows {
-            storage_down: false,
-            storage_slowdown: 1.0,
-            links: LinkFaultTable::new(nodes),
-            stalled: Vec::new(),
-            stalled_flows: 0,
-            zombie_fenced: 0,
-            stuck_deferrals: 0,
-        }
-    }
+impl StorageWindow {
+    /// No window open.
+    pub(crate) const CLEAR: StorageWindow = StorageWindow {
+        down: false,
+        slowdown: 1.0,
+    };
 
-    pub(crate) fn on_storage_fault(&mut self, kind: StorageFaultKind, open: bool) {
+    pub(crate) fn on_fault(&mut self, kind: StorageFaultKind, open: bool) {
         match kind {
-            StorageFaultKind::Blackout => self.storage_down = open,
+            StorageFaultKind::Blackout => self.down = open,
             StorageFaultKind::Brownout { slowdown } => {
-                self.storage_slowdown = if open { slowdown } else { 1.0 };
+                self.slowdown = if open { slowdown } else { 1.0 };
             }
         }
     }
 
     /// A store-side overhead stretched by an open brownout.
-    pub(crate) fn storage_overhead(&self, overhead: SimDuration) -> SimDuration {
-        stretched(overhead, self.storage_slowdown)
+    pub(crate) fn overhead(self, overhead: SimDuration) -> SimDuration {
+        stretched(overhead, self.slowdown)
     }
+}
 
-    /// Holds a payload behind `worker`'s open partition until it lifts.
-    pub(crate) fn stall(&mut self, worker: usize, tag: T) {
-        self.stalled_flows += 1;
-        self.stalled.push((worker, tag));
-    }
+/// The cluster-wide state of the open link and gray fault windows: each
+/// node's control-link quality, plus the counts of what gray failures did
+/// whether or not a health detector watches. Per-worker gray state is in
+/// [`crate::worker::Worker`]; the storage window and the payloads stalled
+/// behind partitions are the data path's.
+#[derive(Debug)]
+pub(crate) struct FaultWindows {
+    /// Per-node control-link quality.
+    pub(crate) links: LinkFaultTable,
+    pub(crate) zombie_fenced: u64,
+    pub(crate) stuck_deferrals: u64,
+}
 
-    /// A partition window closes: hands back every stalled payload in
-    /// stall order. The caller replays those behind the lifted window and
-    /// returns the rest through [`Self::hold`], so a payload stalled again
-    /// during the replay keeps its place in the order.
-    pub(crate) fn lift_partition(&mut self) -> Vec<(usize, T)> {
-        std::mem::take(&mut self.stalled)
-    }
-
-    pub(crate) fn hold(&mut self, worker: usize, tag: T) {
-        self.stalled.push((worker, tag));
-    }
-
-    /// Drops the stalled payloads whose transfer was torn down.
-    pub(crate) fn cancel_stalled(&mut self, doomed: impl Fn(&T) -> bool) {
-        self.stalled.retain(|(_, tag)| !doomed(tag));
-    }
-
-    /// Drops the payloads stalled behind `worker`'s partition: the worker
-    /// crashed, and the attempts they belong to died with it.
-    pub(crate) fn drop_stalled_on(&mut self, worker: usize) {
-        self.stalled.retain(|&(w, _)| w != worker);
+impl FaultWindows {
+    pub(crate) fn new(nodes: usize) -> Self {
+        FaultWindows {
+            links: LinkFaultTable::new(nodes),
+            zombie_fenced: 0,
+            stuck_deferrals: 0,
+        }
     }
 
     /// The [`crate::RunReport::health`] section: the detector's state
     /// (when one watches) with the gray-failure counts. A quarantine
-    /// orphan is a dead letter, counted with the others in `FaultReport`.
+    /// orphan is a dead letter, counted with the others in `FaultReport`;
+    /// the data path counts the `stalled_flows`.
     pub(crate) fn health_report(
         &self,
         detector: Option<&HealthDetector>,
         quarantine_orphans: u64,
+        stalled_flows: u64,
     ) -> HealthReport {
         HealthReport {
             zombie_fenced: self.zombie_fenced,
-            stalled_flows: self.stalled_flows,
+            stalled_flows,
             stuck_deferrals: self.stuck_deferrals,
             quarantine_orphans,
             ..detector.map_or_else(HealthReport::default, HealthDetector::snapshot)
@@ -510,51 +489,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lifting_a_partition_keeps_the_stall_order_and_counts_once() {
-        let mut w: FaultWindows<&str> = FaultWindows::new(3);
-        w.stall(1, "a");
-        w.stall(2, "b");
-        w.stall(1, "c");
-        w.cancel_stalled(|t| *t == "c");
-        let mut replayed = Vec::new();
-        for (sw, tag) in w.lift_partition() {
-            if sw == 1 {
-                replayed.push(tag);
-            } else {
-                w.hold(sw, tag);
-            }
-        }
-        assert_eq!(replayed, ["a"]);
-        assert_eq!(w.lift_partition(), [(2, "b")]);
-        w.zombie_fenced = 4;
-        let health = w.health_report(None, 2);
-        let counts = (health.stalled_flows, health.zombie_fenced);
-        assert_eq!((counts, health.quarantine_orphans), ((3, 4), 2));
-        assert!(health.workers.is_empty());
-    }
-
-    #[test]
-    fn a_crash_drops_only_its_own_stalled_payloads() {
-        let mut w: FaultWindows<&str> = FaultWindows::new(3);
-        w.stall(1, "a");
-        w.stall(2, "b");
-        w.stall(1, "c");
-        w.drop_stalled_on(1);
-        assert_eq!(w.lift_partition(), [(2, "b")]);
-        assert_eq!(w.health_report(None, 0).stalled_flows, 3);
-    }
-
-    #[test]
     fn storage_windows_stretch_overheads_only_while_open() {
-        let mut w: FaultWindows<()> = FaultWindows::new(1);
+        let mut w = StorageWindow::CLEAR;
         let brownout = StorageFaultKind::Brownout { slowdown: 3.0 };
         let overhead = SimDuration::from_millis(10);
-        w.on_storage_fault(brownout, true);
-        assert_eq!(w.storage_overhead(overhead), SimDuration::from_millis(30));
-        w.on_storage_fault(brownout, false);
-        assert_eq!(w.storage_overhead(overhead), overhead);
-        w.on_storage_fault(StorageFaultKind::Blackout, true);
-        assert!(w.storage_down);
+        w.on_fault(brownout, true);
+        assert_eq!(w.overhead(overhead), SimDuration::from_millis(30));
+        w.on_fault(brownout, false);
+        assert_eq!(w.overhead(overhead), overhead);
+        w.on_fault(StorageFaultKind::Blackout, true);
+        assert!(w.down);
     }
 
     #[test]

@@ -29,7 +29,6 @@
 
 use faasflow_container::ContainerManager;
 use faasflow_sim::{SimDuration, SimTime};
-use faasflow_store::CircuitBreaker;
 use serde::{Deserialize, Serialize};
 
 pub use faasflow_store::{BreakerConfig, BreakerState};
@@ -335,8 +334,9 @@ impl OverloadConfig {
 pub(crate) struct Admission {
     queue: Option<AdmissionConfig>,
     backpressure: Option<BackpressureConfig>,
-    /// All but the hedge and breaker-transition counts, which their owners
-    /// keep and [`Admission::report`] merges in.
+    /// All but the hedge and breaker counts, which their owners keep: the
+    /// hedge counts [`Admission::report`] merges in, the breaker's the
+    /// data path fills.
     pub(crate) counts: OverloadReport,
 }
 
@@ -406,19 +406,11 @@ impl Admission {
             .defer_delay
     }
 
-    /// The [`crate::RunReport::overload`] section.
-    pub(crate) fn report(
-        &self,
-        hedging: &Hedging,
-        breaker: Option<&CircuitBreaker>,
-    ) -> OverloadReport {
+    /// The [`crate::RunReport::overload`] section but its breaker fields,
+    /// which the data path fills.
+    pub(crate) fn report(&self, hedging: &Hedging) -> OverloadReport {
         let mut report = self.counts;
         hedging.report_into(&mut report);
-        if let Some(t) = breaker.map(CircuitBreaker::transitions) {
-            report.breaker_opens = t.opens;
-            report.breaker_half_opens = t.half_opens;
-            report.breaker_closes = t.closes;
-        }
         report
     }
 }

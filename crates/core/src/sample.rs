@@ -4,7 +4,7 @@
 //! schedules a self-rescheduling `Sample` event on the simulation clock
 //! and snapshots per-node gauges at each tick: container pool occupancy
 //! (resident vs busy), queued admissions, FaaStore memstore usage vs its
-//! reserved quota, and NIC throughput derived from the live [`FlowNet`]
+//! reserved quota, and NIC throughput derived from the live flows'
 //! rates — plus cluster-wide depths (pending simulator events, in-flight
 //! invocations). Each series is a bounded queue (oldest evicted and
 //! counted once full), attached to [`crate::RunReport`] as a
@@ -19,7 +19,7 @@
 
 use std::collections::VecDeque;
 
-use faasflow_net::FlowNet;
+use faasflow_net::Flow;
 use faasflow_sim::{NodeId, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -115,12 +115,13 @@ impl Sampler {
         }
     }
 
-    /// Reads every per-node gauge into the series: worker `w`'s pool and
+    /// Reads every per-node gauge into the series, the NIC rates from
+    /// `flows` (the live flows in id order): worker `w`'s pool and
     /// memstore are node `w + 1`'s.
-    pub(crate) fn take<T>(
+    pub(crate) fn take<'a, T: 'a>(
         &mut self,
         now: SimTime,
-        net: &mut FlowNet<T>,
+        flows: impl Iterator<Item = &'a Flow<T>>,
         workers: &[Worker],
         pending_events: usize,
         inflight_invocations: usize,
@@ -132,7 +133,7 @@ impl Sampler {
         // no NIC.
         self.tx.fill(0.0);
         self.rx.fill(0.0);
-        for (_, flow) in net.iter() {
+        for flow in flows {
             if flow.src == flow.dst {
                 continue;
             }
@@ -206,7 +207,7 @@ fn push_bounded<T>(series: &mut VecDeque<T>, item: T, capacity: usize, dropped: 
 mod tests {
     use super::*;
     use crate::config::ClusterConfig;
-    use faasflow_net::NicSpec;
+    use faasflow_net::{FlowNet, NicSpec};
     use faasflow_sim::WorkflowId;
 
     #[test]
@@ -221,7 +222,8 @@ mod tests {
         store.set_budget(WorkflowId::new(0), 7);
         store.set_budget(WorkflowId::new(1), 5);
         let mut sampler = Sampler::new(SimDuration::from_secs(1), 3, 4);
-        sampler.take(SimTime::ZERO, &mut net, &workers, 9, 2);
+        let flows = net.iter().map(|(_, flow)| flow);
+        sampler.take(SimTime::ZERO, flows, &workers, 9, 2);
         let report = sampler.report();
         let [master, w0, w1] = [0, 1, 2].map(|n| report.nodes[n].samples[0]);
         assert_eq!(
@@ -246,12 +248,12 @@ mod tests {
 
     #[test]
     fn sampler_keeps_the_newest_samples_and_counts_every_eviction() {
-        let mut net: FlowNet<()> = FlowNet::new(vec![NicSpec::symmetric(100.0); 2]);
+        let no_flows: [Flow<()>; 0] = [];
         let workers = [Worker::new(&ClusterConfig::default())];
         let mut sampler = Sampler::new(SimDuration::from_secs(1), 2, 3);
         for tick in 0..5u64 {
             let now = SimTime::ZERO + SimDuration::from_secs(tick);
-            sampler.take(now, &mut net, &workers, tick as usize, 0);
+            sampler.take(now, no_flows.iter(), &workers, tick as usize, 0);
         }
         let report = sampler.report();
         let at = |samples: &[NodeSample]| samples.iter().map(|s| s.at_secs).collect::<Vec<_>>();
